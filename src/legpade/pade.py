@@ -3,12 +3,18 @@
 The approximant is a ratio of two Legendre-basis polynomials, degrees L over
 M, whose coefficients are matched to the series: expanding
 
-    (sum_m b_m P_m) * (sum_l c_l P_l)
+    (sum_k b_k P_k) * (sum_m c_m P_m)
 
 in Legendre polynomials, the orders L+1 .. L+M are forced to vanish (an MxM
 linear system for b_1..b_M with b_0 = 1) and the orders 0 .. L define the
-numerator. Products of Legendre polynomials are relinearized through squared
-zero-projection 3j symbols, taken from exact rational arithmetic.
+numerator. One product-linearization matrix G, with G[n, k] the order-n
+coefficient of P_k * sum_m c_m P_m, serves all three: its rows L+1 .. L+M
+form the system, G[:L+1] @ b is the numerator and G[L+1:] @ b the residual.
+Products of Legendre polynomials are relinearized through squared
+zero-projection 3j symbols, evaluated as a float table from their closed
+form; the exact rational symbols in ``special`` are the oracle it is tested
+against. The system is solved by numpy.linalg and rejected when its 1-norm
+condition number reaches 1e14.
 
 The matching sums run over every coefficient the caller supplies, not just
 the first L+M+1: feeding more terms of the underlying function sharpens the
@@ -31,7 +37,8 @@ from .errors import (
     SingularSystemError,
 )
 from .series import ComplexSeries, _check_theta
-from .special import legendre_eval_all, threej_zero_sq_float
+# threej_zero_sq_float is unused here; perfbench/tracer.py rebinds it on this module
+from .special import legendre_eval_all, threej_zero_sq_float  # noqa: F401
 
 __all__ = [
     "PadeApproximant",
@@ -44,7 +51,7 @@ __all__ = [
     "default_split",
 ]
 
-_PIVOT_FLOOR = 1e-14
+_RCOND_FLOOR = 1e-14
 _RESIDUAL_FLOOR = 1e-8
 _POLE_FLOOR = 1e-12
 
@@ -100,103 +107,56 @@ def default_split(n: int) -> tuple[int, int]:
     return (n + 1) // 2, (n - 1) // 2
 
 
-def _lu_solve(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Solve a dense complex system by LU with partial pivoting.
-
-    Returns (solution, 1-norm condition estimate). Raises SingularSystemError
-    when a pivot falls below 1e-14 * max|A|.
-    """
-    a = np.array(a, dtype=complex)
-    m = a.shape[0]
-    norm_a = np.max(np.sum(np.abs(a), axis=0))
-    scale = np.max(np.abs(a))
-    if scale == 0.0:
-        raise SingularSystemError("coefficient matrix is identically zero", condition_estimate=math.inf)
-    lu = a.copy()
-    piv = np.arange(m)
-    for col in range(m):
-        p = col + int(np.argmax(np.abs(lu[col:, col])))
-        if abs(lu[p, col]) < _PIVOT_FLOOR * scale:
-            raise SingularSystemError(
-                f"pivot {abs(lu[p, col]):.3e} below {_PIVOT_FLOOR:g} * max|A| = {_PIVOT_FLOOR * scale:.3e}",
-                condition_estimate=math.inf,
-            )
-        if p != col:
-            lu[[col, p]] = lu[[p, col]]
-            piv[[col, p]] = piv[[p, col]]
-        lu[col + 1:, col] /= lu[col, col]
-        lu[col + 1:, col + 1:] -= np.outer(lu[col + 1:, col], lu[col, col + 1:])
-
-    def back_substitute(b):
-        y = b[piv].astype(complex)
-        for i in range(1, m):
-            y[i] -= np.dot(lu[i, :i], y[:i])
-        x = y
-        for i in range(m - 1, -1, -1):
-            x[i] = (x[i] - np.dot(lu[i, i + 1:], x[i + 1:])) / lu[i, i]
-        return x
-
-    inv = np.column_stack([back_substitute(e) for e in np.eye(m)])
-    cond = max(1.0, float(norm_a * np.max(np.sum(np.abs(inv), axis=0))))
-    return back_substitute(np.asarray(rhs, dtype=complex)), cond
-
-
-def _product_coefficient(c: np.ndarray, b: np.ndarray, n: int) -> complex:
-    """Order-n Legendre coefficient of (sum_l c_l P_l)(sum_k b_k P_k)."""
-    total = 0.0 + 0.0j
-    for k in range(b.size):
-        acc = 0.0 + 0.0j
-        # triangle rule: only |k-n| <= m <= k+n contributes
-        for m in range(max(0, n - k), min(c.size - 1, n + k) + 1):
-            w = threej_zero_sq_float(k, m, n)
-            if w != 0.0:
-                acc += c[m] * w
-        total += b[k] * acc
-    return (2 * n + 1) * total
-
-
-def build_denominator_system(series: ComplexSeries, L: int, M: int) -> tuple[np.ndarray, np.ndarray]:
-    """Matrix and right-hand side of the vanishing conditions for b_1..b_M.
-
-    Row j (for enforced order n = L+j): A[j-1, k-1] = sum_m c_m W(k, m, n)
-    with W the squared zero-projection 3j symbol, rhs[j-1] the negated b_0
-    column. Sums run over all coefficients the series carries.
-    """
-    if M < 1:
-        raise DomainError("the denominator system needs M >= 1")
-    if L < 0:
-        raise DomainError("numerator degree must be non-negative")
+def _checked_coefficients(series: ComplexSeries, L: int, M: int) -> np.ndarray:
+    """Series coefficients after checking the degrees against them."""
+    if L < 0 or M < 0:
+        raise DomainError(f"degrees must be non-negative, got L={L}, M={M}")
     c = series.coefficients
     if c.size < L + M + 1:
         raise InsufficientCoefficientsError(
             f"need at least {L + M + 1} coefficients for L={L}, M={M}; series has {c.size}"
         )
-    a = np.zeros((M, M), dtype=complex)
-    rhs = np.zeros(M, dtype=complex)
-    for j in range(1, M + 1):
-        n = L + j
-        for k in range(1, M + 1):
-            a[j - 1, k - 1] = sum(
-                c[m] * threej_zero_sq_float(k, m, n)
-                for m in range(max(0, n - k), min(c.size - 1, n + k) + 1)
-            )
-        rhs[j - 1] = -sum(
-            c[m] * threej_zero_sq_float(0, m, n)
-            for m in range(max(0, n), min(c.size - 1, n) + 1)
-        )
-    return a, rhs
+    return c
 
 
-def solve_denominator(series: ComplexSeries, L: int, M: int) -> tuple[np.ndarray, float]:
-    """Denominator coefficients b_0..b_M (b_0 = 1) and a condition estimate."""
-    if M == 0:
-        if len(series) < L + 1:
-            raise InsufficientCoefficientsError(
-                f"need at least {L + 1} coefficients for L={L}, M=0; series has {len(series)}"
-            )
+def _product_matrix(c: np.ndarray, L: int, M: int) -> np.ndarray:
+    """G[n, k] for n = 0..L+M, k = 0..M: order-n coefficient of P_k * sum_m c_m P_m.
+
+    P_k P_m = sum_n (2n+1) W(k, m, n) P_n with W the squared zero-projection
+    3j symbol, in closed form W = A(g-k) A(g-m) A(g-n) / ((J+1) A(g)) for
+    J = k+m+n = 2g and A(p) = (2p)!/(2^p p!)^2. W vanishes for odd J and off
+    the triangle, so orders m > L+2M never contribute.
+    """
+    c = c[: L + 2 * M + 1]
+    k, m, n = np.ogrid[: M + 1, : c.size, : L + M + 1]
+    J = k + m + n
+    g = J // 2
+    on = (J % 2 == 0) & (g >= k) & (g >= m) & (g >= n)
+    p = np.arange(1, g.max() + 1)
+    A = np.concatenate([[1.0], np.cumprod((2 * p - 1) / (2 * p))])
+    # entries off the rules index A[0] and are then zeroed
+    w = np.where(on, A[(g - k) * on] * A[(g - m) * on] * A[(g - n) * on] / ((J + 1) * A[g]), 0.0)
+    return (2 * np.arange(L + M + 1) + 1)[:, None] * np.einsum("kmn,m->nk", w, c)
+
+
+def _system(G: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
+    # rows L+1..L+M of G over 2n+1 are the sums of c_m W(k, m, n)
+    rows = G[L + 1:] / (2 * np.arange(L + 1, G.shape[0]) + 1)[:, None]
+    return rows[:, 1:], -rows[:, 0]
+
+
+def _denominator(G: np.ndarray, L: int) -> tuple[np.ndarray, float]:
+    """b_0..b_M and the 1-norm condition number of the system taken from G."""
+    if G.shape[1] == 1:
         return np.array([1.0 + 0.0j]), 1.0
-    a, rhs = build_denominator_system(series, L, M)
-    tail, cond = _lu_solve(a, rhs)
+    a, rhs = _system(G, L)
+    cond = float(np.linalg.cond(a, 1))
+    if not cond < 1.0 / _RCOND_FLOOR:
+        raise SingularSystemError(
+            f"condition number {cond:.3e} is not below 1/{_RCOND_FLOOR:g}; system is numerically singular",
+            condition_estimate=cond,
+        )
+    tail = np.linalg.solve(a, rhs)
     residual = np.max(np.abs(a @ tail - rhs))
     norm_a = np.max(np.abs(a))
     if residual > 1e-10 * norm_a * max(1.0, np.max(np.abs(tail))):
@@ -207,17 +167,33 @@ def solve_denominator(series: ComplexSeries, L: int, M: int) -> tuple[np.ndarray
     return np.concatenate([[1.0 + 0.0j], tail]), cond
 
 
+def build_denominator_system(series: ComplexSeries, L: int, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """Matrix and right-hand side of the vanishing conditions for b_1..b_M.
+
+    Row j (for enforced order n = L+j): A[j-1, k-1] = sum_m c_m W(k, m, n)
+    with W the squared zero-projection 3j symbol, rhs[j-1] the negated b_0
+    column. Sums run over all coefficients the series carries.
+    """
+    c = _checked_coefficients(series, L, M)
+    if M < 1:
+        raise DomainError("the denominator system needs M >= 1")
+    return _system(_product_matrix(c, L, M), L)
+
+
+def solve_denominator(series: ComplexSeries, L: int, M: int) -> tuple[np.ndarray, float]:
+    """Denominator coefficients b_0..b_M (b_0 = 1) and the 1-norm condition
+    number of the system (1.0 when M = 0)."""
+    c = _checked_coefficients(series, L, M)
+    return _denominator(_product_matrix(c, L, M), L)
+
+
 def compute_numerator(series: ComplexSeries, denominator: np.ndarray, L: int, M: int) -> np.ndarray:
     """Numerator coefficients a_0..a_L for a given denominator."""
+    c = _checked_coefficients(series, L, M)
     b = np.asarray(denominator, dtype=complex)
     if b.size != M + 1:
         raise ValueError(f"denominator must carry M+1 = {M + 1} coefficients, got {b.size}")
-    c = series.coefficients
-    if c.size < L + M + 1:
-        raise InsufficientCoefficientsError(
-            f"need at least {L + M + 1} coefficients for L={L}, M={M}; series has {c.size}"
-        )
-    return np.array([_product_coefficient(c, b, n) for n in range(L + 1)])
+    return _product_matrix(c, L, M)[: L + 1] @ b
 
 
 def construct(series: ComplexSeries, L: int, M: int) -> tuple[PadeApproximant, ConstructionReport]:
@@ -227,15 +203,11 @@ def construct(series: ComplexSeries, L: int, M: int) -> tuple[PadeApproximant, C
     recomputed magnitude among the enforced-zero orders L+1 .. L+M; the
     construction fails if that residual exceeds 1e-8 * max|c|.
     """
-    b, cond = solve_denominator(series, L, M)
-    a = compute_numerator(series, b, L, M)
-    c = series.coefficients
-    if M == 0:
-        residual = 0.0
-    else:
-        residual = max(
-            abs(_product_coefficient(c, b, n)) for n in range(L + 1, L + M + 1)
-        )
+    c = _checked_coefficients(series, L, M)
+    G = _product_matrix(c, L, M)
+    b, cond = _denominator(G, L)
+    a = G[: L + 1] @ b
+    residual = float(np.max(np.abs(G[L + 1:] @ b), initial=0.0))
     scale = float(np.max(np.abs(c)))
     if residual > _RESIDUAL_FLOOR * scale:
         raise ResidualTooLargeError(
@@ -243,7 +215,7 @@ def construct(series: ComplexSeries, L: int, M: int) -> tuple[PadeApproximant, C
             f"{_RESIDUAL_FLOOR * scale:.3e}",
             residual=residual,
         )
-    return PadeApproximant(a, b), ConstructionReport(condition_estimate=float(cond), residual=float(residual))
+    return PadeApproximant(a, b), ConstructionReport(condition_estimate=cond, residual=residual)
 
 
 def evaluate(p: PadeApproximant, theta: float) -> complex:

@@ -124,15 +124,9 @@ def triple_product_integral(l: int, m: int, n: int) -> Fraction:
     return 2 * threej_zero_sq(l, m, n)
 
 
-@lru_cache(maxsize=None)
-def _threej_sq_float(l: int, m: int, n: int) -> float:
-    return float(_threej_sq_canonical(l, m, n))
-
-
 def threej_zero_sq_float(l: int, m: int, n: int) -> float:
-    """Float image of threej_zero_sq, cached for use in linear-system sums."""
-    a, b, c = sorted((l, m, n))
-    return _threej_sq_float(a, b, c)
+    """Float image of threej_zero_sq."""
+    return float(threej_zero_sq(l, m, n))
 
 
 # Lanczos approximation, g = 607/128, 15 terms (Godfrey's coefficient set).

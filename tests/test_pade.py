@@ -12,7 +12,6 @@ from legpade.errors import (
 from legpade.pade import (
     ConstructionReport,
     PadeApproximant,
-    _lu_solve,
     build_denominator_system,
     compute_numerator,
     construct,
@@ -20,8 +19,9 @@ from legpade.pade import (
     evaluate,
     solve_denominator,
 )
-from legpade.scattering import exact_half_csc, unit_series
+from legpade.scattering import coulomb_series, exact_half_csc, unit_series
 from legpade.series import ComplexSeries, eval_partial_sum, project_legendre_coefficient
+from legpade.special import threej_zero_sq
 
 
 def random_series(rng, size):
@@ -62,28 +62,54 @@ class TestDenominatorSystem:
             solve_denominator(series, 0, 2)
 
 
-class TestLuSolve:
+class TestSolve:
     def test_matches_numpy(self):
         rng = np.random.default_rng(9)
         for m in (1, 2, 4, 7):
-            a = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-            rhs = rng.normal(size=m) + 1j * rng.normal(size=m)
-            x, cond = _lu_solve(a, rhs)
-            assert np.allclose(x, np.linalg.solve(a, rhs), rtol=1e-11, atol=1e-12)
-            assert cond >= 1.0
+            series = random_series(rng, 2 * m + 1)
+            a, rhs = build_denominator_system(series, m, m)
+            b, cond = solve_denominator(series, m, m)
+            assert np.allclose(a @ b[1:], rhs, rtol=1e-11, atol=1e-12)
+            assert np.allclose(b[1:], np.linalg.solve(a, rhs), rtol=1e-11, atol=1e-12)
+            assert cond == pytest.approx(np.linalg.cond(a, 1), rel=1e-12)
 
     def test_singular_raises_with_condition(self):
-        a = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
         with pytest.raises(SingularSystemError) as exc_info:
-            _lu_solve(a, np.ones(2, dtype=complex))
+            solve_denominator(ComplexSeries(np.zeros(5)), 2, 2)
         assert exc_info.value.condition_estimate == math.inf
+
+
+class TestExactOracle:
+    """The float product kernel against sums of exact-Fraction 3j symbols."""
+
+    @pytest.mark.parametrize("family", ["unit", "coulomb"])
+    @pytest.mark.parametrize("degree", [20, 40])
+    def test_kernel_matches_exact_threej(self, family, degree):
+        L = M = degree
+        series = unit_series(L + M + 2) if family == "unit" else coulomb_series(L + M + 2, 1.0)
+        c = series.coefficients
+        a, rhs = build_denominator_system(series, L, M)
+        b = np.concatenate([[1.0], np.random.default_rng(degree).normal(size=M)])
+        numerator = compute_numerator(series, b, L, M)
+
+        def threej_sums(k, n):
+            orders = range(abs(n - k), min(c.size - 1, n + k) + 1)
+            return sum(c[m] * float(threej_zero_sq(k, m, n)) for m in orders)
+
+        exact_a = np.array([[threej_sums(k, n) for k in range(1, M + 1)] for n in range(L + 1, L + M + 1)])
+        exact_rhs = -np.array([threej_sums(0, n) for n in range(L + 1, L + M + 1)])
+        exact_numerator = np.array(
+            [(2 * n + 1) * sum(b[k] * threej_sums(k, n) for k in range(M + 1)) for n in range(L + 1)]
+        )
+        scale = np.max(np.abs(exact_a))
+        assert np.max(np.abs(a - exact_a)) <= 1e-14 * scale
+        assert np.max(np.abs(rhs - exact_rhs)) <= 1e-14 * scale
+        assert np.max(np.abs(numerator - exact_numerator)) <= 1e-14 * np.max(np.abs(exact_numerator))
 
 
 class TestCramerCrossCheck:
     def test_solution_matches_cramer_for_small_m(self):
         # determinant-ratio route, retained as an independent check for M <= 3
-        from legpade.scattering import coulomb_series
-
         for series, L, M in [
             (unit_series(8), 3, 3),
             (coulomb_series(8, 1.0), 3, 3),
@@ -190,6 +216,11 @@ class TestConstruct:
             assert np.max(np.abs(approx.numerator - a_true)) < 1e-8 * scale
             assert np.max(np.abs(approx.denominator - b_true)) < 1e-8 * scale
             recovered += 1
+
+    @pytest.mark.parametrize("L, M", [(-1, 0), (2, -1), (-2, 3)])
+    def test_negative_degrees(self, L, M):
+        with pytest.raises(DomainError):
+            construct(unit_series(6), L, M)
 
     def test_report_types(self):
         _, report = construct(unit_series(8), 3, 3)
