@@ -8,9 +8,9 @@ Two subcommands:
   partial sum, the approximant, the exact oracle where one exists, and the
   cross section.
 
-Exit codes: 0 success, 2 construction failure, 3 quadrature failure,
-4 bad arguments. All angles are radians. A ``key = value`` config file can
-pre-load any long flag; explicit flags win.
+Exit codes: 0 success, 1 output file cannot be written, 2 construction
+failure, 3 quadrature failure, 4 bad arguments. All angles are radians. A
+``key = value`` config file can pre-load any long flag; explicit flags win.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ DEMOS = ("unit", "coulomb", "invr2", "rn")
 CSV_HEADER = "theta,re_partial,im_partial,re_pade,im_pade,re_exact,im_exact,sigma_pade,pole_flag"
 
 EXIT_OK = 0
+EXIT_WRITE = 1
 EXIT_CONSTRUCTION = 2
 EXIT_QUADRATURE = 3
 EXIT_BAD_ARGS = 4
@@ -149,7 +150,7 @@ def _write_text(path: Optional[str], text: str):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
-        raise CliError(f"cannot write output: {exc}", 1)
+        raise CliError(f"cannot write output: {exc}", EXIT_WRITE)
 
 
 def cmd_construct(args) -> int:
@@ -244,7 +245,8 @@ def _add_series_options(sub):
     sub.add_argument("-o", "--output", default=None, help="output path (default stdout)")
 
 
-def build_parser() -> _Parser:
+def build_parser(config_defaults: Optional[dict] = None) -> _Parser:
+    """The CLI parser; ``config_defaults`` replace the subcommands' defaults."""
     parser = _Parser(prog="legpade", description="Legendre-basis rational resummation of partial-wave series")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
@@ -266,6 +268,8 @@ def build_parser() -> _Parser:
                            help="last angle in radians (default pi)")
     p_compare.add_argument("--steps", type=int, default=400, help="number of angles (default 400)")
     p_compare.set_defaults(func=cmd_compare)
+    for sub in (p_construct, p_compare):
+        sub.set_defaults(**(config_defaults or {}))
     return parser
 
 
@@ -294,24 +298,20 @@ _CONFIG_TYPES = {
 }
 
 
-def _apply_config(args, argv: Sequence[str]) -> None:
-    if getattr(args, "config", None) is None:
-        return
-    explicit = {a.split("=", 1)[0] for a in argv if a.startswith("--")}
+def _config_defaults(args) -> dict:
+    """Typed values of ``args.config`` for the options of the chosen subcommand."""
+    defaults = {}
     for key, raw in _load_config(args.config).items():
         if key not in _CONFIG_TYPES:
             raise CliError(f"unknown config key {key!r}", EXIT_BAD_ARGS)
         if not hasattr(args, key):
             continue
-        flag = "--" + key.replace("_", "-")
-        alt = "--" + key
-        if flag in explicit or alt in explicit:
-            continue  # explicit flags beat config values
         try:
-            setattr(args, key, _CONFIG_TYPES[key](raw))
+            defaults[key] = _CONFIG_TYPES[key](raw)
         except ValueError:
             raise CliError(f"config value for {key!r} is not a valid {_CONFIG_TYPES[key].__name__}: {raw!r}",
                            EXIT_BAD_ARGS)
+    return defaults
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -323,7 +323,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _apply_config(args, argv)
+        if args.config is not None:
+            # config values become defaults, so argparse lets any given flag win
+            args = build_parser(_config_defaults(args)).parse_args(argv)
         if getattr(args, "coeffs", None) is None and getattr(args, "demo", None) is None:
             raise CliError("choose a --demo or supply --coeffs", EXIT_BAD_ARGS)
         return args.func(args)

@@ -11,6 +11,9 @@ Four families feed the rational resummation:
 Phase-shift quadratures use the adaptive Gauss-Kronrod integrator from
 scipy; the improper integrals are split at documented breakpoints and the
 near-horizon log endpoint is tamed with a logarithmic substitution.
+``scipy.integrate`` is imported on the first quadrature call, so the
+closed-form series, the oracles and every caller that never integrates
+load numpy only.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .errors import DomainError, QuadratureConvergenceError
 from .series import ComplexSeries
@@ -152,7 +154,16 @@ def _tail_start(l: int) -> float:
     return max(100.0, 3.0 * l)
 
 
+def quad(f, a, b, **kwargs):
+    """``scipy.integrate.quad``, imported on first use (it dominates start-up)."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(f, a, b, **kwargs)
+
+
 def _checked_quad(f, a, b, *, epsabs, epsrel, limit=400, **kwargs):
+    from scipy.integrate import IntegrationWarning
+
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", IntegrationWarning)
         value, abserr = quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit, **kwargs)

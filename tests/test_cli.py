@@ -162,10 +162,39 @@ class TestConfigFile:
         assert rc == 0
         assert len(read_rows(outfile)) == 9
 
+    def test_short_flag_overrides_config(self, tmp_path):
+        config = tmp_path / "sweep.cfg"
+        explicit = tmp_path / "explicit.csv"
+        from_config = tmp_path / "from_config.csv"
+        config.write_text(f"demo = unit\nsteps = 7\noutput = {from_config}\n")
+        rc = run_cli(["compare", "--demo", "unit", "--config", str(config), "-o", str(explicit)])
+        assert rc == 0
+        assert len(read_rows(explicit)) == 7
+        assert not from_config.exists()
+
+    def test_abbreviated_flag_overrides_config(self, tmp_path):
+        config = tmp_path / "sweep.cfg"
+        outfile = tmp_path / "out.csv"
+        config.write_text("demo = unit\nsteps = 3\n")
+        rc = run_cli(["compare", "--config", str(config), "--ste", "5", "-o", str(outfile)])
+        assert rc == 0
+        assert len(read_rows(outfile)) == 5
+
+    def test_badly_typed_value_rejected(self, tmp_path):
+        config = tmp_path / "bad.cfg"
+        config.write_text("demo = unit\nsteps = many\n")
+        assert run_cli(["compare", "--config", str(config)]) == 4
+
     def test_unknown_key_rejected(self, tmp_path):
         config = tmp_path / "bad.cfg"
         config.write_text("demo = unit\nbogus = 1\n")
         assert run_cli(["compare", "--config", str(config)]) == 4
+
+
+def test_unwritable_output_exit_code(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.csv"
+    assert run_cli(["compare", "--demo", "unit", "--steps", "3", "-o", str(target)]) == 1
+    assert "legpade: cannot write output:" in capsys.readouterr().err
 
 
 class TestFormatting:
