@@ -290,27 +290,35 @@ def _load_config(path: str) -> dict[str, str]:
     return values
 
 
-_CONFIG_TYPES = {
-    "demo": str, "coeffs": str, "N": int, "L": int, "M": int,
-    "alpha": float, "k": float, "mass": float, "QoverM": float,
-    "eta": float, "mu": float, "rn_epsilon": float, "rn_rmax": float,
-    "theta_min": float, "theta_max": float, "steps": int, "output": str,
-}
+def _config_options(parser: _Parser) -> dict:
+    """Options a config file may set, by dest, over every subcommand."""
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        action.dest: action
+        for sub in subcommands.choices.values()
+        for action in sub._actions
+        if action.option_strings and action.dest not in ("help", "config")
+    }
 
 
-def _config_defaults(args) -> dict:
+def _config_defaults(args, parser: _Parser) -> dict:
     """Typed values of ``args.config`` for the options of the chosen subcommand."""
+    options = _config_options(parser)
     defaults = {}
     for key, raw in _load_config(args.config).items():
-        if key not in _CONFIG_TYPES:
+        if key not in options:
             raise CliError(f"unknown config key {key!r}", EXIT_BAD_ARGS)
         if not hasattr(args, key):
             continue
+        kind = options[key].type or str
         try:
-            defaults[key] = _CONFIG_TYPES[key](raw)
+            value = kind(raw)
         except ValueError:
-            raise CliError(f"config value for {key!r} is not a valid {_CONFIG_TYPES[key].__name__}: {raw!r}",
+            raise CliError(f"config value for {key!r} is not a valid {kind.__name__}: {raw!r}", EXIT_BAD_ARGS)
+        if options[key].choices is not None and value not in options[key].choices:
+            raise CliError(f"config value for {key!r} must be one of {options[key].choices}: {raw!r}",
                            EXIT_BAD_ARGS)
+        defaults[key] = value
     return defaults
 
 
@@ -325,7 +333,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.config is not None:
             # config values become defaults, so argparse lets any given flag win
-            args = build_parser(_config_defaults(args)).parse_args(argv)
+            args = build_parser(_config_defaults(args, parser)).parse_args(argv)
         if getattr(args, "coeffs", None) is None and getattr(args, "demo", None) is None:
             raise CliError("choose a --demo or supply --coeffs", EXIT_BAD_ARGS)
         return args.func(args)

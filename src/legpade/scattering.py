@@ -8,24 +8,23 @@ Four families feed the rational resummation:
 * Reissner-Nordstrom partial waves from zeroth- and first-order phase
   shifts, where no closed form exists.
 
-Phase-shift quadratures use the adaptive Gauss-Kronrod integrator from
-scipy; the improper integrals are split at documented breakpoints and the
-near-horizon log endpoint is tamed with a logarithmic substitution.
-``scipy.integrate`` is imported on the first quadrature call, so the
-closed-form series, the oracles and every caller that never integrates
-load numpy only.
+Phase-shift quadratures use the numpy Gauss-Kronrod integrator of
+``legpade.quadrature``; the improper integrals are split at documented
+breakpoints and the near-horizon log endpoint is tamed with a logarithmic
+substitution. Each quadrature logs its interval, error estimate and
+integrand points at DEBUG on the ``legpade.scattering`` logger.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, QuadratureConvergenceError
+from .quadrature import quad
 from .series import ComplexSeries
 from .special import log_gamma_complex, spherical_bessel_j, spherical_bessel_y
 
@@ -154,25 +153,20 @@ def _tail_start(l: int) -> float:
     return max(100.0, 3.0 * l)
 
 
-def quad(f, a, b, **kwargs):
-    """``scipy.integrate.quad``, imported on first use (it dominates start-up)."""
-    from scipy.integrate import quad as scipy_quad
-
-    return scipy_quad(f, a, b, **kwargs)
-
-
 def _checked_quad(f, a, b, *, epsabs, epsrel, limit=400, **kwargs):
-    from scipy.integrate import IntegrationWarning
+    """``quad`` through the module global (tracers rebind it), logged at DEBUG.
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", IntegrationWarning)
-        value, abserr = quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit, **kwargs)
-    for w in caught:
-        if issubclass(w.category, IntegrationWarning):
-            raise QuadratureConvergenceError(
-                f"quadrature on [{a:g}, {b:g}] did not converge: {w.message}"
-            )
-    return value, abserr
+    ``logging`` is imported here because only the quadrature paths log and
+    the import adds ~6 ms to every start-up.
+    """
+    import logging
+
+    try:
+        value, abserr, neval = quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit, **kwargs)
+    except QuadratureConvergenceError as exc:
+        raise QuadratureConvergenceError(f"quadrature on [{a:g}, {b:g}] did not converge: {exc}") from exc
+    logging.getLogger(__name__).debug("quadrature on [%g, %g]: abserr %.3g, neval %d", a, b, abserr, neval)
+    return value, abserr, neval
 
 
 def _bessel_sq_moment(l: int, power: int) -> float:
@@ -183,32 +177,39 @@ def _bessel_sq_moment(l: int, power: int) -> float:
     the rest is a clean Fourier integral handled by weighted quadrature.
     """
     x0 = _tail_start(l)
-    body, _ = _checked_quad(
-        lambda x: spherical_bessel_j(l, x) ** 2 * x**power, 0.0, x0,
-        epsabs=1e-14, epsrel=1e-12, limit=600,
-    )
+
+    def bessel(fn, x):
+        return np.array([fn(l, xi) for xi in x.tolist()])
+
+    def body(x):
+        return bessel(spherical_bessel_j, x) ** 2 * x**power
 
     def mean(x):
-        return 0.5 * (spherical_bessel_j(l, x) ** 2 + spherical_bessel_y(l, x) ** 2) * x**power
+        j, y = bessel(spherical_bessel_j, x), bessel(spherical_bessel_y, x)
+        return 0.5 * (j * j + y * y) * x**power
+
+    def amplitudes(x):
+        j, y = bessel(spherical_bessel_j, x), bessel(spherical_bessel_y, x)
+        s, c = np.sin(x), np.cos(x)
+        return j * s - y * c, j * c + y * s
 
     def cos_part(x):
-        a = spherical_bessel_j(l, x) * math.sin(x) - spherical_bessel_y(l, x) * math.cos(x)
-        b = spherical_bessel_j(l, x) * math.cos(x) + spherical_bessel_y(l, x) * math.sin(x)
+        a, b = amplitudes(x)
         return 0.5 * (b * b - a * a) * x**power
 
     def sin_part(x):
-        a = spherical_bessel_j(l, x) * math.sin(x) - spherical_bessel_y(l, x) * math.cos(x)
-        b = spherical_bessel_j(l, x) * math.cos(x) + spherical_bessel_y(l, x) * math.sin(x)
+        a, b = amplitudes(x)
         return a * b * x**power
 
-    tail_mean, _ = _checked_quad(mean, x0, np.inf, epsabs=1e-13, epsrel=1e-12)
-    tail_cos, _ = _checked_quad(
+    body_value, _, _ = _checked_quad(body, 0.0, x0, epsabs=1e-14, epsrel=1e-12, limit=600)
+    tail_mean, _, _ = _checked_quad(mean, x0, np.inf, epsabs=1e-13, epsrel=1e-12)
+    tail_cos, _, _ = _checked_quad(
         cos_part, x0, np.inf, weight="cos", wvar=2.0, epsabs=1e-13, epsrel=1e-12, limlst=200
     )
-    tail_sin, _ = _checked_quad(
+    tail_sin, _, _ = _checked_quad(
         sin_part, x0, np.inf, weight="sin", wvar=2.0, epsabs=1e-13, epsrel=1e-12, limlst=200
     )
-    return body + tail_mean + tail_cos + tail_sin
+    return body_value + tail_mean + tail_cos + tail_sin
 
 
 def born_phase_shift(potential: PotentialSpec, l: int, k: float, method: str = "auto") -> float:
@@ -294,8 +295,26 @@ def rn_effective_potential(r: float, l: int, params: RNParams) -> float:
     return horizon_factor * centrifugal + mass_term
 
 
+def _rn_tortoise_and_weight(r: np.ndarray, l: int, params: RNParams) -> tuple[np.ndarray, np.ndarray]:
+    """Tortoise coordinate and (dr*/dr) * V_eff at an array of radii above r_+.
+
+    Array form of ``rn_tortoise`` and ``rn_drstar_dr * rn_effective_potential``
+    for the quadrature panels; the product is simplified to
+    ``centrifugal + mass_term / horizon_factor``, in powers of 1/r.
+    """
+    rp, rm = params.r_plus, params.r_minus
+    rstar = r + rp * rp / (rp - rm) * np.log(r / rp - 1.0)
+    if rm > 0.0:
+        rstar -= rm * rm / (rp - rm) * np.log(r / rm - 1.0)
+    inv = 1.0 / r
+    horizon_factor = (1.0 - rp / r) * (1.0 - rm / r)
+    centrifugal = inv * inv * (l * (l + 1) + inv * ((rp + rm) - 2.0 * rp * rm * inv))
+    mass_term = params.mu**2 * inv * (rp * rm * inv - (rp + rm))
+    return rstar, centrifugal + mass_term / horizon_factor
+
+
 def _rn_integral(f, params: RNParams, horizon_epsilon: float, r_max: float) -> float:
-    """Integral of f over (r_+, r_max] with the documented cutoffs.
+    """Integral of the vectorized f over (r_+, r_max] with the documented cutoffs.
 
     The slice hugging the horizon is integrated in u = ln(r/r_+ - 1), where
     the integrable log endpoint becomes smooth; the rest is split at the
@@ -305,19 +324,19 @@ def _rn_integral(f, params: RNParams, horizon_epsilon: float, r_max: float) -> f
     total = 0.0
 
     def near(u):
-        r = rp * (1.0 + math.exp(u))
-        return f(r) * rp * math.exp(u)
+        e = np.exp(u)
+        return f(rp * (1.0 + e)) * rp * e
 
     hi0 = min(2.0 * rp, r_max)
     if hi0 > rp * (1.0 + horizon_epsilon):
         u_hi = math.log(hi0 / rp - 1.0)
-        value, _ = _checked_quad(near, math.log(horizon_epsilon), u_hi, epsabs=1e-13, epsrel=1e-9)
+        value, _, _ = _checked_quad(near, math.log(horizon_epsilon), u_hi, epsabs=1e-13, epsrel=1e-9)
         total += value
     lo = hi0
     for hi in sorted({min(20.0 * rp, r_max), min(1.0 / params.eta, r_max), r_max}):
         if hi <= lo:
             continue
-        value, _ = _checked_quad(f, lo, hi, epsabs=1e-13, epsrel=1e-9, limit=1500)
+        value, _, _ = _checked_quad(f, lo, hi, epsabs=1e-13, epsrel=1e-9, limit=1500)
         total += value
         lo = hi
     return total
@@ -352,16 +371,19 @@ def rn_phase_shift(
     rp, rm = params.r_plus, params.r_minus
     if r_max is None:
         r_max = 50.0 / eta
+    if not rp * (1.0 + horizon_epsilon) > rp:
+        raise DomainError(f"horizon_epsilon = {horizon_epsilon} puts the lower cutoff on r_+")
     if r_max <= rp * (1.0 + horizon_epsilon):
         raise ValueError("r_max must lie beyond the lower quadrature cutoff")
 
     def weighted(osc):
         def f(r):
-            return osc(eta, rn_tortoise(r, params)) * rn_drstar_dr(r, params) * rn_effective_potential(r, l, params)
+            rstar, weight = _rn_tortoise_and_weight(r, l, params)
+            return osc(rstar) * weight
         return _rn_integral(f, params, horizon_epsilon, r_max)
 
-    i_sin2 = weighted(lambda e, rs: math.sin(e * rs) ** 2)
-    i_sin2e = weighted(lambda e, rs: math.sin(2.0 * e * rs))
+    i_sin2 = weighted(lambda rs: np.sin(eta * rs) ** 2)
+    i_sin2e = weighted(lambda rs: np.sin(2.0 * eta * rs))
     phase = -math.atan((i_sin2 / eta) / (1.0 + i_sin2e / eta))
     return phase + (rp + rm) * eta * math.log((rp - rm) / (rp + rm))
 

@@ -1,9 +1,11 @@
+import argparse
+import logging
 import math
 
 import numpy as np
 import pytest
 
-from legpade.cli import CSV_HEADER, main
+from legpade.cli import CSV_HEADER, _config_defaults, build_parser, main
 
 
 def run_cli(args):
@@ -189,6 +191,32 @@ class TestConfigFile:
         config = tmp_path / "bad.cfg"
         config.write_text("demo = unit\nbogus = 1\n")
         assert run_cli(["compare", "--config", str(config)]) == 4
+
+    def test_demo_outside_choices_rejected(self, tmp_path):
+        config = tmp_path / "bad.cfg"
+        config.write_text("demo = nonsense\n")
+        assert run_cli(["compare", "--config", str(config)]) == 4
+
+    @pytest.mark.parametrize("command", ["construct", "compare"])
+    def test_every_typed_option_accepted(self, tmp_path, command):
+        parser = build_parser()
+        subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        typed = {a.dest: a.type for a in subcommands.choices[command]._actions if a.type is not None}
+        assert {"N", "L", "M", "k", "rn_rmax"} <= set(typed)
+        config = tmp_path / "all.cfg"
+        config.write_text("".join(f"{dest.replace('_', '-')} = 3\n" for dest in typed))
+        values = _config_defaults(parser.parse_args([command, "--config", str(config)]), parser)
+        assert values == {dest: kind("3") for dest, kind in typed.items()}
+        assert all(type(values[dest]) is kind for dest, kind in typed.items())
+
+
+def test_rn_csv_unchanged_by_debug_logging(tmp_path, caplog):
+    quiet, verbose = tmp_path / "quiet.csv", tmp_path / "verbose.csv"
+    assert run_cli(["compare", "--demo", "rn", "-o", str(quiet)]) == 0
+    caplog.set_level(logging.DEBUG, logger="legpade.scattering")
+    assert run_cli(["compare", "--demo", "rn", "-o", str(verbose)]) == 0
+    assert any(record.name == "legpade.scattering" for record in caplog.records)
+    assert verbose.read_bytes() == quiet.read_bytes()
 
 
 def test_unwritable_output_exit_code(tmp_path, capsys):

@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
@@ -12,35 +11,40 @@ from legpade.scattering import PotentialSpec, born_phase_shift
 
 # tests/test_scattering.py imports scipy into this process, so the import
 # checks run in a fresh interpreter.
-_LOADS_INTEGRATE = """
+_SCIPY_MODULES = """
 import sys
 {body}
-print("scipy.integrate" in sys.modules)
+print(",".join(sorted(name for name in sys.modules if name.startswith("scipy"))))
 """
 
 
-def _loads_scipy_integrate(body):
+def _scipy_modules_loaded(body):
     src = str(Path(scattering.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run(
-        [sys.executable, "-c", _LOADS_INTEGRATE.format(body=body)],
+        [sys.executable, "-c", _SCIPY_MODULES.format(body=body)],
         capture_output=True, text=True, check=True, timeout=120, env=env,
     )
-    return result.stdout.strip() == "True"
+    return [name for name in result.stdout.strip().split(",") if name]
 
 
 @pytest.mark.parametrize("module", ["legpade", "legpade.cli"])
 def test_import_leaves_scipy_integrate_out(module):
-    assert not _loads_scipy_integrate(f"import {module}")
+    assert _scipy_modules_loaded(f"import {module}") == []
 
 
-@pytest.mark.parametrize("demo,loads", [("unit", False), ("coulomb", False),
-                                        ("invr2", False), ("rn", True)])
-def test_compare_imports_scipy_integrate_only_for_rn(tmp_path, demo, loads):
+@pytest.mark.parametrize("demo", ["unit", "coulomb", "invr2", "rn"])
+def test_compare_leaves_scipy_out(tmp_path, demo):
     out = tmp_path / f"{demo}.csv"
     body = ("import legpade.cli\n"
             f"assert legpade.cli.main(['compare', '--demo', {demo!r}, '-o', {str(out)!r}]) == 0")
-    assert _loads_scipy_integrate(body) is loads
+    assert _scipy_modules_loaded(body) == []
+
+
+def test_born_quadrature_leaves_scipy_out():
+    body = ("from legpade.scattering import PotentialSpec, born_series\n"
+            "born_series(PotentialSpec('inverse_r2', 1.0), 4, 1.0, method='quadrature')")
+    assert _scipy_modules_loaded(body) == []
 
 
 def test_quadrature_goes_through_module_quad(monkeypatch):
@@ -58,13 +62,11 @@ def test_quadrature_goes_through_module_quad(monkeypatch):
     assert abs(value - born_phase_shift(pot, 2, 1.0)) < 1e-8
 
 
-def test_integration_warning_raises_convergence_error(monkeypatch):
-    from scipy.integrate import IntegrationWarning
+def test_quad_failure_raises_convergence_error(monkeypatch):
+    def failing_quad(f, a, b, **kwargs):
+        raise QuadratureConvergenceError("subdivision limit of 600 intervals reached")
 
-    def warning_quad(f, a, b, **kwargs):
-        warnings.warn("roundoff error is detected", IntegrationWarning)
-        return 0.0, 1.0
-
-    monkeypatch.setattr(scattering, "quad", warning_quad)
-    with pytest.raises(QuadratureConvergenceError, match="did not converge"):
+    monkeypatch.setattr(scattering, "quad", failing_quad)
+    with pytest.raises(QuadratureConvergenceError,
+                       match=r"quadrature on \[0, 100\] did not converge: subdivision limit"):
         born_phase_shift(PotentialSpec("inverse_r2", 1.0), 2, 1.0, method="quadrature")

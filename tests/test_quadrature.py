@@ -1,0 +1,124 @@
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
+
+import legpade.scattering as scattering
+from legpade.errors import QuadratureConvergenceError
+from legpade.quadrature import GAUSS_WEIGHTS, KRONROD_WEIGHTS, NODES, quad
+from legpade.scattering import RNParams, rn_series
+
+mp = pytest.importorskip("mpmath")
+
+
+class TestRule:
+    def test_gauss_part_is_leggauss_10(self):
+        x, w = leggauss(10)
+        gauss = GAUSS_WEIGHTS != 0.0
+        order = np.argsort(NODES[gauss])
+        assert np.allclose(NODES[gauss][order], x, rtol=0, atol=1e-15)
+        assert np.allclose(GAUSS_WEIGHTS[gauss][order], w, rtol=0, atol=1e-15)
+
+    def test_kronrod_exact_to_degree_31(self):
+        for degree in range(32):
+            exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
+            assert KRONROD_WEIGHTS @ NODES**degree == pytest.approx(exact, rel=0, abs=2e-15)
+        # degree 32 is the first the rule misses
+        assert abs(KRONROD_WEIGHTS @ NODES**32 - 2.0 / 33) > 1e-12
+
+
+class TestIntegrals:
+    def test_exponential_on_half_line(self):
+        value, abserr, neval = quad(lambda x: np.exp(-x), 0.0, np.inf, epsabs=1e-13, epsrel=1e-12, limit=400)
+        assert value == pytest.approx(1.0, rel=1e-13)
+        assert abserr < 1e-12
+        assert neval % 21 == 0
+
+    @pytest.mark.parametrize("weight", ["cos", "sin"])
+    def test_fourier_tail_against_mpmath(self, weight):
+        mp.mp.dps = 30
+        trig = mp.cos if weight == "cos" else mp.sin
+        exact = float(mp.quadosc(lambda x: trig(2 * x) / x**2, [1, mp.inf], omega=2))
+        value, abserr, _ = quad(lambda x: 1.0 / x**2, 1.0, np.inf, weight=weight, wvar=2.0,
+                                epsabs=1e-13, epsrel=1e-12, limit=400, limlst=200)
+        assert abs(value - exact) <= abserr < 1e-12
+
+    def test_divergent_integral_raises(self):
+        with pytest.raises(QuadratureConvergenceError, match="subdivision limit of 400"):
+            quad(lambda x: 1.0 / x, 1.0, np.inf, epsabs=1e-13, epsrel=1e-12, limit=400)
+
+    def test_exhausted_budget_raises(self):
+        with pytest.raises(QuadratureConvergenceError, match="subdivision limit of 2"):
+            quad(lambda x: np.cos(200.0 * x), 0.0, 10.0, limit=2)
+
+    def test_unsettled_cycles_raise(self):
+        with pytest.raises(QuadratureConvergenceError, match="within 3 half-period cycles"):
+            quad(lambda x: 1.0 / np.sqrt(x), 1.0, np.inf, weight="cos", wvar=1.0,
+                 epsabs=1e-13, epsrel=1e-12, limlst=3)
+
+    def test_unsupported_limits_rejected(self):
+        with pytest.raises(ValueError):
+            quad(np.exp, -np.inf, 0.0)
+        with pytest.raises(ValueError):
+            quad(np.exp, 0.0, 1.0, weight="cos", wvar=1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    amplitude=st.floats(0.1, 2.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+    growth=st.floats(-3.0, 3.0),
+    frequency=st.floats(0.0, 30.0),
+    phase=st.floats(0.0, 2 * math.pi),
+    lo=st.floats(-2.0, 2.0),
+    width=st.floats(0.1, 5.0),
+    epsrel=st.sampled_from([1e-6, 1e-10, 1e-12]),
+)
+def test_finite_result_within_own_error_of_mpmath(amplitude, sign, growth, frequency, phase, lo, width, epsrel):
+    value, abserr, _ = quad(
+        lambda x: sign * amplitude * np.exp(growth * x) * np.cos(frequency * x + phase),
+        lo, lo + width, epsabs=1e-12, epsrel=epsrel, limit=400,
+    )
+    # Re of A e^{i phase} e^{z lo} (e^{z width} - 1) / z with z = growth + i frequency
+    mp.mp.dps = 40
+    z = mp.mpc(growth, frequency)
+    area = mp.exp(z * lo) * (mp.expm1(z * width) / z if z != 0 else width)
+    exact = mp.re(sign * amplitude * mp.expj(phase) * area)
+    assert abs(value - float(exact)) <= abserr
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    start=st.floats(0.0, 5.0),
+    shift=st.floats(0.5, 3.0),
+    power=st.floats(0.5, 3.0),
+    omega=st.floats(0.3, 5.0),
+    weight=st.sampled_from(["cos", "sin"]),
+)
+def test_fourier_result_within_own_error_of_mpmath(start, shift, power, omega, weight):
+    mp.mp.dps = 20
+    trig = mp.cos if weight == "cos" else mp.sin
+    value, abserr, _ = quad(lambda x: (x + shift) ** -power, start, np.inf, weight=weight, wvar=omega,
+                            epsabs=1e-12, epsrel=1e-10, limit=400, limlst=200)
+    exact = mp.quadosc(lambda x: (x + shift) ** -power * trig(omega * x), [start, mp.inf], omega=omega)
+    assert abs(value - float(exact)) <= abserr
+
+
+def _scipy_quad(f, a, b, **kwargs):
+    """scipy's QUADPACK on the same integrand, one point per call."""
+    from scipy.integrate import quad as scipy_quad
+
+    value, abserr = scipy_quad(lambda x: float(f(np.array([x]))[0]), a, b, **kwargs)
+    return value, abserr, 0
+
+
+@pytest.mark.parametrize("q_over_m", [1e-4, 0.5, 0.99])
+def test_rn_series_matches_scipy_quadpack(monkeypatch, q_over_m):
+    params = RNParams(mass=10.0, charge=q_over_m * 10.0, eta=1e-4, mu=1e-6)
+    ours = rn_series(20, params).coefficients
+    monkeypatch.setattr(scattering, "quad", _scipy_quad)
+    reference = rn_series(20, params).coefficients
+    assert np.max(np.abs(ours - reference) / np.abs(reference)) < 1e-12

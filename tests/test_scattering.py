@@ -1,4 +1,5 @@
 import cmath
+import logging
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy.integrate import quad
 from legpade.errors import DomainError, QuadratureConvergenceError
 from legpade.pade import construct, evaluate
 from legpade.scattering import (
+    _rn_tortoise_and_weight,
     PotentialSpec,
     RNParams,
     born_exact_invr2,
@@ -249,6 +251,19 @@ class TestEffectivePotential:
                 assert difference == pytest.approx(factor * (2 * l + 2) / r**2, rel=1e-12)
 
 
+class TestRNArrayForm:
+    def test_matches_scalar_functions(self):
+        for q_over_m in (1e-4, 0.5, 0.99):
+            p = RNParams(mass=10.0, charge=q_over_m * 10.0, eta=1e-4, mu=1e-6)
+            r = p.r_plus * (1.0 + np.geomspace(1e-8, 1e5, 41))
+            for l in (0, 3, 20):
+                rstar, weight = _rn_tortoise_and_weight(r, l, p)
+                for ri, rs, wi in zip(r, rstar, weight):
+                    assert rs == pytest.approx(rn_tortoise(ri, p), rel=1e-13, abs=1e-12)
+                    expected = rn_drstar_dr(ri, p) * rn_effective_potential(ri, l, p)
+                    assert wi == pytest.approx(expected, rel=1e-12)
+
+
 class TestRNPhaseShift:
     def test_order0_spacing_is_exact(self):
         # exactly pi/2 in exact arithmetic; float subtraction leaves ulps
@@ -276,6 +291,11 @@ class TestRNPhaseShift:
         with pytest.raises(ValueError):
             rn_phase_shift(0, RN_REFERENCE, 1, r_max=RN_REFERENCE.r_plus)
 
+    def test_cutoff_on_horizon_rejected(self):
+        for epsilon in (1e-17, 0.0, -1e-3):
+            with pytest.raises(DomainError):
+                rn_phase_shift(0, RN_REFERENCE, 1, horizon_epsilon=epsilon)
+
 
 class TestRNSeries:
     def test_coefficient_moduli(self):
@@ -293,6 +313,18 @@ class TestRNSeries:
             ratio *= (2 * l + 1) / (2 * l + 3)
             expected = 2.0 * (d1[l + 1] - d1[l])
             assert cmath.phase(ratio) == pytest.approx(expected, abs=1e-9)
+
+    def test_quadratures_logged_at_debug(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="legpade.scattering")
+        rn_series(2, RN_REFERENCE)
+        records = [r for r in caplog.records if r.name == "legpade.scattering"]
+        # per order: two integrals, each over the near-horizon slice and three outer pieces
+        assert len(records) == 3 * 2 * 4
+        for record in records:
+            assert record.levelno == logging.DEBUG
+            lo, hi, abserr, neval = record.args
+            assert lo < hi and 0.0 <= abserr < 1e-6 and neval > 0 and neval % 21 == 0
+            assert record.getMessage().startswith(f"quadrature on [{lo:g}, {hi:g}]: abserr ")
 
     def test_subtract_one_flag(self):
         base = rn_series(2, RN_REFERENCE)
