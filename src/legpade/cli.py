@@ -182,16 +182,17 @@ def cmd_compare(args) -> int:
     L, M = _resolve_split(args, partial_series.order)
     approx, _ = construct(full, L, M)
     thetas = np.linspace(args.theta_min, args.theta_max, args.steps)
+    partials = eval_partial_sum(partial_series, thetas)
+    try:
+        pades = evaluate(approx, thetas)
+        poles = np.zeros(thetas.shape, dtype=bool)
+    except PoleError as exc:
+        poles = np.isin(thetas, exc.theta)
+        pades = np.zeros(thetas.shape, dtype=complex)
+        pades[~poles] = evaluate(approx, thetas[~poles])
     lines = [CSV_HEADER]
-    for theta in thetas:
-        theta = float(theta)
-        partial = eval_partial_sum(partial_series, theta)
-        try:
-            pade_value = evaluate(approx, theta)
-            pole = False
-        except PoleError:
-            pade_value = None
-            pole = True
+    for theta, partial, pade_value, pole in zip(thetas.tolist(), partials.tolist(), pades.tolist(),
+                                                poles.tolist()):
         if exact is not None and theta > 0.0:
             exact_value = exact(theta)
             re_exact, im_exact = _fmt(exact_value.real), _fmt(exact_value.imag)

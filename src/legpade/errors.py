@@ -14,7 +14,15 @@ class DomainError(LegpadeError, ValueError):
 
 
 class PoleError(LegpadeError, ArithmeticError):
-    """Evaluation requested at (or numerically indistinguishable from) a pole."""
+    """Evaluation requested at (or numerically indistinguishable from) a pole.
+
+    ``theta`` holds the angle, or the array of angles, at which an
+    approximant's denominator vanished; it is None for other poles.
+    """
+
+    def __init__(self, message, theta=None):
+        super().__init__(message)
+        self.theta = theta
 
 
 class InsufficientCoefficientsError(LegpadeError, ValueError):

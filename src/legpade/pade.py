@@ -24,7 +24,6 @@ series two orders past L+M).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,17 +217,21 @@ def construct(series: ComplexSeries, L: int, M: int) -> tuple[PadeApproximant, C
     return PadeApproximant(a, b), ConstructionReport(condition_estimate=cond, residual=residual)
 
 
-def evaluate(p: PadeApproximant, theta: float) -> complex:
-    """Value of the approximant at a scattering angle in [0, pi].
+def evaluate(p: PadeApproximant, theta):
+    """Value of the approximant at an angle in [0, pi] (a complex) or an array of them.
 
-    Raises PoleError where the denominator is smaller than 1e-12 * sum|b_m|,
-    the signature of a spurious rational pole inside the domain.
+    Raises PoleError, carrying the angles in ``theta``, where the denominator
+    is below 1e-12 * sum|b_m|: a spurious rational pole inside the domain.
     """
     theta = _check_theta(theta)
-    basis = legendre_eval_all(max(p.L, p.M), math.cos(theta))
-    num = complex(np.dot(p.numerator, basis[: p.L + 1]))
-    den = complex(np.dot(p.denominator, basis[: p.M + 1]))
-    floor = _POLE_FLOOR * float(np.sum(np.abs(p.denominator)))
-    if abs(den) < floor:
-        raise PoleError(f"denominator vanishes at theta = {theta:.6g} (|Q| = {abs(den):.3e})")
-    return num / den
+    basis = legendre_eval_all(max(p.L, p.M), np.cos(theta))
+    # basis.T puts the order axis last, so any shape of theta contracts alike
+    num = basis[: p.L + 1].T.dot(p.numerator).T
+    den = basis[: p.M + 1].T.dot(p.denominator).T
+    at_pole = abs(den) < _POLE_FLOOR * float(np.abs(p.denominator).sum())
+    scalar = isinstance(theta, float)
+    if at_pole if scalar else at_pole.any():
+        poles = theta if scalar else theta[at_pole]
+        raise PoleError(f"denominator vanishes at theta = {poles} (|Q| = {np.min(abs(den)):.3e})",
+                        theta=poles)
+    return complex(num) / complex(den) if scalar else num / den

@@ -18,7 +18,9 @@ Springer 1983):
 
 Integrands take a numpy array of the 21 nodes of one panel and return the
 values there. Failure to reach the tolerance raises
-``QuadratureConvergenceError``; no partial result is returned.
+``QuadratureConvergenceError``; no partial result is returned. That
+includes roundoff, detected as in QUADPACK dqage: six bisections that
+change the value by at most 1e-5 relative while keeping 99% of the error.
 """
 
 from __future__ import annotations
@@ -82,6 +84,7 @@ _WEIGHTS = np.stack([KRONROD_WEIGHTS, GAUSS_WEIGHTS])
 # before the first zero, epsabs * (1 - p) * p**(k + 1) for cycle k; they sum to epsabs
 _CYCLE_SHARE = 0.9
 _WYNN_DEPTH = 50  # longest epsilon-table diagonal kept
+_ROUNDOFF_LIMIT = 6  # QUADPACK dqage gives up after this many unproductive bisections
 
 
 def _panel(f, a: float, b: float) -> tuple[float, float]:
@@ -109,7 +112,13 @@ def _adaptive(f, a: float, b: float, epsabs: float, epsrel: float, limit: int) -
     value, err = _panel(f, a, b)
     heap = [(-err, a, b, value)]  # largest error first
     total, errsum, panels = value, err, 1
+    roundoff = 0  # bisections that changed neither value nor error, QUADPACK dqage's iroff1
     while errsum > max(epsabs, epsrel * abs(total)):
+        if roundoff >= _ROUNDOFF_LIMIT:
+            raise QuadratureConvergenceError(
+                f"roundoff prevents the tolerance {max(epsabs, epsrel * abs(total)):.3g} "
+                f"(error estimate {errsum:.3g} after {panels} panels)"
+            )
         if len(heap) >= limit:
             raise QuadratureConvergenceError(
                 f"subdivision limit of {limit} intervals reached "
@@ -124,6 +133,8 @@ def _adaptive(f, a: float, b: float, epsabs: float, epsrel: float, limit: int) -
         v1, e1 = _panel(f, lo, mid)
         v2, e2 = _panel(f, mid, hi)
         panels += 2
+        if abs(v - (v1 + v2)) <= 1e-5 * abs(v1 + v2) and e1 + e2 >= -0.99 * neg_err:
+            roundoff += 1
         total += v1 + v2 - v
         errsum += e1 + e2 + neg_err
         heapq.heappush(heap, (-e1, lo, mid, v1))

@@ -8,10 +8,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from .errors import DomainError
-from .special import legendre_eval_all
+from .errors import DomainError, QuadratureConvergenceError
+from .special import _in_range, legendre_eval_all
 
 __all__ = ["ComplexSeries", "eval_partial_sum", "project_legendre_coefficient"]
 
@@ -48,34 +47,24 @@ class ComplexSeries:
         return ComplexSeries(self.coefficients * factor)
 
 
-def _check_theta(theta: float) -> float:
-    theta = float(theta)
-    if not 0.0 <= theta <= math.pi:
-        raise DomainError(f"theta = {theta} outside [0, pi]")
-    return theta
+def _check_theta(theta):
+    """theta as a float, or an array of angles as a float array, all in [0, pi]."""
+    return _in_range(theta, 0.0, math.pi, "theta = {} outside [0, pi]")
 
 
-def _legendre_basis_at(n: int, x: np.ndarray) -> np.ndarray:
-    """P_n evaluated at an array of abscissas by the Bonnet recurrence."""
-    if n == 0:
-        return np.ones_like(x)
-    p_prev = np.ones_like(x)
-    p = x.copy()
-    for k in range(1, n):
-        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
-    return p
-
-
-def eval_partial_sum(series: ComplexSeries, theta: float) -> complex:
-    """Sum of c_l P_l(cos theta) over the retained orders.
+def eval_partial_sum(series: ComplexSeries, theta):
+    """Sum of c_l P_l(cos theta) over the retained orders, at an angle (a
+    complex) or an array of them.
 
     theta = 0 is allowed (the sum is finite everywhere); callers comparing
     against oracles that diverge in the forward direction must exclude it
     themselves.
     """
     theta = _check_theta(theta)
-    p = legendre_eval_all(series.order, math.cos(theta))
-    return complex(np.dot(series.coefficients, p))
+    p = legendre_eval_all(series.order, np.cos(theta))
+    # p.T puts the order axis last, so any shape of theta contracts alike
+    value = p.T.dot(series.coefficients).T
+    return complex(value) if isinstance(theta, float) else value
 
 
 def project_legendre_coefficient(f: Callable[[float], complex], n: int) -> complex:
@@ -87,8 +76,11 @@ def project_legendre_coefficient(f: Callable[[float], complex], n: int) -> compl
     oracles carry, where nodes placed in cos(theta) would stall on the
     endpoint singularity. Starts from max(64, n+9) nodes (degree 2n+16
     polynomials in cos(theta) are integrated to machine precision) and
-    doubles until two successive estimates agree to 1e-11.
+    doubles until two successive estimates agree to 1e-11; raises
+    QuadratureConvergenceError when seven rules do not.
     """
+    from numpy.polynomial.legendre import leggauss  # kept off the start-up path
+
     if n < 0:
         raise DomainError(f"projection order must be non-negative, got {n}")
     nodes = max(64, n + 9)
@@ -96,13 +88,15 @@ def project_legendre_coefficient(f: Callable[[float], complex], n: int) -> compl
     for _ in range(7):
         x, w = leggauss(nodes)
         theta = 0.5 * math.pi * (x + 1.0)
-        pn = _legendre_basis_at(n, np.cos(theta))
+        pn = legendre_eval_all(n, np.cos(theta))[n]
         fv = np.array([f(t) for t in theta], dtype=complex)
         estimate = (
             0.25 * math.pi * (2 * n + 1) * complex(np.dot(w, fv * pn * np.sin(theta)))
         )
-        if previous is not None and abs(estimate - previous) <= 1e-11 * max(1.0, abs(estimate)):
+        change = math.inf if previous is None else abs(estimate - previous)
+        if change <= 1e-11 * max(1.0, abs(estimate)):
             return estimate
         previous = estimate
         nodes *= 2
-    return estimate
+    raise QuadratureConvergenceError(
+        f"projection of order {n} did not converge: the last two rules differ by {change:.3g}")

@@ -1,6 +1,7 @@
 """Self-contained special functions.
 
-Legendre polynomials by the Bonnet three-term recurrence, squared
+Legendre polynomials by the Bonnet three-term recurrence (one evaluator,
+``legendre_eval_all``, for a scalar argument or an array of them), squared
 zero-projection Wigner 3j symbols in exact rational arithmetic, the
 principal branch of the complex log-gamma function, and spherical Bessel
 functions of the first kind with a stable downward recurrence.
@@ -10,13 +11,15 @@ from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, PoleError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "ThreeJKey",
@@ -47,42 +50,46 @@ class ThreeJKey(NamedTuple):
         return ThreeJKey(a, b, c)
 
 
-def _check_x(x: float) -> float:
-    x = float(x)
-    if abs(x) > _X_TOL:
-        raise DomainError(f"Legendre argument |x| = {abs(x)} exceeds 1")
-    return min(1.0, max(-1.0, x))
+def _in_range(x, lo: float, hi: float, message: str):
+    """x as a float, or an array-like as a float array, after checking that every
+    entry lies in [lo, hi] (NaN does not); ``message`` formats the first that does not."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        x = float(x)
+        if lo <= x <= hi:
+            return x
+        raise DomainError(message.format(x))
+    inside = (lo <= x) & (x <= hi)
+    if not inside.all():
+        raise DomainError(message.format(x.flat[np.argmin(inside)]))
+    return x
 
 
-def legendre_eval(l: int, x: float) -> float:
-    """P_l(x) for integer l >= 0 and x in [-1, 1]."""
-    if l < 0:
-        raise DomainError(f"Legendre degree must be non-negative, got {l}")
-    x = _check_x(x)
-    if l == 0:
-        return 1.0
-    p_prev, p = 1.0, x
-    for k in range(1, l):
-        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
-    return p
+def legendre_eval_all(l_max: int, x) -> np.ndarray:
+    """P_0(x) .. P_{l_max}(x) for a float or an array x, shape (l_max+1,) + shape(x).
 
-
-def legendre_eval_all(l_max: int, x: float) -> np.ndarray:
-    """All of P_0(x) .. P_{l_max}(x) in one recurrence sweep."""
+    x within 4 eps outside [-1, 1] is clipped onto it; NaN or further out raise DomainError.
+    """
     if l_max < 0:
         raise DomainError(f"Legendre degree must be non-negative, got {l_max}")
-    x = _check_x(x)
-    out = np.empty(l_max + 1)
-    out[0] = 1.0
-    if l_max >= 1:
-        out[1] = x
+    x = _in_range(x, -_X_TOL, _X_TOL, "Legendre argument x = {} outside [-1, 1]")
+    x = min(1.0, max(-1.0, x)) if isinstance(x, float) else np.clip(x, -1.0, 1.0)
+    # the same arithmetic on a float and on an array, so a scalar stays a float
+    p = [1.0 + 0.0 * x, x]
     for k in range(1, l_max):
-        out[k + 1] = ((2 * k + 1) * x * out[k] - k * out[k - 1]) / (k + 1)
-    return out
+        p.append(((2 * k + 1) * x * p[k] - k * p[k - 1]) / (k + 1))
+    return np.array(p[: l_max + 1])
+
+
+def legendre_eval(l: int, x):
+    """P_l(x) for integer l >= 0 and x (a float or an array) in [-1, 1]."""
+    return legendre_eval_all(l, x)[l]
 
 
 @lru_cache(maxsize=None)
 def _threej_sq_canonical(l: int, m: int, n: int) -> Fraction:
+    from fractions import Fraction  # only the exact oracle needs it
+
     J = l + m + n
     if J % 2 == 1:
         return Fraction(0)

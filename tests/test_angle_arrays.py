@@ -1,0 +1,117 @@
+"""An array of angles gives what the same angles give one at a time."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from legpade.errors import DomainError, PoleError
+from legpade.pade import construct, evaluate
+from legpade.scattering import PotentialSpec, born_series, coulomb_series, unit_series
+from legpade.series import ComplexSeries, eval_partial_sum
+from legpade.special import legendre_eval_all
+
+FAMILIES = {
+    "unit": unit_series,
+    "coulomb": lambda n: coulomb_series(n, 1.0),
+    "invr2": lambda n: born_series(PotentialSpec("inverse_r2", 1.0), n, 1.0),
+}
+# a real root of the [20/20] unit denominator, the Froissart doublet
+DOUBLET = 0.60155733029562397
+# sums over the Legendre orders run in another order for an array, so the two
+# agree to a few eps of the terms' magnitude, not of a sum that cancels
+TOL = 1e-13
+
+angle_arrays = st.lists(st.floats(0.0, math.pi), max_size=30).map(
+    lambda thetas: np.array([0.0, *thetas, math.pi])
+)
+
+
+def _magnitude(coefficients, basis):
+    """sum_l |c_l P_l| at each angle: the scale a sum's rounding error is relative to."""
+    return np.abs(coefficients) @ np.abs(basis[: coefficients.size])
+
+
+@settings(max_examples=80, deadline=None)
+@given(family=st.sampled_from(sorted(FAMILIES)), L=st.integers(0, 20), M=st.integers(0, 20),
+       thetas=angle_arrays)
+def test_array_matches_per_angle(family, L, M, thetas):
+    full = FAMILIES[family](L + M + 2)
+    approx, _ = construct(full, L, M)
+    partial = ComplexSeries(full.coefficients[: L + M + 1])
+    basis = legendre_eval_all(L + M, np.cos(thetas))
+
+    one_by_one = np.array([eval_partial_sum(partial, t) for t in thetas])
+    assert np.all(np.abs(eval_partial_sum(partial, thetas) - one_by_one)
+                  <= TOL * _magnitude(partial.coefficients, basis))
+
+    values, poles = [], []
+    for t in thetas:
+        try:
+            values.append(evaluate(approx, t))
+        except PoleError:
+            poles.append(t)
+    if poles:
+        with pytest.raises(PoleError) as info:
+            evaluate(approx, thetas)
+        assert list(info.value.theta) == poles
+        return
+    values = np.array(values)
+    den = np.abs(approx.denominator @ basis[: M + 1])
+    bound = TOL * (_magnitude(approx.numerator, basis)
+                   + np.abs(values) * _magnitude(approx.denominator, basis)) / den
+    assert np.all(np.abs(evaluate(approx, thetas) - values) <= bound)
+
+
+@settings(max_examples=50, deadline=None)
+@given(l_max=st.integers(0, 40), thetas=angle_arrays,
+       edge=st.sampled_from([1.0, -1.0, 1.0 + 2e-16, -1.0 - 2e-16]))
+def test_legendre_array_is_bit_identical(l_max, thetas, edge):
+    x = np.append(np.cos(thetas), edge)
+    table = legendre_eval_all(l_max, x)
+    assert table.shape == (l_max + 1, x.size)
+    assert np.array_equal(table, np.array([legendre_eval_all(l_max, xi) for xi in x]).T)
+
+
+@settings(max_examples=50, deadline=None)
+@given(thetas=angle_arrays, at=st.integers(0, 40),
+       bad=st.sampled_from([math.nan, math.inf, -1e-9, math.pi + 1e-9, 4.0]))
+def test_one_bad_angle_rejects_the_array(thetas, at, bad):
+    thetas = np.insert(thetas, at % (thetas.size + 1), bad)
+    approx, _ = construct(unit_series(8), 3, 3)
+    with pytest.raises(DomainError):
+        evaluate(approx, thetas)
+    with pytest.raises(DomainError):
+        eval_partial_sum(unit_series(6), thetas)
+
+
+@settings(max_examples=50, deadline=None)
+@given(thetas=angle_arrays, at=st.integers(0, 40),
+       bad=st.sampled_from([math.nan, -math.inf, 1.0 + 1e-9, -1.0 - 1e-9]))
+def test_one_bad_argument_rejects_legendre(thetas, at, bad):
+    x = np.insert(np.cos(thetas), at % (thetas.size + 1), bad)
+    with pytest.raises(DomainError):
+        legendre_eval_all(5, x)
+
+
+@settings(max_examples=30, deadline=None)
+@given(thetas=angle_arrays, at=st.integers(0, 40))
+def test_doublet_in_array_raises_pole(thetas, at):
+    approx, _ = construct(unit_series(42), 20, 20)
+    thetas = np.insert(thetas, at % (thetas.size + 1), DOUBLET)
+    with pytest.raises(PoleError) as info:
+        evaluate(approx, thetas)
+    assert DOUBLET in info.value.theta
+
+
+def test_scalar_gives_complex_and_array_keeps_shape():
+    approx, _ = construct(unit_series(8), 3, 3)
+    assert type(evaluate(approx, 1.0)) is complex
+    assert type(eval_partial_sum(unit_series(6), np.float64(1.0))) is complex
+    grid = np.linspace(0.1, 3.0, 6).reshape(2, 3)
+    values = evaluate(approx, grid)
+    assert values.shape == (2, 3) and values.dtype == complex
+    assert values[1, 2] == pytest.approx(evaluate(approx, grid[1, 2]), rel=1e-13)
+    assert eval_partial_sum(unit_series(6), grid).shape == (2, 3)

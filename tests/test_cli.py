@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from legpade.cli import CSV_HEADER, _config_defaults, build_parser, main
+from legpade.pade import construct, evaluate
+from legpade.scattering import unit_series
 
 
 def run_cli(args):
@@ -125,6 +127,24 @@ class TestCompareCommand:
         assert rc == 0
         for row in read_rows(outfile):
             assert row[5] == "" and row[6] == ""
+
+    def test_pole_row_kept(self, tmp_path):
+        # 0.60155733029562397 is a real root of the [20/20] unit denominator (a
+        # Froissart doublet): its row keeps theta, partial sum and exact value and
+        # leaves the approximant columns empty; the other rows are evaluated
+        outfile = tmp_path / "pole.csv"
+        rc = run_cli(["compare", "--demo", "unit", "--N", "40", "--theta-min", "0.60155733029562397",
+                      "--theta-max", "3", "--steps", "3", "-o", str(outfile)])
+        assert rc == 0
+        rows = read_rows(outfile)
+        assert rows[0][0] == "0.60155733029562397"
+        assert rows[0][2:] == ["0", "", "", "1.6876839334841833", "0", "", "1"]
+        assert float(rows[0][1]) == pytest.approx(1.4203570049219405, rel=1e-13)
+        approx, _ = construct(unit_series(42), 20, 20)
+        for row in rows[1:]:
+            assert row[8] == "0"
+            expected = evaluate(approx, float(row[0]))
+            assert complex(float(row[3]), float(row[4])) == pytest.approx(expected, rel=1e-13)
 
     def test_bad_theta_range(self):
         assert run_cli(["compare", "--demo", "unit", "--theta-min", "2.0",

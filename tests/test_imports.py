@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -11,21 +12,30 @@ from legpade.scattering import PotentialSpec, born_phase_shift
 
 # tests/test_scattering.py imports scipy into this process, so the import
 # checks run in a fresh interpreter.
-_SCIPY_MODULES = """
+_MODULES_LOADED = """
 import sys
 {body}
-print(",".join(sorted(name for name in sys.modules if name.startswith("scipy"))))
+print(",".join(sorted(name for name in sys.modules if name.startswith({prefixes!r}))))
 """
 
 
-def _scipy_modules_loaded(body):
+def _modules_loaded(body, prefixes):
     src = str(Path(scattering.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run(
-        [sys.executable, "-c", _SCIPY_MODULES.format(body=body)],
+        [sys.executable, "-c", _MODULES_LOADED.format(body=body, prefixes=prefixes)],
         capture_output=True, text=True, check=True, timeout=120, env=env,
     )
     return [name for name in result.stdout.strip().split(",") if name]
+
+
+def _scipy_modules_loaded(body):
+    return _modules_loaded(body, ("scipy",))
+
+
+def _compare_body(demo, out):
+    return ("import legpade.cli\n"
+            f"assert legpade.cli.main(['compare', '--demo', {demo!r}, '-o', {str(out)!r}]) == 0")
 
 
 @pytest.mark.parametrize("module", ["legpade", "legpade.cli"])
@@ -35,10 +45,24 @@ def test_import_leaves_scipy_integrate_out(module):
 
 @pytest.mark.parametrize("demo", ["unit", "coulomb", "invr2", "rn"])
 def test_compare_leaves_scipy_out(tmp_path, demo):
-    out = tmp_path / f"{demo}.csv"
-    body = ("import legpade.cli\n"
-            f"assert legpade.cli.main(['compare', '--demo', {demo!r}, '-o', {str(out)!r}]) == 0")
-    assert _scipy_modules_loaded(body) == []
+    assert _scipy_modules_loaded(_compare_body(demo, tmp_path / f"{demo}.csv")) == []
+
+
+def test_start_up_leaves_fractions_and_polynomial_out(tmp_path):
+    # only the exact 3j oracle needs fractions, only the coefficient projection leggauss
+    body = _compare_body("unit", tmp_path / "unit.csv")
+    assert _modules_loaded(body, ("fractions", "numpy.polynomial")) == []
+
+
+def test_tracer_bindings_exist():
+    # perfbench/tracer.py rebinds these names; one missing would break a traced run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [(module, attr) for module, attr, _, _ in tracer.BINDINGS
+               if not hasattr(importlib.import_module(module), attr)]
+    assert tracer.BINDINGS and missing == []
 
 
 def test_born_quadrature_leaves_scipy_out():

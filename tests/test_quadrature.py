@@ -54,6 +54,19 @@ class TestIntegrals:
         with pytest.raises(QuadratureConvergenceError, match="subdivision limit of 2"):
             quad(lambda x: np.cos(200.0 * x), 0.0, 10.0, limit=2)
 
+    def test_roundoff_raises_early(self):
+        # the integral cancels to ~1e-16, so epsrel=1e-12 lies under the 50 eps floor
+        # of every panel; without roundoff detection all 400 intervals are spent
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return np.cos(x)
+
+        with pytest.raises(QuadratureConvergenceError, match="roundoff"):
+            quad(f, 0.0, 2 * np.pi, epsabs=0.0, epsrel=1e-12, limit=400)
+        assert len(calls) < 40
+
     def test_unsettled_cycles_raise(self):
         with pytest.raises(QuadratureConvergenceError, match="within 3 half-period cycles"):
             quad(lambda x: 1.0 / np.sqrt(x), 1.0, np.inf, weight="cos", wvar=1.0,

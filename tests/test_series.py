@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from legpade.errors import DomainError
+from legpade.errors import DomainError, QuadratureConvergenceError
 from legpade.series import ComplexSeries, eval_partial_sum, project_legendre_coefficient
 from legpade.special import legendre_eval
 
@@ -91,6 +91,11 @@ class TestProjection:
                 assert project_legendre_coefficient(f, n) == pytest.approx(
                     complex(c[n]), abs=1e-10
                 )
+
+    def test_divergent_projection_raises(self):
+        # int 1/theta^2 d(cos theta) diverges at theta = 0; doubling the rule never settles
+        with pytest.raises(QuadratureConvergenceError, match="did not converge"):
+            project_legendre_coefficient(lambda theta: 1.0 / theta**2, 0)
 
     def test_negative_order_rejected(self):
         with pytest.raises(DomainError):
