@@ -48,7 +48,6 @@ from .scattering import (
 )
 from .series import ComplexSeries, eval_partial_sum, project_legendre_coefficient
 from .special import (
-    ThreeJKey,
     legendre_eval,
     legendre_eval_all,
     log_gamma_complex,
@@ -66,7 +65,6 @@ __all__ = [
     "SingularSystemError",
     "ResidualTooLargeError",
     "QuadratureConvergenceError",
-    "ThreeJKey",
     "legendre_eval",
     "legendre_eval_all",
     "threej_zero_sq",

@@ -125,6 +125,8 @@ def _read_coefficients(path: str) -> ComplexSeries:
             l, re, im = int(row[0]), float(row[1]), float(row[2])
         except (ValueError, IndexError):
             raise CliError(f"malformed coefficient row: {row}", EXIT_BAD_ARGS)
+        if l in coeffs:
+            raise CliError(f"duplicate coefficient row for l = {l}", EXIT_BAD_ARGS)
         coeffs[l] = complex(re, im)
     if not coeffs or sorted(coeffs) != list(range(len(coeffs))):
         raise CliError("coefficient rows must cover l = 0..N contiguously", EXIT_BAD_ARGS)

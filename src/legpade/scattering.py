@@ -81,6 +81,9 @@ class RNParams:
     omega: float = field(init=False)
 
     def __post_init__(self):
+        for name in ("mass", "charge", "eta", "mu"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.mass <= 0.0:
             raise ValueError(f"mass must be positive, got {self.mass}")
         if abs(self.charge) >= self.mass:

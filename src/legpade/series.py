@@ -10,6 +10,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, QuadratureConvergenceError
+from .quadrature import NODES, quad
 from .special import _in_range, legendre_eval_all
 
 __all__ = ["ComplexSeries", "eval_partial_sum", "project_legendre_coefficient"]
@@ -70,33 +71,32 @@ def eval_partial_sum(series: ComplexSeries, theta):
 def project_legendre_coefficient(f: Callable[[float], complex], n: int) -> complex:
     """Order-n Legendre coefficient of a function of theta.
 
-    Gauss-Legendre quadrature of ((2n+1)/2) * integral of f(theta) P_n over
-    d(cos theta), carried out in the theta parametrization: the sin(theta)
-    Jacobian regularizes the forward-direction divergences the scattering
-    oracles carry, where nodes placed in cos(theta) would stall on the
-    endpoint singularity. Starts from max(64, n+9) nodes (degree 2n+16
-    polynomials in cos(theta) are integrated to machine precision) and
-    doubles until two successive estimates agree to 1e-11; raises
-    QuadratureConvergenceError when seven rules do not.
+    ((2n+1)/2) times the integral of f(theta) P_n(cos theta) sin(theta) over
+    [0, pi], by the adaptive G10K21 of ``legpade.quadrature`` (epsrel 1e-12,
+    epsabs 1e-13 * max(1, pi * max|integrand| on the first panel), at most
+    200 panels), the real and imaginary parts separately. Integrating in
+    theta lets the sin(theta) Jacobian regularize the forward-direction
+    divergences the scattering oracles carry; the panel nodes never touch
+    the endpoints. ``f`` is called with one float angle at a time. Raises
+    QuadratureConvergenceError, with the quadrature's reason, when a part
+    does not reach the tolerance.
     """
-    from numpy.polynomial.legendre import leggauss  # kept off the start-up path
-
     if n < 0:
         raise DomainError(f"projection order must be non-negative, got {n}")
-    nodes = max(64, n + 9)
-    previous = None
-    for _ in range(7):
-        x, w = leggauss(nodes)
-        theta = 0.5 * math.pi * (x + 1.0)
-        pn = legendre_eval_all(n, np.cos(theta))[n]
-        fv = np.array([f(t) for t in theta], dtype=complex)
-        estimate = (
-            0.25 * math.pi * (2 * n + 1) * complex(np.dot(w, fv * pn * np.sin(theta)))
-        )
-        change = math.inf if previous is None else abs(estimate - previous)
-        if change <= 1e-11 * max(1.0, abs(estimate)):
-            return estimate
-        previous = estimate
-        nodes *= 2
-    raise QuadratureConvergenceError(
-        f"projection of order {n} did not converge: the last two rules differ by {change:.3g}")
+
+    def weighted(theta):
+        values = np.array([f(t) for t in theta], dtype=complex)
+        return values * legendre_eval_all(n, np.cos(theta))[n] * np.sin(theta)
+
+    # quad's error estimate never falls below 50 eps * integral |integrand|, so
+    # the absolute tolerance grows with pi * max |integrand| on the first
+    # panel's nodes; both parts share it, so a vanishing part still converges
+    first_panel = weighted(0.5 * math.pi + 0.5 * math.pi * NODES)
+    epsabs = 1e-13 * max(1.0, math.pi * float(np.max(np.abs(first_panel))))
+    try:
+        re, im = [quad(lambda theta: part(weighted(theta)), 0.0, math.pi,
+                       epsabs=epsabs, epsrel=1e-12, limit=200)[0]
+                  for part in (np.real, np.imag)]
+    except QuadratureConvergenceError as exc:
+        raise QuadratureConvergenceError(f"projection of order {n} did not converge: {exc}") from exc
+    return 0.5 * (2 * n + 1) * complex(re, im)

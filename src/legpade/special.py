@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from functools import lru_cache
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -22,7 +22,6 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 __all__ = [
-    "ThreeJKey",
     "legendre_eval",
     "legendre_eval_all",
     "threej_zero_sq",
@@ -32,22 +31,6 @@ __all__ = [
 ]
 
 _X_TOL = 1.0 + 4.0 * np.finfo(float).eps
-
-
-class ThreeJKey(NamedTuple):
-    """Index triple (l, m, n) of a zero-projection 3j symbol.
-
-    The squared symbol is invariant under all permutations of the triple,
-    so the canonical (sorted) form is what cache lookups key on.
-    """
-
-    l: int
-    m: int
-    n: int
-
-    def canonical(self) -> "ThreeJKey":
-        a, b, c = sorted(self)
-        return ThreeJKey(a, b, c)
 
 
 def _in_range(x, lo: float, hi: float, message: str):
@@ -119,8 +102,8 @@ def threej_zero_sq(l: int, m: int, n: int) -> Fraction:
     for v in (l, m, n):
         if v != int(v) or v < 0:
             raise DomainError(f"3j indices must be non-negative integers, got {(l, m, n)}")
-    key = ThreeJKey(int(l), int(m), int(n)).canonical()
-    return _threej_sq_canonical(*key)
+    # the square is invariant under permutations, so the cache keys on the sorted triple
+    return _threej_sq_canonical(*sorted((int(l), int(m), int(n))))
 
 
 def triple_product_integral(l: int, m: int, n: int) -> Fraction:

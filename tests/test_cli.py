@@ -85,6 +85,12 @@ class TestConstructCommand:
         infile.write_text("l,re,im\n0,1.0,0.0\n2,1.0,0.0\n")
         assert run_cli(["construct", "--coeffs", str(infile), "--L", "1", "--M", "0"]) == 4
 
+    def test_duplicate_orders_rejected(self, tmp_path, capsys):
+        infile = tmp_path / "dup.csv"
+        infile.write_text("l,re,im\n" + "".join(f"{l},1.0,0.0\n" for l in (0, 1, 1, 2, 3, 4)))
+        assert run_cli(["construct", "--coeffs", str(infile), "--L", "2", "--M", "2"]) == 4
+        assert "duplicate coefficient row for l = 1" in capsys.readouterr().err
+
 
 class TestCompareCommand:
     def test_csv_shape_and_monotonicity(self, tmp_path):

@@ -49,9 +49,16 @@ def test_compare_leaves_scipy_out(tmp_path, demo):
 
 
 def test_start_up_leaves_fractions_and_polynomial_out(tmp_path):
-    # only the exact 3j oracle needs fractions, only the coefficient projection leggauss
+    # only the exact 3j oracle needs fractions; nothing in legpade needs numpy.polynomial
     body = _compare_body("unit", tmp_path / "unit.csv")
     assert _modules_loaded(body, ("fractions", "numpy.polynomial")) == []
+
+
+def test_projection_leaves_polynomial_out():
+    body = ("import math\n"
+            "from legpade.series import project_legendre_coefficient\n"
+            "project_legendre_coefficient(lambda t: 1.0 / (2.0 * math.sin(0.5 * t)), 3)")
+    assert _modules_loaded(body, ("numpy.polynomial",)) == []
 
 
 def test_tracer_bindings_exist():

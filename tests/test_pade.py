@@ -28,6 +28,23 @@ def random_series(rng, size):
     return ComplexSeries(rng.normal(size=size) + 1j * rng.normal(size=size))
 
 
+def check_matching_property(scale):
+    # orders 0..L of c*Q match the numerator, orders L+1..L+M vanish
+    rng = np.random.default_rng(21)
+    for L, M in [(3, 3), (2, 1), (1, 4)]:
+        series = random_series(rng, L + M + 1).scaled(scale)
+        approx, _ = construct(series, L, M)
+        den = ComplexSeries(approx.denominator)
+
+        def product(theta):
+            return eval_partial_sum(series, theta) * eval_partial_sum(den, theta)
+
+        for n in range(L + M + 1):
+            coefficient = project_legendre_coefficient(product, n)
+            target = approx.numerator[n] if n <= L else 0.0
+            assert abs(coefficient - target) < 1e-9 * scale
+
+
 class TestDenominatorSystem:
     def test_minimal_unit_system(self):
         # L=0, M=1 with c_0 = c_1 = 1: selection rules leave W(1,0,1) = 1/3
@@ -153,20 +170,11 @@ class TestConstruct:
         assert evaluate(approx, math.pi) == pytest.approx(0.5, abs=1e-2)
 
     def test_matching_property_minimal_length(self):
-        # orders 0..L of c*Q match the numerator, orders L+1..L+M vanish
-        rng = np.random.default_rng(21)
-        for L, M in [(3, 3), (2, 1), (1, 4)]:
-            series = random_series(rng, L + M + 1)
-            approx, _ = construct(series, L, M)
-            den = ComplexSeries(approx.denominator)
+        check_matching_property(scale=1.0)
 
-            def product(theta):
-                return eval_partial_sum(series, theta) * eval_partial_sum(den, theta)
-
-            for n in range(L + M + 1):
-                coefficient = project_legendre_coefficient(product, n)
-                target = approx.numerator[n] if n <= L else 0.0
-                assert abs(coefficient - target) < 1e-9
+    def test_matching_property_scaled_series(self):
+        # a series 100 times larger: the vanishing orders must still converge
+        check_matching_property(scale=100.0)
 
     def test_oscillation_suppression(self):
         series = unit_series(8)

@@ -204,6 +204,11 @@ class TestRNParams:
             RNParams(mass=10.0, charge=0.0, eta=0.0, mu=0.0)
         with pytest.raises(ValueError):
             RNParams(mass=10.0, charge=0.0, eta=1e-4, mu=-1.0)
+        for field, bad in [("mass", math.nan), ("mass", math.inf), ("charge", math.nan),
+                           ("eta", math.nan), ("eta", math.inf), ("mu", math.nan), ("mu", math.inf)]:
+            fields = {"mass": 10.0, "charge": 5.0, "eta": 1e-4, "mu": 0.0, field: bad}
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                RNParams(**fields)
 
 
 class TestTortoise:

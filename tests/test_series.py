@@ -92,6 +92,20 @@ class TestProjection:
                     complex(c[n]), abs=1e-10
                 )
 
+    def test_integrable_endpoint_singularity(self):
+        # (5/2) int_0^pi theta^-1.5 P_2(cos theta) sin theta dtheta, from mpmath
+        assert abs(project_legendre_coefficient(lambda t: t**-1.5, 2) - 3.29573866130422379) < 1e-10
+
+    def test_vanishing_coefficient_of_large_function(self):
+        # the absolute tolerance must clear quad's 50 eps * integral|integrand| floor
+        assert project_legendre_coefficient(lambda t: 20.0, 1) == pytest.approx(0.0, abs=1e-11)
+        assert project_legendre_coefficient(lambda t: 1e4 * math.cos(t) ** 2, 1) == pytest.approx(
+            0.0, abs=1e-8
+        )
+        # a small imaginary part next to a large real one shares the real part's tolerance
+        small_imag = project_legendre_coefficient(lambda t: 20.0 + 1e-6j * math.cos(t), 1)
+        assert small_imag == pytest.approx(1e-6j, abs=1e-11)
+
     def test_divergent_projection_raises(self):
         # int 1/theta^2 d(cos theta) diverges at theta = 0; doubling the rule never settles
         with pytest.raises(QuadratureConvergenceError, match="did not converge"):

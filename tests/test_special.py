@@ -7,7 +7,6 @@ from numpy.polynomial.legendre import leggauss
 
 from legpade.errors import DomainError, PoleError
 from legpade.special import (
-    ThreeJKey,
     legendre_eval,
     legendre_eval_all,
     log_gamma_complex,
@@ -112,9 +111,6 @@ class TestThreeJ:
             l, m, n = rng.integers(0, 13, size=3)
             values = {threej_zero_sq(*p) for p in permutations((int(l), int(m), int(n)))}
             assert len(values) == 1
-
-    def test_key_canonicalization(self):
-        assert ThreeJKey(5, 2, 3).canonical() == ThreeJKey(2, 3, 5)
 
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
