@@ -13,8 +13,9 @@ Springer 1983):
 * ``[a, inf)``: the same on ``t in (0, 1]`` after ``x = a + (1 - t) / t``;
 * ``weight="cos"|"sin"`` on ``[a, inf)``: integrate ``[a, z_0]`` up to the
   first zero of the weight, then one half-period ``pi / |omega|`` per cycle,
-  and extrapolate the partial sums with Wynn's epsilon algorithm (Wynn,
-  MTAC 10, 1956).
+  and extrapolate the cycles' partial sums with Wynn's epsilon algorithm
+  (Wynn, MTAC 10, 1956). The ``[a, z_0]`` piece is redone when its error
+  exceeds its share of the whole integral's target.
 
 Integrands take a numpy array of the 21 nodes of one panel and return the
 values there. Failure to reach the tolerance raises
@@ -171,25 +172,32 @@ def _fourier(f, a: float, omega: float, weight: str, epsabs: float, epsrel: floa
     half_period = math.pi / abs(omega)
     offset = 0.5 if weight == "cos" else 0.0  # zeros at (m + offset) * half_period
     z0 = (math.ceil(a / half_period - offset) + offset) * half_period
-    total, errsum, panels = 0.0, 0.0, 0
+    head, head_err, panels = 0.0, 0.0, 0
     if z0 > a:
-        total, errsum, panels = _adaptive(g, a, z0, epsabs * (1.0 - _CYCLE_SHARE), epsrel, limit)
+        head, head_err, panels = _adaptive(g, a, z0, epsabs * (1.0 - _CYCLE_SHARE), epsrel, limit)
+    tail, errsum = 0.0, 0.0
     diagonal: list = []
-    recent: list = []  # last extrapolated limits, newest first
+    recent: list = []  # last extrapolated limits of the tail, newest first
     for k in range(limlst):
         lo = z0 + k * half_period
         cycle_eps = epsabs * (1.0 - _CYCLE_SHARE) * _CYCLE_SHARE ** (k + 1)
         value, err, n = _adaptive(g, lo, lo + half_period, cycle_eps, epsrel, limit)
-        total += value
+        tail += value
         errsum += err
         panels += n
-        diagonal = _wynn(diagonal, total)
+        diagonal = _wynn(diagonal, tail)
         recent = [diagonal[(len(diagonal) - 1) & ~1]] + recent[:2]
         if len(recent) == 3:
-            limit_value = recent[0]
-            extrap_err = max(sum(abs(limit_value - r) for r in recent[1:]), 5.0 * _EPS * abs(limit_value))
-            if extrap_err + errsum <= max(epsabs, epsrel * abs(limit_value)):
-                return limit_value, extrap_err + errsum, panels
+            target = max(epsabs, epsrel * abs(head + recent[0]))
+            if head_err > (1.0 - _CYCLE_SHARE) * target:
+                # epsrel held the head to its own value, which can exceed the whole
+                # integral's target once the tail cancels part of it: redo it to its share
+                head, head_err, n = _adaptive(g, a, z0, (1.0 - _CYCLE_SHARE) * target, 0.0, limit)
+                panels += n
+            limit_value = head + recent[0]
+            extrap_err = max(sum(abs(recent[0] - r) for r in recent[1:]), 5.0 * _EPS * abs(limit_value))
+            if extrap_err + head_err + errsum <= max(epsabs, epsrel * abs(limit_value)):
+                return limit_value, extrap_err + head_err + errsum, panels
     raise QuadratureConvergenceError(
         f"Fourier integral did not settle within {limlst} half-period cycles"
     )

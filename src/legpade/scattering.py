@@ -11,8 +11,10 @@ Four families feed the rational resummation:
 Phase-shift quadratures use the numpy Gauss-Kronrod integrator of
 ``legpade.quadrature``; the improper integrals are split at documented
 breakpoints and the near-horizon log endpoint is tamed with a logarithmic
-substitution. Each quadrature logs its interval, error estimate and
-integrand points at DEBUG on the ``legpade.scattering`` logger.
+substitution. The Reissner-Nordstrom first-order integrands are linear in
+l(l+1), so four integrals (16 quadratures) give the shifts of every order.
+Each quadrature logs its interval, error estimate and integrand points at
+DEBUG on the ``legpade.scattering`` logger.
 """
 
 from __future__ import annotations
@@ -263,6 +265,20 @@ def born_exact_invr2(theta: float, alpha: float, k: float) -> float:
     return -math.pi * alpha / (4.0 * k * math.sin(0.5 * theta))
 
 
+def _rn_radial(r, params: RNParams):
+    """Tortoise coordinate, horizon factor (dr*/dr)^-1 and w0 at r > r_+ (float or array;
+    the caller checks the domain): the weight (dr*/dr) * V_eff of order l is l(l+1)/r^2 + w0."""
+    rp, rm = params.r_plus, params.r_minus
+    rstar = r + rp * rp / (rp - rm) * np.log(r / rp - 1.0)
+    if rm > 0.0:
+        rstar -= rm * rm / (rp - rm) * np.log(r / rm - 1.0)
+    inv = 1.0 / r
+    horizon_factor = (1.0 - rp / r) * (1.0 - rm / r)
+    mass_term = params.mu**2 * inv * (rp * rm * inv - (rp + rm))
+    w0 = inv**3 * ((rp + rm) - 2.0 * rp * rm * inv) + mass_term / horizon_factor
+    return rstar, horizon_factor, w0
+
+
 def _check_outside_horizon(r: float, params: RNParams) -> float:
     r = float(r)
     if r <= params.r_plus:
@@ -272,18 +288,12 @@ def _check_outside_horizon(r: float, params: RNParams) -> float:
 
 def rn_tortoise(r: float, params: RNParams) -> float:
     """Tortoise coordinate outside the outer horizon."""
-    r = _check_outside_horizon(r, params)
-    rp, rm = params.r_plus, params.r_minus
-    value = r + rp * rp / (rp - rm) * math.log(r / rp - 1.0)
-    if rm > 0.0:
-        value -= rm * rm / (rp - rm) * math.log(r / rm - 1.0)
-    return value
+    return float(_rn_radial(_check_outside_horizon(r, params), params)[0])
 
 
 def rn_drstar_dr(r: float, params: RNParams) -> float:
     """Jacobian dr*/dr = 1/((1 - r_+/r)(1 - r_-/r))."""
-    r = _check_outside_horizon(r, params)
-    return 1.0 / ((1.0 - params.r_plus / r) * (1.0 - params.r_minus / r))
+    return float(1.0 / _rn_radial(_check_outside_horizon(r, params), params)[1])
 
 
 def rn_effective_potential(r: float, l: int, params: RNParams) -> float:
@@ -291,29 +301,8 @@ def rn_effective_potential(r: float, l: int, params: RNParams) -> float:
     r = _check_outside_horizon(r, params)
     if l < 0:
         raise DomainError(f"order must be non-negative, got {l}")
-    rp, rm = params.r_plus, params.r_minus
-    horizon_factor = (1.0 - rp / r) * (1.0 - rm / r)
-    centrifugal = l * (l + 1) / r**2 + ((rp + rm) / r**3 - 2.0 * rp * rm / r**4)
-    mass_term = params.mu**2 * (rp * rm / r**2 - (rp + rm) / r)
-    return horizon_factor * centrifugal + mass_term
-
-
-def _rn_tortoise_and_weight(r: np.ndarray, l: int, params: RNParams) -> tuple[np.ndarray, np.ndarray]:
-    """Tortoise coordinate and (dr*/dr) * V_eff at an array of radii above r_+.
-
-    Array form of ``rn_tortoise`` and ``rn_drstar_dr * rn_effective_potential``
-    for the quadrature panels; the product is simplified to
-    ``centrifugal + mass_term / horizon_factor``, in powers of 1/r.
-    """
-    rp, rm = params.r_plus, params.r_minus
-    rstar = r + rp * rp / (rp - rm) * np.log(r / rp - 1.0)
-    if rm > 0.0:
-        rstar -= rm * rm / (rp - rm) * np.log(r / rm - 1.0)
-    inv = 1.0 / r
-    horizon_factor = (1.0 - rp / r) * (1.0 - rm / r)
-    centrifugal = inv * inv * (l * (l + 1) + inv * ((rp + rm) - 2.0 * rp * rm * inv))
-    mass_term = params.mu**2 * inv * (rp * rm * inv - (rp + rm))
-    return rstar, centrifugal + mass_term / horizon_factor
+    _, horizon_factor, w0 = _rn_radial(r, params)
+    return float(horizon_factor * (l * (l + 1) / r**2 + w0))
 
 
 def _rn_integral(f, params: RNParams, horizon_epsilon: float, r_max: float) -> float:
@@ -345,6 +334,33 @@ def _rn_integral(f, params: RNParams, horizon_epsilon: float, r_max: float) -> f
     return total
 
 
+def _rn_first_order(ls: np.ndarray, params: RNParams, horizon_epsilon: float,
+                    r_max: float | None) -> np.ndarray:
+    """First-order phase shifts of the orders ``ls``: for each oscillator, sin^2(eta r*)
+    and sin(2 eta r*), the integral against l(l+1)/r^2 + w0 is l(l+1) A + B, with A
+    against 1/r^2 and B against w0, so four integrals serve every order."""
+    rp, rm, eta = params.r_plus, params.r_minus, params.eta
+    if r_max is None:
+        r_max = 50.0 / eta
+    if not rp * (1.0 + horizon_epsilon) > rp:
+        raise DomainError(f"horizon_epsilon = {horizon_epsilon} puts the lower cutoff on r_+")
+    if r_max <= rp * (1.0 + horizon_epsilon):
+        raise ValueError("r_max must lie beyond the lower quadrature cutoff")
+
+    def integral(osc, l_free):
+        def f(r):
+            rstar, _, w0 = _rn_radial(r, params)
+            return osc(rstar) * (w0 if l_free else 1.0 / (r * r))
+        return _rn_integral(f, params, horizon_epsilon, r_max)
+
+    ll = ls * (ls + 1.0)
+    sin2, sin2e = (lambda rs: np.sin(eta * rs) ** 2), (lambda rs: np.sin(2.0 * eta * rs))
+    i_sin2 = ll * integral(sin2, False) + integral(sin2, True)
+    i_sin2e = ll * integral(sin2e, False) + integral(sin2e, True)
+    phase = -np.arctan((i_sin2 / eta) / (1.0 + i_sin2e / eta))
+    return phase + (rp + rm) * eta * math.log((rp - rm) / (rp + rm))
+
+
 def rn_phase_shift(
     l: int,
     params: RNParams,
@@ -355,9 +371,10 @@ def rn_phase_shift(
     """Zeroth- or first-order scattering phase shift.
 
     Order 0 is the closed form l*pi/2 + M*eta*(1 - 2 ln 2) +
-    2*M*eta*ln(sqrt(M^2-Q^2)/M). Order 1 needs two improper quadratures over
-    the effective potential, cut off at r_+(1 + horizon_epsilon) below and
-    r_max (default 50/eta, several oscillation wavelengths) above.
+    2*M*eta*ln(sqrt(M^2-Q^2)/M). Order 1 is linear in l(l+1) over four improper
+    quadratures of the effective potential, cut off at r_+(1 + horizon_epsilon)
+    below and r_max (default 50/eta, several oscillation wavelengths) above; they
+    serve every l, so build many orders with ``rn_series``, not a loop over this.
     """
     if l < 0:
         raise DomainError(f"order must be non-negative, got {l}")
@@ -371,24 +388,7 @@ def rn_phase_shift(
             - 2.0 * mm * eta * math.log(2.0)
             + 2.0 * mm * eta * math.log(math.sqrt(mm * mm - q * q) / mm)
         )
-    rp, rm = params.r_plus, params.r_minus
-    if r_max is None:
-        r_max = 50.0 / eta
-    if not rp * (1.0 + horizon_epsilon) > rp:
-        raise DomainError(f"horizon_epsilon = {horizon_epsilon} puts the lower cutoff on r_+")
-    if r_max <= rp * (1.0 + horizon_epsilon):
-        raise ValueError("r_max must lie beyond the lower quadrature cutoff")
-
-    def weighted(osc):
-        def f(r):
-            rstar, weight = _rn_tortoise_and_weight(r, l, params)
-            return osc(rstar) * weight
-        return _rn_integral(f, params, horizon_epsilon, r_max)
-
-    i_sin2 = weighted(lambda rs: np.sin(eta * rs) ** 2)
-    i_sin2e = weighted(lambda rs: np.sin(2.0 * eta * rs))
-    phase = -math.atan((i_sin2 / eta) / (1.0 + i_sin2e / eta))
-    return phase + (rp + rm) * eta * math.log((rp - rm) / (rp + rm))
+    return float(_rn_first_order(np.array([l]), params, horizon_epsilon, r_max)[0])
 
 
 def rn_series(
@@ -400,6 +400,7 @@ def rn_series(
 ) -> ComplexSeries:
     """Partial-wave series c_l = (2l+1)/(2i omega) * exp(2i delta_l) terms.
 
+    All first-order shifts share four quadratures (see ``rn_phase_shift``).
     The l*pi/2 part of the zeroth-order shift only contributes a factor
     (-1)^l to the exponential, which mirrors the amplitude through
     theta -> pi - theta; the series is built in the orientation with the
@@ -408,18 +409,14 @@ def rn_series(
     """
     if n < 0:
         raise DomainError(f"order must be non-negative, got {n}")
+    ls = np.arange(n + 1)
+    delta = np.array([rn_phase_shift(l, params, 0) for l in range(n + 1)])
+    delta += _rn_first_order(ls, params, horizon_epsilon, r_max)
+    term = np.exp(2j * delta)
+    if subtract_one:
+        term -= 1.0
     pref = 1.0 / (2j * params.omega)
-    c = []
-    for l in range(n + 1):
-        delta = (
-            rn_phase_shift(l, params, 0)
-            + rn_phase_shift(l, params, 1, horizon_epsilon=horizon_epsilon, r_max=r_max)
-        )
-        term = cmath.exp(2j * delta)
-        if subtract_one:
-            term -= 1.0
-        c.append((-1) ** l * pref * (2 * l + 1) * term)
-    return ComplexSeries(np.array(c))
+    return ComplexSeries((-1.0) ** ls * pref * (2 * ls + 1) * term)
 
 
 def cross_section(f: complex) -> float:

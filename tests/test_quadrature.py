@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
@@ -67,6 +67,16 @@ class TestIntegrals:
             quad(f, 0.0, 2 * np.pi, epsabs=0.0, epsrel=1e-12, limit=400)
         assert len(calls) < 40
 
+    def test_fourier_head_held_to_whole_integral_target(self):
+        # the head [0.125, z0] is ~2.2 and the tail cancels it to ~0.99, so the head's
+        # error at epsrel of its own value (~1.8e-10) alone exceeds the 9.9e-11 target
+        mp.mp.dps = 30
+        exact = float(mp.quadosc(lambda x: (x + 0.5) ** -0.5 * mp.cos(0.3125 * x), [0.125, mp.inf],
+                                 omega=0.3125))
+        value, abserr, _ = quad(lambda x: (x + 0.5) ** -0.5, 0.125, np.inf, weight="cos", wvar=0.3125,
+                                epsabs=1e-12, epsrel=1e-10, limit=400, limlst=200)
+        assert abs(value - exact) <= abserr <= 1e-10 * abs(exact)
+
     def test_unsettled_cycles_raise(self):
         with pytest.raises(QuadratureConvergenceError, match="within 3 half-period cycles"):
             quad(lambda x: 1.0 / np.sqrt(x), 1.0, np.inf, weight="cos", wvar=1.0,
@@ -111,6 +121,7 @@ def test_finite_result_within_own_error_of_mpmath(amplitude, sign, growth, frequ
     omega=st.floats(0.3, 5.0),
     weight=st.sampled_from(["cos", "sin"]),
 )
+@example(start=0.125, shift=0.5, power=0.5, omega=0.3125, weight="cos")
 def test_fourier_result_within_own_error_of_mpmath(start, shift, power, omega, weight):
     mp.mp.dps = 20
     trig = mp.cos if weight == "cos" else mp.sin

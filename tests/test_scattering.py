@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from legpade.errors import DomainError, QuadratureConvergenceError
 from legpade.pade import construct, evaluate
 from legpade.scattering import (
-    _rn_tortoise_and_weight,
+    _rn_radial,
     PotentialSpec,
     RNParams,
     born_exact_invr2,
@@ -247,6 +247,18 @@ class TestEffectivePotential:
         p = RNParams(mass=10.0, charge=5.0, eta=1e-4, mu=0.0)
         assert abs(rn_effective_potential(p.r_plus * (1 + 1e-12), 3, p)) < 1e-9
 
+    def test_mass_and_charge_form(self):
+        # V = f (l(l+1)/r^2 + 2M/r^3 - 2Q^2/r^4) + mu^2 (Q^2/r^2 - 2M/r), f = 1 - 2M/r + Q^2/r^2
+        for q_over_m in (1e-4, 0.5, 0.99):
+            p = RNParams(mass=10.0, charge=q_over_m * 10.0, eta=1e-4, mu=1e-3)
+            m, q2 = p.mass, p.charge**2
+            for r in p.r_plus * (1.0 + np.geomspace(1e-3, 1e5, 17)):
+                f = 1.0 - 2.0 * m / r + q2 / r**2
+                for l in (0, 3, 20):
+                    expected = f * (l * (l + 1) / r**2 + 2.0 * m / r**3 - 2.0 * q2 / r**4)
+                    expected += p.mu**2 * (q2 / r**2 - 2.0 * m / r)
+                    assert rn_effective_potential(r, l, p) == pytest.approx(expected, rel=1e-11)
+
     def test_l_dependence(self):
         p = RN_REFERENCE
         for r in (30.0, 100.0):
@@ -261,8 +273,9 @@ class TestRNArrayForm:
         for q_over_m in (1e-4, 0.5, 0.99):
             p = RNParams(mass=10.0, charge=q_over_m * 10.0, eta=1e-4, mu=1e-6)
             r = p.r_plus * (1.0 + np.geomspace(1e-8, 1e5, 41))
+            rstar, _, w0 = _rn_radial(r, p)
             for l in (0, 3, 20):
-                rstar, weight = _rn_tortoise_and_weight(r, l, p)
+                weight = l * (l + 1) / r**2 + w0
                 for ri, rs, wi in zip(r, rstar, weight):
                     assert rs == pytest.approx(rn_tortoise(ri, p), rel=1e-13, abs=1e-12)
                     expected = rn_drstar_dr(ri, p) * rn_effective_potential(ri, l, p)
@@ -295,11 +308,51 @@ class TestRNPhaseShift:
     def test_rmax_validation(self):
         with pytest.raises(ValueError):
             rn_phase_shift(0, RN_REFERENCE, 1, r_max=RN_REFERENCE.r_plus)
+        with pytest.raises(ValueError):
+            rn_series(3, RN_REFERENCE, r_max=RN_REFERENCE.r_plus)
 
     def test_cutoff_on_horizon_rejected(self):
         for epsilon in (1e-17, 0.0, -1e-3):
             with pytest.raises(DomainError):
                 rn_phase_shift(0, RN_REFERENCE, 1, horizon_epsilon=epsilon)
+            with pytest.raises(DomainError):
+                rn_series(3, RN_REFERENCE, horizon_epsilon=epsilon)
+
+
+def _per_order_rn_series(n, p):
+    """rn_series(n, p) with two scipy quadratures per order over osc(r*) (dr*/dr) V_eff.
+
+    Written from M and Q with the default cutoffs: r_+(1 + 1e-8) below, 50/eta
+    above; the near-horizon slice [r_+(1 + 1e-8), 2 r_+] is integrated in
+    u = ln(r/r_+ - 1), the rest is split at 20 r_+ and 1/eta.
+    """
+    m, q2, mu, eta = p.mass, p.charge**2, p.mu, p.eta
+    rp, rm = p.r_plus, p.r_minus
+
+    def tortoise(r):
+        value = r + rp * rp / (rp - rm) * math.log(r / rp - 1.0)
+        return value - rm * rm / (rp - rm) * math.log(r / rm - 1.0)
+
+    def weight(r, l):
+        f = (1.0 - rp / r) * (1.0 - rm / r)
+        v = f * (l * (l + 1) / r**2 + 2.0 * m / r**3 - 2.0 * q2 / r**4) + mu**2 * (q2 / r**2 - 2.0 * m / r)
+        return v / f
+
+    def integral(g):
+        near = lambda u: g(rp * (1.0 + math.exp(u))) * rp * math.exp(u)
+        total = quad(near, math.log(1e-8), 0.0, epsabs=1e-13, epsrel=1e-9, limit=400)[0]
+        for lo, hi in [(2.0 * rp, 20.0 * rp), (20.0 * rp, 1.0 / eta), (1.0 / eta, 50.0 / eta)]:
+            total += quad(g, lo, hi, epsabs=1e-13, epsrel=1e-9, limit=1500)[0]
+        return total
+
+    c = []
+    for l in range(n + 1):
+        i_sin2 = integral(lambda r: math.sin(eta * tortoise(r)) ** 2 * weight(r, l))
+        i_sin2e = integral(lambda r: math.sin(2.0 * eta * tortoise(r)) * weight(r, l))
+        delta = -math.atan((i_sin2 / eta) / (1.0 + i_sin2e / eta)) + 2.0 * m * eta * math.log((rp - rm) / (2.0 * m))
+        delta += rn_phase_shift(l, p, 0)
+        c.append((-1) ** l * (2 * l + 1) / (2j * p.omega) * cmath.exp(2j * delta))
+    return np.array(c)
 
 
 class TestRNSeries:
@@ -321,15 +374,26 @@ class TestRNSeries:
 
     def test_quadratures_logged_at_debug(self, caplog):
         caplog.set_level(logging.DEBUG, logger="legpade.scattering")
-        rn_series(2, RN_REFERENCE)
-        records = [r for r in caplog.records if r.name == "legpade.scattering"]
-        # per order: two integrals, each over the near-horizon slice and three outer pieces
-        assert len(records) == 3 * 2 * 4
-        for record in records:
-            assert record.levelno == logging.DEBUG
-            lo, hi, abserr, neval = record.args
-            assert lo < hi and 0.0 <= abserr < 1e-6 and neval > 0 and neval % 21 == 0
-            assert record.getMessage().startswith(f"quadrature on [{lo:g}, {hi:g}]: abserr ")
+        for n in (2, 20):
+            caplog.clear()
+            rn_series(n, RN_REFERENCE)
+            records = [r for r in caplog.records if r.name == "legpade.scattering"]
+            # for all orders together: two oscillators times two l-free weights, each
+            # over the near-horizon slice and three outer pieces
+            assert len(records) == 2 * 2 * 4
+            for record in records:
+                assert record.levelno == logging.DEBUG
+                lo, hi, abserr, neval = record.args
+                assert lo < hi and 0.0 <= abserr < 1e-6 and neval > 0 and neval % 21 == 0
+                assert record.getMessage().startswith(f"quadrature on [{lo:g}, {hi:g}]: abserr ")
+
+    @pytest.mark.parametrize("q_over_m", [1e-4, 0.5, 0.99])
+    def test_matches_per_order_quadpack(self, q_over_m):
+        # independent of the l(l+1) A + B split: QUADPACK on each order's own weight
+        p = RNParams(mass=10.0, charge=q_over_m * 10.0, eta=1e-4, mu=1e-6)
+        reference = _per_order_rn_series(20, p)
+        ours = rn_series(20, p).coefficients
+        assert np.max(np.abs(ours - reference) / np.abs(reference)) < 1e-11
 
     def test_subtract_one_flag(self):
         base = rn_series(2, RN_REFERENCE)
