@@ -18,7 +18,10 @@ Springer 1983):
   exceeds its share of the whole integral's target.
 
 Integrands take a numpy array of the 21 nodes of one panel and return the
-values there. Failure to reach the tolerance raises
+values there, one per node or a (21, m) block of m components. A block
+shares one panel sequence: its error estimate and ``|I|`` are max-norms
+over the components, and each component has its own epsilon table
+(Wynn's, as above). Failure to reach the tolerance raises
 ``QuadratureConvergenceError``; no partial result is returned. That
 includes roundoff, detected as in QUADPACK dqage: six bisections that
 change the value by at most 1e-5 relative while keeping 99% of the error.
@@ -88,42 +91,52 @@ _WYNN_DEPTH = 50  # longest epsilon-table diagonal kept
 _ROUNDOFF_LIMIT = 6  # QUADPACK dqage gives up after this many unproductive bisections
 
 
-def _panel(f, a: float, b: float) -> tuple[float, float]:
-    """G10K21 on one panel: the Kronrod value and QUADPACK's error estimate."""
+def _norm(v) -> float:
+    """Max-norm of a vector of component values."""
+    return max(map(abs, v.tolist()))
+
+
+def _panel(f, a: float, b: float) -> tuple[np.ndarray, float]:
+    """G10K21 on one panel of the (21, m) block integrand f: the m Kronrod values and
+    the largest of their QUADPACK error estimates."""
     half = 0.5 * (b - a)
-    fx = np.asarray(f(0.5 * (a + b) + half * NODES), dtype=float)
-    resk, resg = (_WEIGHTS @ fx).tolist()
-    resabs, resasc = (KRONROD_WEIGHTS @ np.abs([fx, fx - 0.5 * resk]).T).tolist()
+    fx = f(0.5 * (a + b) + half * NODES)
+    resk, resg = _WEIGHTS @ fx
+    resabs, resasc = (np.abs(np.concatenate([fx.T, (fx - 0.5 * resk).T])) @ KRONROD_WEIGHTS).reshape(2, -1)
     result = resk * half
     half = abs(half)
-    resabs *= half
-    resasc *= half
-    err = abs((resk - resg) * half)
-    if not (math.isfinite(result) and math.isfinite(err)):
-        raise QuadratureConvergenceError(f"non-finite integrand on [{a:g}, {b:g}]")
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    if resabs > _TINY / (50.0 * _EPS):
-        err = max(50.0 * _EPS * resabs, err)
+    err = 0.0
+    components = zip(result.tolist(), (resk - resg).tolist(), resabs.tolist(), resasc.tolist())
+    for value, diff, absv, asc in components:
+        absv *= half
+        asc *= half
+        e = abs(diff * half)
+        if not (math.isfinite(value) and math.isfinite(e)):
+            raise QuadratureConvergenceError(f"non-finite integrand on [{a:g}, {b:g}]")
+        if asc != 0.0 and e != 0.0:
+            e = asc * min(1.0, (200.0 * e / asc) ** 1.5)
+        if absv > _TINY / (50.0 * _EPS):
+            e = max(50.0 * _EPS * absv, e)
+        err = max(err, e)
     return result, err
 
 
-def _adaptive(f, a: float, b: float, epsabs: float, epsrel: float, limit: int) -> tuple[float, float, int]:
-    """Globally adaptive bisection; returns (value, error estimate, panels)."""
+def _adaptive(f, a: float, b: float, epsabs: float, epsrel: float, limit: int) -> tuple[np.ndarray, float, int]:
+    """Globally adaptive bisection; returns (values, error estimate, panels)."""
     value, err = _panel(f, a, b)
     heap = [(-err, a, b, value)]  # largest error first
     total, errsum, panels = value, err, 1
     roundoff = 0  # bisections that changed neither value nor error, QUADPACK dqage's iroff1
-    while errsum > max(epsabs, epsrel * abs(total)):
+    while errsum > max(epsabs, epsrel * _norm(total)):
         if roundoff >= _ROUNDOFF_LIMIT:
             raise QuadratureConvergenceError(
-                f"roundoff prevents the tolerance {max(epsabs, epsrel * abs(total)):.3g} "
+                f"roundoff prevents the tolerance {max(epsabs, epsrel * _norm(total)):.3g} "
                 f"(error estimate {errsum:.3g} after {panels} panels)"
             )
         if len(heap) >= limit:
             raise QuadratureConvergenceError(
                 f"subdivision limit of {limit} intervals reached "
-                f"(error estimate {errsum:.3g}, tolerance {max(epsabs, epsrel * abs(total)):.3g})"
+                f"(error estimate {errsum:.3g}, tolerance {max(epsabs, epsrel * _norm(total)):.3g})"
             )
         neg_err, lo, hi, v = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
@@ -134,13 +147,14 @@ def _adaptive(f, a: float, b: float, epsabs: float, epsrel: float, limit: int) -
         v1, e1 = _panel(f, lo, mid)
         v2, e2 = _panel(f, mid, hi)
         panels += 2
-        if abs(v - (v1 + v2)) <= 1e-5 * abs(v1 + v2) and e1 + e2 >= -0.99 * neg_err:
+        both = v1 + v2
+        if _norm(v - both) <= 1e-5 * _norm(both) and e1 + e2 >= -0.99 * neg_err:
             roundoff += 1
-        total += v1 + v2 - v
+        total = total + (both - v)
         errsum += e1 + e2 + neg_err
         heapq.heappush(heap, (-e1, lo, mid, v1))
         heapq.heappush(heap, (-e2, mid, hi, v2))
-    return math.fsum(item[3] for item in heap), errsum, panels
+    return np.array([math.fsum(c) for c in zip(*(item[3] for item in heap))]), errsum, panels
 
 
 def _wynn(diagonal: list, s: float) -> list:
@@ -162,12 +176,13 @@ def _wynn(diagonal: list, s: float) -> list:
 
 
 def _fourier(f, a: float, omega: float, weight: str, epsabs: float, epsrel: float,
-             limit: int, limlst: int) -> tuple[float, float, int]:
-    """int_a^inf f(x) cos|sin(omega x) dx from half-period cycles and Wynn's epsilon."""
+             limit: int, limlst: int) -> tuple[np.ndarray, float, int]:
+    """int_a^inf f(x) cos|sin(omega x) dx from half-period cycles and Wynn's epsilon,
+    one epsilon table per component."""
     trig = np.cos if weight == "cos" else np.sin
 
     def g(x):
-        return f(x) * trig(omega * x)
+        return f(x) * trig(omega * x)[:, None]
 
     half_period = math.pi / abs(omega)
     offset = 0.5 if weight == "cos" else 0.0  # zeros at (m + offset) * half_period
@@ -176,27 +191,28 @@ def _fourier(f, a: float, omega: float, weight: str, epsabs: float, epsrel: floa
     if z0 > a:
         head, head_err, panels = _adaptive(g, a, z0, epsabs * (1.0 - _CYCLE_SHARE), epsrel, limit)
     tail, errsum = 0.0, 0.0
-    diagonal: list = []
+    diagonals: list = []
     recent: list = []  # last extrapolated limits of the tail, newest first
     for k in range(limlst):
         lo = z0 + k * half_period
         cycle_eps = epsabs * (1.0 - _CYCLE_SHARE) * _CYCLE_SHARE ** (k + 1)
         value, err, n = _adaptive(g, lo, lo + half_period, cycle_eps, epsrel, limit)
-        tail += value
+        tail = tail + value
         errsum += err
         panels += n
-        diagonal = _wynn(diagonal, tail)
-        recent = [diagonal[(len(diagonal) - 1) & ~1]] + recent[:2]
+        diagonals = [_wynn(d, s) for d, s in zip(diagonals or [[]] * tail.size, tail.tolist())]
+        recent = [np.array([d[(len(d) - 1) & ~1] for d in diagonals])] + recent[:2]
         if len(recent) == 3:
-            target = max(epsabs, epsrel * abs(head + recent[0]))
+            target = max(epsabs, epsrel * _norm(head + recent[0]))
             if head_err > (1.0 - _CYCLE_SHARE) * target:
                 # epsrel held the head to its own value, which can exceed the whole
                 # integral's target once the tail cancels part of it: redo it to its share
                 head, head_err, n = _adaptive(g, a, z0, (1.0 - _CYCLE_SHARE) * target, 0.0, limit)
                 panels += n
             limit_value = head + recent[0]
-            extrap_err = max(sum(abs(recent[0] - r) for r in recent[1:]), 5.0 * _EPS * abs(limit_value))
-            if extrap_err + head_err + errsum <= max(epsabs, epsrel * abs(limit_value)):
+            extrap_err = max(_norm(sum(np.abs(recent[0] - r) for r in recent[1:])),
+                             5.0 * _EPS * _norm(limit_value))
+            if extrap_err + head_err + errsum <= max(epsabs, epsrel * _norm(limit_value)):
                 return limit_value, extrap_err + head_err + errsum, panels
     raise QuadratureConvergenceError(
         f"Fourier integral did not settle within {limlst} half-period cycles"
@@ -205,27 +221,36 @@ def _fourier(f, a: float, omega: float, weight: str, epsabs: float, epsrel: floa
 
 def quad(f, a: float, b: float, *, epsabs: float = 1.49e-8, epsrel: float = 1.49e-8,
          limit: int = 50, weight: str | None = None, wvar: float | None = None,
-         limlst: int = 50) -> tuple[float, float, int]:
+         limlst: int = 50) -> tuple[float | np.ndarray, float, int]:
     """Integral of the vectorized ``f`` over ``[a, b]``; ``b`` may be ``inf``.
 
-    Returns ``(value, error estimate, integrand points)``. ``limit`` caps the
-    subintervals of each adaptive integration. With ``weight="cos"`` or
-    ``"sin"`` the integrand is ``f(x) * cos|sin(wvar * x)`` over ``[a, inf)``
-    and ``limlst`` caps the half-period cycles. Raises
+    Returns ``(value, error estimate, integrand points)``; the value is an
+    array of m when ``f`` returns a (nodes, m) block (see the module notes).
+    ``limit`` caps the subintervals of each adaptive integration. With
+    ``weight="cos"`` or ``"sin"`` the integrand is ``f(x) * cos|sin(wvar * x)``
+    over ``[a, inf)`` and ``limlst`` caps the half-period cycles. Raises
     ``QuadratureConvergenceError`` when the tolerance is not reached.
     """
     a, b = float(a), float(b)
     if not math.isfinite(a) or b == -math.inf or math.isnan(b):
         raise ValueError(f"need a finite lower limit and b finite or +inf, got [{a}, {b}]")
+    scalar = True
+
+    def block(x):
+        nonlocal scalar
+        fx = np.asarray(f(x), dtype=float)
+        scalar = fx.ndim == 1
+        return fx.reshape(x.size, -1)
+
     if weight is not None:
         if weight not in ("cos", "sin") or b != math.inf or not wvar:
             raise ValueError("weight 'cos' or 'sin' needs b = inf and a nonzero wvar")
-        value, err, panels = _fourier(f, a, float(wvar), weight, epsabs, epsrel, limit, limlst)
+        value, err, panels = _fourier(block, a, float(wvar), weight, epsabs, epsrel, limit, limlst)
     elif b == math.inf:
         def mapped(t):
-            return f(a + (1.0 - t) / t) / (t * t)
+            return block(a + (1.0 - t) / t) / (t * t)[:, None]
 
         value, err, panels = _adaptive(mapped, 0.0, 1.0, epsabs, epsrel, limit)
     else:
-        value, err, panels = _adaptive(f, a, b, epsabs, epsrel, limit)
-    return value, err, 21 * panels
+        value, err, panels = _adaptive(block, a, b, epsabs, epsrel, limit)
+    return (float(value[0]) if scalar else value), err, 21 * panels

@@ -11,8 +11,11 @@ Four families feed the rational resummation:
 Phase-shift quadratures use the numpy Gauss-Kronrod integrator of
 ``legpade.quadrature``; the improper integrals are split at documented
 breakpoints and the near-horizon log endpoint is tamed with a logarithmic
-substitution. The Reissner-Nordstrom first-order integrands are linear in
-l(l+1), so four integrals (16 quadratures) give the shifts of every order.
+substitution. The Born integrands of all orders 0..N form one (nodes, orders)
+block from ``special.spherical_bessel_jy_all``, so four quadratures give every
+Born shift up to N, and a single-order call integrates orders 0..l. The
+Reissner-Nordstrom first-order integrands are linear in l(l+1), so four
+integrals (16 quadratures) give the shifts of every order.
 Each quadrature logs its interval, error estimate and integrand points at
 DEBUG on the ``legpade.scattering`` logger.
 """
@@ -28,7 +31,9 @@ import numpy as np
 from .errors import DomainError, QuadratureConvergenceError
 from .quadrature import quad
 from .series import ComplexSeries
-from .special import log_gamma_complex, spherical_bessel_j, spherical_bessel_y
+from .special import log_gamma_complex, spherical_bessel_jy_all
+# spherical_bessel_j/_y are unused here; perfbench/tracer.py rebinds them on this module
+from .special import spherical_bessel_j, spherical_bessel_y  # noqa: F401
 
 __all__ = [
     "PotentialSpec",
@@ -153,11 +158,6 @@ def coulomb_exact(theta: float, k: float) -> complex:
     return -1.0 / (2.0 * k * k * s * s) * ratio * cmath.exp(-2j / k * math.log(s))
 
 
-def _tail_start(l: int) -> float:
-    # asymptotic split point: safely beyond the turning point of j_l
-    return max(100.0, 3.0 * l)
-
-
 def _checked_quad(f, a, b, *, epsabs, epsrel, limit=400, **kwargs):
     """``quad`` through the module global (tracers rebind it), logged at DEBUG.
 
@@ -174,47 +174,54 @@ def _checked_quad(f, a, b, *, epsabs, epsrel, limit=400, **kwargs):
     return value, abserr, neval
 
 
-def _bessel_sq_moment(l: int, power: int) -> float:
-    """integral of j_l(x)^2 * x^power over [0, inf).
+def _bessel_sq_moments(n: int, power: int) -> np.ndarray:
+    """integrals of j_l(x)^2 * x^power over [0, inf) for l = 0..n, four quadratures.
 
-    Body integrated directly; on the tail, j_l = A sin + B cos with rational
-    A, B (recovered through y_l), so the mean part decays like a power and
-    the rest is a clean Fourier integral handled by weighted quadrature.
+    Every order shares each quadrature's panels. The body runs up to
+    max(100, 3n), beyond the turning point of j_n; on the tail, j_l = A sin + B cos
+    with rational A, B (recovered through y_l), so the mean part decays like a
+    power and the rest is a clean Fourier integral handled by weighted quadrature.
     """
-    x0 = _tail_start(l)
-
-    def bessel(fn, x):
-        return np.array([fn(l, xi) for xi in x.tolist()])
+    x0 = max(100.0, 3.0 * n)
 
     def body(x):
-        return bessel(spherical_bessel_j, x) ** 2 * x**power
+        j, _ = spherical_bessel_jy_all(n, x)
+        return (j * j * x**power).T
 
-    def mean(x):
-        j, y = bessel(spherical_bessel_j, x), bessel(spherical_bessel_y, x)
-        return 0.5 * (j * j + y * y) * x**power
-
-    def amplitudes(x):
-        j, y = bessel(spherical_bessel_j, x), bessel(spherical_bessel_y, x)
+    def tail(x):
+        # mean, cos and sin parts of j^2 x^power, each (nodes, orders)
+        j, y = spherical_bessel_jy_all(n, x)
         s, c = np.sin(x), np.cos(x)
-        return j * s - y * c, j * c + y * s
-
-    def cos_part(x):
-        a, b = amplitudes(x)
-        return 0.5 * (b * b - a * a) * x**power
-
-    def sin_part(x):
-        a, b = amplitudes(x)
-        return a * b * x**power
+        a, b = j * s - y * c, j * c + y * s
+        return [(part * x**power).T for part in (0.5 * (j * j + y * y), 0.5 * (b * b - a * a), a * b)]
 
     body_value, _, _ = _checked_quad(body, 0.0, x0, epsabs=1e-14, epsrel=1e-12, limit=600)
-    tail_mean, _, _ = _checked_quad(mean, x0, np.inf, epsabs=1e-13, epsrel=1e-12)
+    tail_mean, _, _ = _checked_quad(lambda x: tail(x)[0], x0, np.inf, epsabs=1e-13, epsrel=1e-12)
     tail_cos, _, _ = _checked_quad(
-        cos_part, x0, np.inf, weight="cos", wvar=2.0, epsabs=1e-13, epsrel=1e-12, limlst=200
+        lambda x: tail(x)[1], x0, np.inf, weight="cos", wvar=2.0, epsabs=1e-13, epsrel=1e-12, limlst=200
     )
     tail_sin, _, _ = _checked_quad(
-        sin_part, x0, np.inf, weight="sin", wvar=2.0, epsabs=1e-13, epsrel=1e-12, limlst=200
+        lambda x: tail(x)[2], x0, np.inf, weight="sin", wvar=2.0, epsabs=1e-13, epsrel=1e-12, limlst=200
     )
     return body_value + tail_mean + tail_cos + tail_sin
+
+
+def _born_shifts(potential: PotentialSpec, n: int, k: float, method: str) -> np.ndarray:
+    """First-order phase shifts of the orders 0..n, after checking the arguments."""
+    if method not in ("auto", "quadrature"):
+        raise ValueError(f"method must be 'auto' or 'quadrature', got {method!r}")
+    if n < 0:
+        raise DomainError(f"order must be non-negative, got {n}")
+    if k <= 0.0:
+        raise DomainError(f"wavenumber must be positive, got {k}")
+    if potential.alpha == 0.0:
+        return np.zeros(n + 1)
+    if potential.kind == "inverse_r2":
+        if method == "auto":
+            return -math.pi * potential.alpha / (2.0 * (2 * np.arange(n + 1) + 1))
+        return -potential.alpha * _bessel_sq_moments(n, 0)
+    # inverse_r: r^2 V = alpha * r, moment power 1 (divergent; quadrature reports it)
+    return -(potential.alpha / k) * _bessel_sq_moments(n, 1)
 
 
 def born_phase_shift(potential: PotentialSpec, l: int, k: float, method: str = "auto") -> float:
@@ -222,35 +229,23 @@ def born_phase_shift(potential: PotentialSpec, l: int, k: float, method: str = "
 
     For the 1/r^2 potential the closed form -pi*alpha/(2(2l+1)) is the fast
     path ('auto'); method='quadrature' forces the adaptive integration, which
-    must agree with the closed form and serves as its independent check. The
+    must agree with the closed form and serves as its independent check. Its
+    four quadratures integrate every order 0..l at once and return entry l,
+    so build many orders with ``born_series``, not a loop over this. The
     1/r potential has a logarithmically divergent Born integral, reported as
     a quadrature convergence failure.
     """
-    if method not in ("auto", "quadrature"):
-        raise ValueError(f"method must be 'auto' or 'quadrature', got {method!r}")
-    if l < 0:
-        raise DomainError(f"order must be non-negative, got {l}")
-    if k <= 0.0:
-        raise DomainError(f"wavenumber must be positive, got {k}")
-    if potential.alpha == 0.0:
-        return 0.0
-    if potential.kind == "inverse_r2":
-        if method == "auto":
-            return -math.pi * potential.alpha / (2.0 * (2 * l + 1))
-        return -potential.alpha * _bessel_sq_moment(l, 0)
-    # inverse_r: r^2 V = alpha * r, moment power 1 (divergent; quadrature reports it)
-    return -(potential.alpha / k) * _bessel_sq_moment(l, 1)
+    return float(_born_shifts(potential, l, k, method)[l])
 
 
 def born_series(potential: PotentialSpec, n: int, k: float, method: str = "auto") -> ComplexSeries:
-    """Partial-wave series c_l = (2l+1) * phase_shift_l / k, real-valued."""
-    if n < 0:
-        raise DomainError(f"order must be non-negative, got {n}")
-    c = np.array(
-        [(2 * l + 1) / k * born_phase_shift(potential, l, k, method=method) for l in range(n + 1)],
-        dtype=complex,
-    )
-    return ComplexSeries(c)
+    """Partial-wave series c_l = (2l+1) * phase_shift_l / k, real-valued.
+
+    With method='quadrature' four quadratures serve all orders 0..n (see
+    ``born_phase_shift``).
+    """
+    ls = np.arange(n + 1)
+    return ComplexSeries((2 * ls + 1) / k * _born_shifts(potential, n, k, method))
 
 
 def born_exact_invr2(theta: float, alpha: float, k: float) -> float:

@@ -74,12 +74,13 @@ def project_legendre_coefficient(f: Callable[[float], complex], n: int) -> compl
     ((2n+1)/2) times the integral of f(theta) P_n(cos theta) sin(theta) over
     [0, pi], by the adaptive G10K21 of ``legpade.quadrature`` (epsrel 1e-12,
     epsabs 1e-13 * max(1, pi * max|integrand| on the first panel), at most
-    200 panels), the real and imaginary parts separately. Integrating in
-    theta lets the sin(theta) Jacobian regularize the forward-direction
-    divergences the scattering oracles carry; the panel nodes never touch
-    the endpoints. ``f`` is called with one float angle at a time. Raises
-    QuadratureConvergenceError, with the quadrature's reason, when a part
-    does not reach the tolerance.
+    200 panels), with the real and imaginary parts as the two components of
+    one integral. Integrating in theta lets the sin(theta) Jacobian
+    regularize the forward-direction divergences the scattering oracles
+    carry; the panel nodes never touch the endpoints. ``f`` is called with
+    one float angle at a time, once per node. Raises
+    QuadratureConvergenceError, with the quadrature's reason, when the
+    integral does not reach the tolerance.
     """
     if n < 0:
         raise DomainError(f"projection order must be non-negative, got {n}")
@@ -93,10 +94,12 @@ def project_legendre_coefficient(f: Callable[[float], complex], n: int) -> compl
     # panel's nodes; both parts share it, so a vanishing part still converges
     first_panel = weighted(0.5 * math.pi + 0.5 * math.pi * NODES)
     epsabs = 1e-13 * max(1.0, math.pi * float(np.max(np.abs(first_panel))))
+
+    def parts(theta):
+        return weighted(theta).view(float).reshape(-1, 2)  # columns Re, Im
+
     try:
-        re, im = [quad(lambda theta: part(weighted(theta)), 0.0, math.pi,
-                       epsabs=epsabs, epsrel=1e-12, limit=200)[0]
-                  for part in (np.real, np.imag)]
+        re, im = quad(parts, 0.0, math.pi, epsabs=epsabs, epsrel=1e-12, limit=200)[0]
     except QuadratureConvergenceError as exc:
         raise QuadratureConvergenceError(f"projection of order {n} did not converge: {exc}") from exc
     return 0.5 * (2 * n + 1) * complex(re, im)

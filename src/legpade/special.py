@@ -4,7 +4,8 @@ Legendre polynomials by the Bonnet three-term recurrence (one evaluator,
 ``legendre_eval_all``, for a scalar argument or an array of them), squared
 zero-projection Wigner 3j symbols in exact rational arithmetic, the
 principal branch of the complex log-gamma function, and spherical Bessel
-functions of the first kind with a stable downward recurrence.
+functions of both kinds, every order up to n in one call
+(``spherical_bessel_jy_all``), with thin scalar wrappers.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ __all__ = [
     "triple_product_integral",
     "log_gamma_complex",
     "spherical_bessel_j",
+    "spherical_bessel_y",
+    "spherical_bessel_jy_all",
 ]
 
 _X_TOL = 1.0 + 4.0 * np.finfo(float).eps
@@ -184,85 +187,55 @@ def log_gamma_complex(z: complex) -> complex:
     )
 
 
-def _spherical_j_series(l: int, x: float) -> float:
-    # ascending series x^l/(2l+1)!! * sum_k (-x^2/2)^k / (k! (2l+3)(2l+5)...)
-    df = 1.0
-    for k in range(1, 2 * l + 2, 2):
-        df *= k
-    term = 1.0
-    total = 1.0
-    k = 0
-    while True:
-        k += 1
-        term *= -0.5 * x * x / (k * (2 * l + 2 * k + 1))
-        total += term
-        if abs(term) < 1e-17 * abs(total):
-            break
-    return x**l / df * total
+def spherical_bessel_jy_all(n: int, x) -> tuple[np.ndarray, np.ndarray]:
+    """j_0 .. j_n and y_0 .. y_n at a float or an array x, each of shape (n+1,) + shape(x).
+
+    y by upward recurrence, stable at every order (x > 0; it overflows as x
+    approaches 0). j by the same recurrence through the orders l <= x, where it
+    is stable, so wholly upward once x >= n; above order x, j_l = r_l j_(l-1)
+    with the ratios r_l = j_l/j_(l-1) of Miller's downward recurrence, started
+    at order n + 20 + 4.8 sqrt(n) (Gillman and Fiebig, Comput. Phys. 2, 62
+    (1988)). j_0(0) = 1 and j_l(0) = 0 for l >= 1. The caller checks the domain.
+    """
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s, c = np.sin(x), np.cos(x)
+        y = [-c / x]
+        y.append(y[0] / x - s / x)
+        j = [np.where(x == 0.0, 1.0, s / x)]
+        j.append(j[0] / x - c / x)
+        ratio = {}
+        if n >= 1 and np.min(x) < n:  # some order lies above some x
+            r = 0.0
+            for k in range(n + 20 + int(4.8 * math.sqrt(n)), 0, -1):
+                r = x / (2 * k + 1 - x * r)
+                if k <= n:
+                    ratio[k] = r
+        for k in range(1, n + 1):
+            if k > 1:
+                y.append((2 * k - 1) / x * y[k - 1] - y[k - 2])
+                j.append((2 * k - 1) / x * j[k - 1] - j[k - 2])
+            if ratio:
+                j[k] = np.where(x >= k, j[k], ratio[k] * j[k - 1])
+    return np.array(j[: n + 1]), np.array(y[: n + 1])
 
 
 def spherical_bessel_j(l: int, x: float) -> float:
-    """Spherical Bessel function j_l(x) for x >= 0.
-
-    Upward recurrence for x >= l (stable there), Miller-style downward
-    recurrence with normalization for x < l.
-    """
+    """Spherical Bessel function j_l(x) for x >= 0: entry l of ``spherical_bessel_jy_all(l, x)``."""
     if l < 0:
         raise DomainError(f"order must be non-negative, got {l}")
     x = float(x)
     if x < 0.0:
         raise DomainError(f"argument must be non-negative, got {x}")
-    if x == 0.0:
-        return 1.0 if l == 0 else 0.0
-    if l == 0:
-        return math.sin(x) / x
-    if x * x < 0.25 * (2 * l + 3):
-        return _spherical_j_series(l, x)
-    j0 = math.sin(x) / x
-    j1 = j0 / x - math.cos(x) / x
-    if l == 1:
-        return j1
-    if x >= l:
-        for k in range(1, l):
-            j0, j1 = j1, (2 * k + 1) / x * j1 - j0
-        return j1
-    # downward from a buffer above l; rescale to dodge overflow, then
-    # normalize against whichever of j_0, j_1 is better conditioned
-    top = l + 20 + int(1.2 * math.sqrt(l) * 4)
-    jp, jc = 0.0, 1e-30
-    out = 0.0
-    for k in range(top, 0, -1):
-        jm = (2 * k + 1) / x * jc - jp
-        jp, jc = jc, jm
-        if k - 1 == l:
-            out = jc
-        if abs(jc) > 1e250:
-            jc *= 1e-250
-            jp *= 1e-250
-            out *= 1e-250
-    # jc = unnormalized j_0, jp = unnormalized j_1
-    if abs(j0) >= abs(j1):
-        scale = j0 / jc
-    else:
-        scale = j1 / jp
-    return out * scale
+    return float(spherical_bessel_jy_all(l, np.array([x]))[0][l, 0])
 
 
 def spherical_bessel_y(l: int, x: float) -> float:
-    """Spherical Bessel function of the second kind, y_l(x), x > 0.
-
-    Upward recurrence is unconditionally stable for y_l. Used internally by
-    the oscillatory-tail quadratures.
-    """
+    """Spherical Bessel function of the second kind, y_l(x), x > 0: entry l of
+    ``spherical_bessel_jy_all(l, x)``."""
     if l < 0:
         raise DomainError(f"order must be non-negative, got {l}")
     x = float(x)
     if x <= 0.0:
         raise DomainError(f"argument must be positive, got {x}")
-    y0 = -math.cos(x) / x
-    if l == 0:
-        return y0
-    y1 = y0 / x - math.sin(x) / x
-    for k in range(1, l):
-        y0, y1 = y1, (2 * k + 1) / x * y1 - y0
-    return y1
+    return float(spherical_bessel_jy_all(l, np.array([x]))[1][l, 0])

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
@@ -129,6 +129,81 @@ def test_fourier_result_within_own_error_of_mpmath(start, shift, power, omega, w
                             epsabs=1e-12, epsrel=1e-10, limit=400, limlst=200)
     exact = mp.quadosc(lambda x: (x + shift) ** -power * trig(omega * x), [start, mp.inf], omega=omega)
     assert abs(value - float(exact)) <= abserr
+
+
+def _exp_cos_exact(amplitude, growth, frequency, phase, lo, width):
+    # Re of A e^{i phase} e^{z lo} (e^{z width} - 1) / z with z = growth + i frequency
+    mp.mp.dps = 40
+    z = mp.mpc(growth, frequency)
+    area = mp.exp(z * lo) * (mp.expm1(z * width) / z if z != 0 else width)
+    return float(mp.re(amplitude * mp.expj(phase) * area))
+
+
+# (A, B, C, D) over the ranges of test_finite_result_within_own_error_of_mpmath
+_EXP_COS = st.tuples(st.floats(0.1, 2.0) | st.floats(-2.0, -0.1), st.floats(-3.0, 3.0),
+                     st.floats(0.0, 30.0), st.floats(0.0, 2 * math.pi))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    components=st.lists(_EXP_COS, min_size=1, max_size=5),
+    lo=st.floats(-2.0, 2.0),
+    width=st.floats(0.1, 5.0),
+    epsrel=st.sampled_from([1e-6, 1e-10, 1e-12]),
+)
+def test_stacked_finite_components_within_own_error_of_mpmath(components, lo, width, epsrel):
+    amplitude, growth, frequency, phase = (np.array(c) for c in zip(*components))
+
+    def f(x):
+        x = x[:, None]
+        return amplitude * np.exp(growth * x) * np.cos(frequency * x + phase)
+
+    exact = [_exp_cos_exact(*c, lo, width) for c in components]
+    # only tolerances above QUADPACK's error floor, 50 eps * integral |f| of the largest
+    # component; below it quad raises on roundoff, as test_roundoff_raises_early shows
+    x = np.linspace(lo, lo + width, 20001)
+    floor = 50.0 * np.finfo(float).eps * np.max(np.abs(f(x)).sum(axis=0)) * width / 20000
+    assume(max(1e-12, epsrel * max(map(abs, exact))) > 10.0 * floor)
+    value, abserr, _ = quad(f, lo, lo + width, epsabs=1e-12, epsrel=epsrel, limit=400)
+    assert value.shape == (len(components),)
+    for got, want in zip(value, exact):
+        assert abs(got - want) <= abserr
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    start=st.floats(0.0, 5.0),
+    tails=st.lists(st.tuples(st.floats(0.5, 3.0), st.floats(0.5, 3.0)), min_size=1, max_size=3),
+    omega=st.floats(0.3, 5.0),
+    weight=st.sampled_from(["cos", "sin"]),
+)
+@example(start=0.125, tails=[(0.5, 0.5), (2.0, 1.5)], omega=0.3125, weight="cos")
+def test_stacked_fourier_components_within_own_error_of_mpmath(start, tails, omega, weight):
+    # component i is (x + shift_i)^-power_i
+    shift, power = (np.array(c) for c in zip(*tails))
+    value, abserr, _ = quad(lambda x: (x[:, None] + shift) ** -power, start, np.inf, weight=weight,
+                            wvar=omega, epsabs=1e-12, epsrel=1e-10, limit=400, limlst=200)
+    mp.mp.dps = 20
+    trig = mp.cos if weight == "cos" else mp.sin
+    for got, (c, p) in zip(value, tails):
+        exact = mp.quadosc(lambda x: (x + c) ** -p * trig(omega * x), [start, mp.inf], omega=omega)
+        assert abs(got - float(exact)) <= abserr
+
+
+@pytest.mark.parametrize("limits, kwargs", [
+    ((0.0, 3.0), {}),
+    ((0.0, np.inf), {}),
+    ((1.0, np.inf), {"weight": "sin", "wvar": 2.0, "limlst": 200}),
+])
+def test_one_component_block_matches_scalar_integrand(limits, kwargs):
+    def f(x):
+        return np.exp(-0.5 * x) / (1.0 + x * x)
+
+    scalar = quad(f, *limits, epsabs=1e-13, epsrel=1e-12, limit=400, **kwargs)
+    block = quad(lambda x: f(x)[:, None], *limits, epsabs=1e-13, epsrel=1e-12, limit=400, **kwargs)
+    assert isinstance(scalar[0], float)
+    assert block[0].shape == (1,)
+    assert (block[0][0], *block[1:]) == scalar
 
 
 def _scipy_quad(f, a, b, **kwargs):

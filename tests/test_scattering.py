@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import legpade.scattering as scattering
 from legpade.errors import DomainError, QuadratureConvergenceError
 from legpade.pade import construct, evaluate
 from legpade.scattering import (
@@ -117,6 +118,29 @@ class TestBornPhaseShift:
     def test_inverse_r_diverges(self):
         with pytest.raises(QuadratureConvergenceError):
             born_phase_shift(PotentialSpec("inverse_r", 1.0), 0, 1.0)
+
+    @pytest.mark.parametrize("n", [0, 8, 20, 40])
+    def test_quadrature_series_makes_four_quadratures(self, monkeypatch, n):
+        # the body and three tail integrals serve every order at once
+        calls = []
+        original = scattering.quad
+
+        def counting_quad(f, a, b, **kwargs):
+            calls.append((a, b, kwargs.get("weight")))
+            return original(f, a, b, **kwargs)
+
+        monkeypatch.setattr(scattering, "quad", counting_quad)
+        series = born_series(PotentialSpec("inverse_r2", 1.0), n, 1.0, method="quadrature")
+        x0 = max(100.0, 3.0 * n)
+        assert calls == [(0.0, x0, None), (x0, np.inf, None), (x0, np.inf, "cos"), (x0, np.inf, "sin")]
+        l = np.arange(n + 1)
+        shifts = series.coefficients.real / (2 * l + 1)
+        assert np.max(np.abs(shifts + math.pi / (2 * (2 * l + 1)))) <= 1e-12
+
+    def test_single_order_is_entry_of_series(self):
+        pot = PotentialSpec("inverse_r2", 1.0)
+        series = born_series(pot, 5, 1.0, method="quadrature")
+        assert born_phase_shift(pot, 5, 1.0, method="quadrature") * 11.0 == series.coefficients[5].real
 
     def test_potential_validation(self):
         with pytest.raises(ValueError):

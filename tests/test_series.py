@@ -107,9 +107,22 @@ class TestProjection:
         assert small_imag == pytest.approx(1e-6j, abs=1e-11)
 
     def test_divergent_projection_raises(self):
-        # int 1/theta^2 d(cos theta) diverges at theta = 0; doubling the rule never settles
+        # int 1/theta^2 d(cos theta) diverges at theta = 0; bisection toward it
+        # runs into the subdivision limit
         with pytest.raises(QuadratureConvergenceError, match="did not converge"):
             project_legendre_coefficient(lambda theta: 1.0 / theta**2, 0)
+
+    def test_each_angle_evaluated_once(self):
+        # real and imaginary parts share one panel sequence; only the 21 nodes of the
+        # first panel, which also set the absolute tolerance, are evaluated twice
+        angles = []
+
+        def f(theta):
+            angles.append(theta)
+            return complex(math.cos(theta), math.sin(3.0 * theta))
+
+        project_legendre_coefficient(f, 2)
+        assert len(angles) - len(set(angles)) == 21
 
     def test_negative_order_rejected(self):
         with pytest.raises(DomainError):

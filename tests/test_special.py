@@ -11,6 +11,7 @@ from legpade.special import (
     legendre_eval_all,
     log_gamma_complex,
     spherical_bessel_j,
+    spherical_bessel_jy_all,
     spherical_bessel_y,
     threej_zero_sq,
     triple_product_integral,
@@ -192,3 +193,42 @@ class TestSphericalBessel:
                 lhs = spherical_bessel_j(l + 1, x) * spherical_bessel_y(l, x) - \
                     spherical_bessel_j(l, x) * spherical_bessel_y(l + 1, x)
                 assert lhs == pytest.approx(1.0 / (x * x), rel=1e-10)
+
+
+# orders 0..40 on a wide log grid plus x = l +- 1/2 around every turning point,
+# where the array form switches j between its two recurrences
+_BESSEL_L = 40
+_BESSEL_X = np.concatenate([np.geomspace(1e-4, 1e4, 41),
+                            [l + d for l in range(1, _BESSEL_L + 1) for d in (-0.5, 0.5)]])
+
+
+class TestSphericalBesselAllOrders:
+    def test_against_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        j, y = spherical_bessel_jy_all(_BESSEL_L, _BESSEL_X)
+        assert j.shape == y.shape == (_BESSEL_L + 1, _BESSEL_X.size)
+        for i, x in enumerate(_BESSEL_X.tolist()):
+            scale = mp.sqrt(mp.pi / (2 * mp.mpf(x)))
+            for l in range(_BESSEL_L + 1):
+                ref_j = float(mp.besselj(l + 0.5, x) * scale)
+                assert abs(j[l, i] - ref_j) <= 1e-10 * max(abs(ref_j), 1e-280)
+                ref_y = float(mp.bessely(l + 0.5, x) * scale)
+                if abs(ref_y) < 1e300:
+                    assert abs(y[l, i] - ref_y) <= 1e-10 * abs(ref_y)
+                else:  # beyond the double range y_l overflows
+                    assert not abs(y[l, i]) < 1e300
+
+    def test_scalar_wrappers_are_array_entries(self):
+        _, y = spherical_bessel_jy_all(_BESSEL_L, _BESSEL_X)
+        for l in range(_BESSEL_L + 1):
+            j, _ = spherical_bessel_jy_all(l, _BESSEL_X)
+            for i, x in enumerate(_BESSEL_X.tolist()):
+                assert spherical_bessel_j(l, x) == j[l, i]
+                if np.isfinite(y[l, i]):
+                    assert spherical_bessel_y(l, x) == y[l, i]
+
+    def test_origin(self):
+        j, _ = spherical_bessel_jy_all(5, np.array([0.0, 1e-300]))
+        assert j[:, 0].tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        assert j[0, 1] == 1.0 and j[1, 1] == pytest.approx(1e-300 / 3, rel=1e-15)
