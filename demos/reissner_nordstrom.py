@@ -2,8 +2,9 @@
 """Scattering cross sections in Reissner-Nordstrom spacetime.
 
 Partial waves are built from the zeroth-order phase shift (closed form)
-plus the first-order correction (two improper quadratures over the
-effective potential in the tortoise coordinate). No closed-form amplitude
+plus the first-order correction (four improper integrals over the effective
+potential in the tortoise coordinate, taken together in four quadratures
+that serve every order). No closed-form amplitude
 exists here; the oscillation removal shows up as the collapse in total
 variation of |f| near the backward direction.
 """

@@ -14,8 +14,8 @@ breakpoints and the near-horizon log endpoint is tamed with a logarithmic
 substitution. The Born integrands of all orders 0..N form one (nodes, orders)
 block from ``special.spherical_bessel_jy_all``, so four quadratures give every
 Born shift up to N, and a single-order call integrates orders 0..l. The
-Reissner-Nordstrom first-order integrands are linear in l(l+1), so four
-integrals (16 quadratures) give the shifts of every order.
+Reissner-Nordstrom first-order integrands are linear in l(l+1), so one
+four-component integral (four quadratures) gives the shifts of every order.
 Each quadrature logs its interval, error estimate and integrand points at
 DEBUG on the ``legpade.scattering`` logger.
 """
@@ -300,19 +300,19 @@ def rn_effective_potential(r: float, l: int, params: RNParams) -> float:
     return float(horizon_factor * (l * (l + 1) / r**2 + w0))
 
 
-def _rn_integral(f, params: RNParams, horizon_epsilon: float, r_max: float) -> float:
-    """Integral of the vectorized f over (r_+, r_max] with the documented cutoffs.
+def _rn_integral(f, params: RNParams, horizon_epsilon: float, r_max: float) -> np.ndarray:
+    """Integral of the (nodes, m) block f over (r_+, r_max] with the documented cutoffs.
 
     The slice hugging the horizon is integrated in u = ln(r/r_+ - 1), where
     the integrable log endpoint becomes smooth; the rest is split at the
-    potential's near zone and the first oscillation scale.
+    potential's near zone and the first oscillation scale, one quadrature per piece.
     """
     rp = params.r_plus
     total = 0.0
 
     def near(u):
         e = np.exp(u)
-        return f(rp * (1.0 + e)) * rp * e
+        return f(rp * (1.0 + e)) * (rp * e)[:, None]
 
     hi0 = min(2.0 * rp, r_max)
     if hi0 > rp * (1.0 + horizon_epsilon):
@@ -333,7 +333,7 @@ def _rn_first_order(ls: np.ndarray, params: RNParams, horizon_epsilon: float,
                     r_max: float | None) -> np.ndarray:
     """First-order phase shifts of the orders ``ls``: for each oscillator, sin^2(eta r*)
     and sin(2 eta r*), the integral against l(l+1)/r^2 + w0 is l(l+1) A + B, with A
-    against 1/r^2 and B against w0, so four integrals serve every order."""
+    against 1/r^2 and B against w0, so one four-component integral serves every order."""
     rp, rm, eta = params.r_plus, params.r_minus, params.eta
     if r_max is None:
         r_max = 50.0 / eta
@@ -342,16 +342,15 @@ def _rn_first_order(ls: np.ndarray, params: RNParams, horizon_epsilon: float,
     if r_max <= rp * (1.0 + horizon_epsilon):
         raise ValueError("r_max must lie beyond the lower quadrature cutoff")
 
-    def integral(osc, l_free):
-        def f(r):
-            rstar, _, w0 = _rn_radial(r, params)
-            return osc(rstar) * (w0 if l_free else 1.0 / (r * r))
-        return _rn_integral(f, params, horizon_epsilon, r_max)
+    def weights(r):
+        # (nodes, 4): sin^2(eta r*) against 1/r^2 and w0, then sin(2 eta r*) against both
+        rstar, _, w0 = _rn_radial(r, params)
+        sin2, sin2e, inv2 = np.sin(eta * rstar) ** 2, np.sin(2.0 * eta * rstar), 1.0 / (r * r)
+        return np.stack([sin2 * inv2, sin2 * w0, sin2e * inv2, sin2e * w0], axis=1)
 
+    a_sin2, b_sin2, a_sin2e, b_sin2e = _rn_integral(weights, params, horizon_epsilon, r_max)
     ll = ls * (ls + 1.0)
-    sin2, sin2e = (lambda rs: np.sin(eta * rs) ** 2), (lambda rs: np.sin(2.0 * eta * rs))
-    i_sin2 = ll * integral(sin2, False) + integral(sin2, True)
-    i_sin2e = ll * integral(sin2e, False) + integral(sin2e, True)
+    i_sin2, i_sin2e = ll * a_sin2 + b_sin2, ll * a_sin2e + b_sin2e
     phase = -np.arctan((i_sin2 / eta) / (1.0 + i_sin2e / eta))
     return phase + (rp + rm) * eta * math.log((rp - rm) / (rp + rm))
 
@@ -367,9 +366,9 @@ def rn_phase_shift(
 
     Order 0 is the closed form l*pi/2 + M*eta*(1 - 2 ln 2) +
     2*M*eta*ln(sqrt(M^2-Q^2)/M). Order 1 is linear in l(l+1) over four improper
-    quadratures of the effective potential, cut off at r_+(1 + horizon_epsilon)
-    below and r_max (default 50/eta, several oscillation wavelengths) above; they
-    serve every l, so build many orders with ``rn_series``, not a loop over this.
+    integrals of the effective potential, cut off at r_+(1 + horizon_epsilon)
+    below and r_max (default 50/eta, several oscillation wavelengths) above, in
+    four shared quadratures that serve every l; build many orders with ``rn_series``.
     """
     if l < 0:
         raise DomainError(f"order must be non-negative, got {l}")
@@ -400,18 +399,18 @@ def rn_series(
     (-1)^l to the exponential, which mirrors the amplitude through
     theta -> pi - theta; the series is built in the orientation with the
     forward divergence at theta = 0, matching the reference cross-section
-    data. Set subtract_one=True for the (e^{2i delta} - 1) convention.
+    data, so every order takes the zeroth-order shift of l = 0. Set
+    subtract_one=True for the (e^{2i delta} - 1) convention, which in this
+    orientation subtracts (-1)^l.
     """
     if n < 0:
         raise DomainError(f"order must be non-negative, got {n}")
     ls = np.arange(n + 1)
-    delta = np.array([rn_phase_shift(l, params, 0) for l in range(n + 1)])
-    delta += _rn_first_order(ls, params, horizon_epsilon, r_max)
+    delta = rn_phase_shift(0, params, 0) + _rn_first_order(ls, params, horizon_epsilon, r_max)
     term = np.exp(2j * delta)
     if subtract_one:
-        term -= 1.0
-    pref = 1.0 / (2j * params.omega)
-    return ComplexSeries((-1.0) ** ls * pref * (2 * ls + 1) * term)
+        term -= (-1.0) ** ls
+    return ComplexSeries((2 * ls + 1) / (2j * params.omega) * term)
 
 
 def cross_section(f: complex) -> float:

@@ -190,12 +190,12 @@ def log_gamma_complex(z: complex) -> complex:
 def spherical_bessel_jy_all(n: int, x) -> tuple[np.ndarray, np.ndarray]:
     """j_0 .. j_n and y_0 .. y_n at a float or an array x, each of shape (n+1,) + shape(x).
 
-    y by upward recurrence, stable at every order (x > 0; it overflows as x
-    approaches 0). j by the same recurrence through the orders l <= x, where it
-    is stable, so wholly upward once x >= n; above order x, j_l = r_l j_(l-1)
-    with the ratios r_l = j_l/j_(l-1) of Miller's downward recurrence, started
-    at order n + 20 + 4.8 sqrt(n) (Gillman and Fiebig, Comput. Phys. 2, 62
-    (1988)). j_0(0) = 1 and j_l(0) = 0 for l >= 1. The caller checks the domain.
+    y by upward recurrence, stable at every order (x > 0; near 0 it overflows to
+    -inf and stays there). j by the same recurrence through the orders l <= x,
+    where it is stable, so wholly upward once x >= n; above order x, j_l = r_l
+    j_(l-1) with the ratios r_l = j_l/j_(l-1) of Miller's downward recurrence,
+    started at order n + 20 + 4.8 sqrt(n) (Gillman and Fiebig, Comput. Phys. 2,
+    62 (1988)). j_0(0) = 1 and j_l(0) = 0 for l >= 1. The caller checks the domain.
     """
     x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -213,7 +213,7 @@ def spherical_bessel_jy_all(n: int, x) -> tuple[np.ndarray, np.ndarray]:
                     ratio[k] = r
         for k in range(1, n + 1):
             if k > 1:
-                y.append((2 * k - 1) / x * y[k - 1] - y[k - 2])
+                y.append(np.where(y[k - 1] == -np.inf, -np.inf, (2 * k - 1) / x * y[k - 1] - y[k - 2]))
                 j.append((2 * k - 1) / x * j[k - 1] - j[k - 2])
             if ratio:
                 j[k] = np.where(x >= k, j[k], ratio[k] * j[k - 1])

@@ -335,6 +335,22 @@ class TestRNPhaseShift:
         with pytest.raises(ValueError):
             rn_series(3, RN_REFERENCE, r_max=RN_REFERENCE.r_plus)
 
+    def test_single_order_makes_the_series_quadratures(self, monkeypatch):
+        # one four-component quadrature per radial piece, for a single order as for a series
+        calls = []
+        original = scattering.quad
+
+        def counting_quad(f, a, b, **kwargs):
+            calls.append((a, b))
+            return original(f, a, b, **kwargs)
+
+        monkeypatch.setattr(scattering, "quad", counting_quad)
+        rn_series(20, RN_REFERENCE)
+        series_calls, calls[:] = calls[:], []
+        value = rn_phase_shift(7, RN_REFERENCE, 1)
+        assert len(calls) == 4 and calls == series_calls
+        assert value == scattering._rn_first_order(np.arange(21), RN_REFERENCE, 1e-8, None)[7]
+
     def test_cutoff_on_horizon_rejected(self):
         for epsilon in (1e-17, 0.0, -1e-3):
             with pytest.raises(DomainError):
@@ -398,13 +414,12 @@ class TestRNSeries:
 
     def test_quadratures_logged_at_debug(self, caplog):
         caplog.set_level(logging.DEBUG, logger="legpade.scattering")
-        for n in (2, 20):
+        for n in (0, 2, 20, 40):
             caplog.clear()
             rn_series(n, RN_REFERENCE)
             records = [r for r in caplog.records if r.name == "legpade.scattering"]
-            # for all orders together: two oscillators times two l-free weights, each
-            # over the near-horizon slice and three outer pieces
-            assert len(records) == 2 * 2 * 4
+            # for all orders and weights together: the near-horizon slice and three outer pieces
+            assert len(records) == 4
             for record in records:
                 assert record.levelno == logging.DEBUG
                 lo, hi, abserr, neval = record.args

@@ -228,6 +228,15 @@ class TestSphericalBesselAllOrders:
                 if np.isfinite(y[l, i]):
                     assert spherical_bessel_y(l, x) == y[l, i]
 
+    def test_overflowed_y_stays_minus_infinity(self):
+        # y_l ~ -(2l-1)!!/x^(l+1) overflows from l = 1 at x = 1e-200; the upward
+        # recurrence must not go on to form -inf - (-inf) = NaN
+        assert [spherical_bessel_y(l, 1e-200) for l in (3, 4, 5)] == [-math.inf] * 3
+        j, y = spherical_bessel_jy_all(5, [1e-200, 1e-100])
+        assert not np.isnan(j).any() and not np.isnan(y).any()
+        # a NaN argument still gives NaN
+        assert np.isnan(spherical_bessel_jy_all(5, [math.nan])[1]).all()
+
     def test_origin(self):
         j, _ = spherical_bessel_jy_all(5, np.array([0.0, 1e-300]))
         assert j[:, 0].tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
