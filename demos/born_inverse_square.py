@@ -35,16 +35,14 @@ print(f"\nseries coefficients are constant: c_l = {series.coefficients[0].real:.
 approx, _ = construct(series, 3, 3)
 print("\n       theta   partial(N=6)        [3/3]        exact")
 partial6 = born_series(pot, 6, K)
-for theta in np.linspace(np.pi / 2, np.pi, 8):
-    p = eval_partial_sum(partial6, theta).real
-    q = evaluate(approx, theta).real
-    e = born_exact_invr2(theta, ALPHA, K)
+table = np.linspace(np.pi / 2, np.pi, 8)
+columns = (eval_partial_sum(partial6, table).real, evaluate(approx, table).real,
+           born_exact_invr2(table, ALPHA, K))
+for theta, p, q, e in zip(table, *columns):
     print(f"  {theta:10.6f}  {p:12.6f}  {q:12.6f}  {e:12.6f}")
 
 thetas = np.linspace(np.pi / 2, np.pi, 300)
-worst = max(
-    abs(evaluate(approx, t) - born_exact_invr2(t, ALPHA, K)) / abs(born_exact_invr2(t, ALPHA, K))
-    for t in thetas
-)
+exact = born_exact_invr2(thetas, ALPHA, K)
+worst = np.max(np.abs(evaluate(approx, thetas) - exact) / np.abs(exact))
 print(f"\nworst [3/3] relative deviation on [pi/2, pi]: {worst:.2e}")
 print("\nCSV with the full sweep: legpade compare --demo invr2 --N 6 -o born.csv")

@@ -35,10 +35,10 @@ for m, b in enumerate(approx.denominator):
 print("\ncross sections sigma = |f|^2:")
 print("        theta   partial(N=6)          [3/3]          exact")
 partial6 = coulomb_series(6, K)
-for theta in np.linspace(np.pi / 3, np.pi, 8):
-    sp = cross_section(eval_partial_sum(partial6, theta))
-    sq = cross_section(evaluate(approx, theta))
-    se = cross_section(coulomb_exact(theta, K))
+thetas = np.linspace(np.pi / 3, np.pi, 8)
+columns = (cross_section(eval_partial_sum(partial6, thetas)), cross_section(evaluate(approx, thetas)),
+           cross_section(coulomb_exact(thetas, K)))
+for theta, sp, sq, se in zip(thetas, *columns):
     print(f"  {theta:11.6f}  {sp:13.6f}  {sq:13.6f}  {se:13.6f}")
 
 print("\nCSV with the full sweep: legpade compare --demo coulomb --N 6 -o coulomb.csv")

@@ -4,9 +4,10 @@
 Partial waves are built from the zeroth-order phase shift (closed form)
 plus the first-order correction (four improper integrals over the effective
 potential in the tortoise coordinate, taken together in four quadratures
-that serve every order). No closed-form amplitude
-exists here; the oscillation removal shows up as the collapse in total
-variation of |f| near the backward direction.
+that serve every order); the first-order shifts printed here are read back
+from the series coefficients. No closed-form amplitude exists here; the
+oscillation removal shows up as the collapse in total variation of |f| near
+the backward direction.
 """
 
 import numpy as np
@@ -27,11 +28,16 @@ ETA, MU, MASS = 1e-4, 1e-6, 10.0
 for q_over_m in (0.5, 0.99, 1e-4):
     params = RNParams(mass=MASS, charge=q_over_m * MASS, eta=ETA, mu=MU)
     print(f"\n=== Q/M = {q_over_m}  (r+ = {params.r_plus:.4f}, r- = {params.r_minus:.4f}) ===")
-    print("first-order phase shifts:")
-    for l in range(4):
-        print(f"  delta^1_{l} = {rn_phase_shift(l, params, 1):+.6e}")
-
     series = rn_series(8, params)
+    # c_l = (2l+1)/(2i omega) exp(2i delta_l), and delta_l is the l = 0 zeroth-order
+    # shift plus the first-order one
+    ls = np.arange(4)
+    ratio = series.coefficients[:4] * (2j * params.omega) / (2 * ls + 1)
+    first_order = 0.5 * np.angle(ratio) - rn_phase_shift(0, params, 0)
+    print("first-order phase shifts:")
+    for l, delta in zip(ls, first_order):
+        print(f"  delta^1_{l} = {delta:+.6e}")
+
     approx, _ = construct(series, 3, 3)
     print("[3/3] numerator:")
     for n, a in enumerate(approx.numerator):
@@ -44,8 +50,8 @@ for q_over_m in (0.5, 0.99, 1e-4):
     thetas = np.linspace(np.pi / 2, np.pi, 300)
     partial = ComplexSeries(series.coefficients[:7])
     tv = lambda vals: float(np.sum(np.abs(np.diff(vals))))
-    tv_partial = tv([abs(eval_partial_sum(partial, t)) for t in thetas])
-    tv_pade = tv([abs(evaluate(approx, t)) for t in thetas])
+    tv_partial = tv(np.abs(eval_partial_sum(partial, thetas)))
+    tv_pade = tv(np.abs(evaluate(approx, thetas)))
     print(f"total variation of |f| on [pi/2, pi]: partial {tv_partial:.1f}, "
           f"[3/3] {tv_pade:.1f} ({tv_partial / tv_pade:.0f}x smaller)")
 

@@ -75,8 +75,8 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _build_series(args) -> tuple[ComplexSeries, ComplexSeries, Optional[Callable[[float], complex]]]:
-    """(partial-sum series, construction series, exact oracle or None).
+def _build_series(args) -> tuple[ComplexSeries, ComplexSeries, Optional[Callable[[np.ndarray], np.ndarray]]]:
+    """(partial-sum series, construction series, exact oracle of an angle array or None).
 
     Demo series carry two orders beyond --N for the matching sums, the
     convention behind the reference worked examples; the partial-sum column
@@ -91,14 +91,14 @@ def _build_series(args) -> tuple[ComplexSeries, ComplexSeries, Optional[Callable
     n_build = args.N + 2
     if demo == "unit":
         full = unit_series(n_build)
-        exact = lambda th: complex(exact_half_csc(th))
+        exact = exact_half_csc
     elif demo == "coulomb":
         full = coulomb_series(n_build, args.k)
         exact = lambda th: coulomb_exact(th, args.k)
     elif demo == "invr2":
         pot = PotentialSpec("inverse_r2", args.alpha)
         full = born_series(pot, n_build, args.k)
-        exact = lambda th: complex(born_exact_invr2(th, args.alpha, args.k))
+        exact = lambda th: born_exact_invr2(th, args.alpha, args.k)
     elif demo == "rn":
         params = RNParams(mass=args.mass, charge=args.QoverM * args.mass, eta=args.eta, mu=args.mu)
         full = rn_series(n_build, params, horizon_epsilon=args.rn_epsilon, r_max=args.rn_rmax)
@@ -192,11 +192,13 @@ def cmd_compare(args) -> int:
         poles = np.isin(thetas, exc.theta)
         pades = np.zeros(thetas.shape, dtype=complex)
         pades[~poles] = evaluate(approx, thetas[~poles])
+    exacts = np.zeros(thetas.shape, dtype=complex)
+    if exact is not None:  # the oracles diverge at theta = 0, whose exact cells stay empty
+        exacts[thetas > 0.0] = exact(thetas[thetas > 0.0])
     lines = [CSV_HEADER]
-    for theta, partial, pade_value, pole in zip(thetas.tolist(), partials.tolist(), pades.tolist(),
-                                                poles.tolist()):
+    rows = zip(thetas.tolist(), partials.tolist(), pades.tolist(), exacts.tolist(), poles.tolist())
+    for theta, partial, pade_value, exact_value, pole in rows:
         if exact is not None and theta > 0.0:
-            exact_value = exact(theta)
             re_exact, im_exact = _fmt(exact_value.real), _fmt(exact_value.imag)
         else:
             re_exact = im_exact = ""

@@ -84,7 +84,7 @@ class PadeApproximant:
     def M(self) -> int:
         return self.denominator.size - 1
 
-    def __call__(self, theta: float) -> complex:
+    def __call__(self, theta):
         return evaluate(self, theta)
 
 

@@ -8,6 +8,9 @@ Four families feed the rational resummation:
 * Reissner-Nordstrom partial waves from zeroth- and first-order phase
   shifts, where no closed form exists.
 
+The closed forms take an angle or an array of them through the one angle guard,
+``series._check_theta``, and reject theta = 0 and any angle where they overflow.
+
 Phase-shift quadratures use the numpy Gauss-Kronrod integrator of
 ``legpade.quadrature``; the improper integrals are split at documented
 breakpoints and the near-horizon log endpoint is tamed with a logarithmic
@@ -30,7 +33,7 @@ import numpy as np
 
 from .errors import DomainError, QuadratureConvergenceError
 from .quadrature import quad
-from .series import ComplexSeries
+from .series import ComplexSeries, _check_theta
 from .special import log_gamma_complex, spherical_bessel_jy_all
 # spherical_bessel_j/_y are unused here; perfbench/tracer.py rebinds them on this module
 from .special import spherical_bessel_j, spherical_bessel_y  # noqa: F401
@@ -115,14 +118,25 @@ def unit_series(n: int) -> ComplexSeries:
     return ComplexSeries(np.ones(n + 1, dtype=complex))
 
 
-def exact_half_csc(theta: float) -> float:
-    """1/(2 sin(theta/2)) on (0, pi]; diverges in the forward direction."""
-    theta = float(theta)
-    if theta == 0.0:
-        raise DomainError("1/(2 sin(theta/2)) diverges at theta = 0")
-    if not 0.0 < theta <= math.pi:
-        raise DomainError(f"theta = {theta} outside (0, pi]")
-    return 0.5 / math.sin(0.5 * theta)
+def _check_wavenumber(k: float) -> float:
+    if not 0.0 < k < math.inf:
+        raise DomainError(f"wavenumber must be positive and finite, got {k}")
+    return k
+
+
+def _closed_form(theta, amplitude: str, f):
+    """f(sin(theta/2)) after the angle guard; DomainError names ``amplitude`` where it is not finite."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        value = f(np.sin(0.5 * _check_theta(theta)))
+    # |f| falls as theta grows, so the smallest angle is one where it is not finite
+    if not np.all(np.isfinite(value)):
+        raise DomainError(f"{amplitude} is not finite at theta = {np.min(theta)}")
+    return value
+
+
+def exact_half_csc(theta):
+    """1/(2 sin(theta/2)) on (0, pi], at an angle (a float) or an array of them."""
+    return _closed_form(theta, "1/(2 sin(theta/2))", lambda s: 0.5 / s)
 
 
 def coulomb_series(n: int, k: float) -> ComplexSeries:
@@ -130,9 +144,7 @@ def coulomb_series(n: int, k: float) -> ComplexSeries:
     conjugate gamma values at l+1 +- i/k."""
     if n < 0:
         raise DomainError(f"order must be non-negative, got {n}")
-    if k <= 0.0:
-        raise DomainError(f"wavenumber must be positive, got {k}")
-    ik = 1j / k
+    ik = 1j / _check_wavenumber(k)
     pref = 1.0 / (2j * k)
     c = [
         pref
@@ -143,19 +155,12 @@ def coulomb_series(n: int, k: float) -> ComplexSeries:
     return ComplexSeries(np.array(c))
 
 
-def coulomb_exact(theta: float, k: float) -> complex:
-    """Closed-form Coulomb scattering amplitude (attractive unit coupling)."""
-    theta = float(theta)
-    if theta == 0.0:
-        raise DomainError("the Coulomb amplitude diverges at theta = 0")
-    if not 0.0 < theta <= math.pi:
-        raise DomainError(f"theta = {theta} outside (0, pi]")
-    if k <= 0.0:
-        raise DomainError(f"wavenumber must be positive, got {k}")
-    s = math.sin(0.5 * theta)
-    ik = 1j / k
+def coulomb_exact(theta, k: float):
+    """Closed-form Coulomb amplitude (attractive unit coupling) at an angle (a complex) or an array."""
+    ik = 1j / _check_wavenumber(k)
     ratio = cmath.exp(log_gamma_complex(1 + ik) - log_gamma_complex(1 - ik))
-    return -1.0 / (2.0 * k * k * s * s) * ratio * cmath.exp(-2j / k * math.log(s))
+    return _closed_form(theta, "the Coulomb amplitude",
+                        lambda s: -1.0 / (2.0 * k * k * s * s) * ratio * np.exp(-2j / k * np.log(s)))
 
 
 def _checked_quad(f, a, b, *, epsabs, epsrel, limit=400, **kwargs):
@@ -212,8 +217,7 @@ def _born_shifts(potential: PotentialSpec, n: int, k: float, method: str) -> np.
         raise ValueError(f"method must be 'auto' or 'quadrature', got {method!r}")
     if n < 0:
         raise DomainError(f"order must be non-negative, got {n}")
-    if k <= 0.0:
-        raise DomainError(f"wavenumber must be positive, got {k}")
+    _check_wavenumber(k)
     if potential.alpha == 0.0:
         return np.zeros(n + 1)
     if potential.kind == "inverse_r2":
@@ -244,20 +248,14 @@ def born_series(potential: PotentialSpec, n: int, k: float, method: str = "auto"
     With method='quadrature' four quadratures serve all orders 0..n (see
     ``born_phase_shift``).
     """
-    ls = np.arange(n + 1)
-    return ComplexSeries((2 * ls + 1) / k * _born_shifts(potential, n, k, method))
+    shifts = _born_shifts(potential, n, k, method)
+    return ComplexSeries((2 * np.arange(n + 1) + 1) / k * shifts)
 
 
-def born_exact_invr2(theta: float, alpha: float, k: float) -> float:
-    """Closed-form first-order amplitude for V = alpha/r^2."""
-    theta = float(theta)
-    if theta == 0.0:
-        raise DomainError("the 1/r^2 Born amplitude diverges at theta = 0")
-    if not 0.0 < theta <= math.pi:
-        raise DomainError(f"theta = {theta} outside (0, pi]")
-    if k <= 0.0:
-        raise DomainError(f"wavenumber must be positive, got {k}")
-    return -math.pi * alpha / (4.0 * k * math.sin(0.5 * theta))
+def born_exact_invr2(theta, alpha: float, k: float):
+    """Closed-form first-order amplitude for V = alpha/r^2, at an angle (a float) or an array."""
+    k = _check_wavenumber(k)
+    return _closed_form(theta, "the 1/r^2 Born amplitude", lambda s: -math.pi * alpha / (4.0 * k * s))
 
 
 def _rn_radial(r, params: RNParams):
@@ -413,6 +411,6 @@ def rn_series(
     return ComplexSeries((2 * ls + 1) / (2j * params.omega) * term)
 
 
-def cross_section(f: complex) -> float:
-    """Differential cross section, the squared modulus of the amplitude."""
+def cross_section(f):
+    """Differential cross section, the squared modulus of the amplitude (or of each in an array)."""
     return abs(f) ** 2

@@ -9,7 +9,15 @@ from hypothesis import strategies as st
 
 from legpade.errors import DomainError, PoleError
 from legpade.pade import construct, evaluate
-from legpade.scattering import PotentialSpec, born_series, coulomb_series, unit_series
+from legpade.scattering import (
+    PotentialSpec,
+    born_exact_invr2,
+    born_series,
+    coulomb_exact,
+    coulomb_series,
+    exact_half_csc,
+    unit_series,
+)
 from legpade.series import ComplexSeries, eval_partial_sum
 from legpade.special import legendre_eval_all
 
@@ -17,6 +25,12 @@ FAMILIES = {
     "unit": unit_series,
     "coulomb": lambda n: coulomb_series(n, 1.0),
     "invr2": lambda n: born_series(PotentialSpec("inverse_r2", 1.0), n, 1.0),
+}
+# closed-form amplitude of (theta, k) and the type it returns at a float angle
+ORACLES = {
+    "unit": (lambda theta, k: exact_half_csc(theta), float),
+    "coulomb": (coulomb_exact, complex),
+    "invr2": (lambda theta, k: born_exact_invr2(theta, 3.0, k), float),
 }
 # a real root of the [20/20] unit denominator, the Froissart doublet
 DOUBLET = 0.60155733029562397
@@ -104,6 +118,32 @@ def test_doublet_in_array_raises_pole(thetas, at):
     with pytest.raises(PoleError) as info:
         evaluate(approx, thetas)
     assert DOUBLET in info.value.theta
+
+
+@settings(max_examples=80, deadline=None)
+@given(oracle=st.sampled_from(sorted(ORACLES)), k=st.floats(0.1, 10.0),
+       thetas=st.lists(st.floats(0.0, math.pi, exclude_min=True), min_size=1, max_size=30),
+       at=st.integers(0, 40),
+       bad=st.sampled_from([0.0, 5e-324, math.nan, -math.inf, -1e-9, math.pi + 1e-9]))
+def test_oracle_array_matches_per_angle(oracle, k, thetas, at, bad):
+    f, kind = ORACLES[oracle]
+    try:
+        one_by_one = [f(t, k) for t in thetas]
+    except DomainError:
+        # an angle so small that the amplitude overflows fails the array as well
+        with pytest.raises(DomainError, match="is not finite at theta"):
+            f(np.array(thetas), k)
+        return
+    assert all(isinstance(value, kind) for value in one_by_one)
+    one_by_one = np.array(one_by_one)
+    values = f(np.array(thetas), k)
+    assert values.shape == (len(thetas),)
+    assert np.all(np.abs(values - one_by_one) <= 4 * np.finfo(float).eps * np.abs(one_by_one))
+    assert np.array_equal(f(np.array(thetas).reshape(1, -1, 1), k).ravel(), values)
+    # 0 and the smallest subnormal pass the angle guard, and the amplitude is infinite there
+    message = f"is not finite at theta = {bad}" if bad in (0.0, 5e-324) else "outside"
+    with pytest.raises(DomainError, match=message):
+        f(np.insert(thetas, at % (len(thetas) + 1), bad), k)
 
 
 def test_scalar_gives_complex_and_array_keeps_shape():

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+import legpade.cli as cli
 from legpade.cli import CSV_HEADER, _config_defaults, build_parser, main
 from legpade.pade import construct, evaluate
-from legpade.scattering import unit_series
+from legpade.scattering import born_exact_invr2, coulomb_exact, exact_half_csc, unit_series
 
 
 def run_cli(args):
@@ -151,6 +152,46 @@ class TestCompareCommand:
             assert row[8] == "0"
             expected = evaluate(approx, float(row[0]))
             assert complex(float(row[3]), float(row[4])) == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("demo, oracle", [
+        ("unit", exact_half_csc),
+        ("coulomb", lambda theta: coulomb_exact(theta, 1.0)),
+        ("invr2", lambda theta: born_exact_invr2(theta, 1.0, 1.0)),
+    ])
+    def test_exact_columns_from_theta_zero(self, tmp_path, demo, oracle):
+        outfile = tmp_path / f"{demo}.csv"
+        assert run_cli(["compare", "--demo", demo, "--theta-min", "0", "--steps", "5",
+                        "-o", str(outfile)]) == 0
+        rows = read_rows(outfile)
+        assert rows[0][0] == "0" and rows[0][5:7] == ["", ""]
+        expected = oracle(np.array([float(row[0]) for row in rows[1:]])).astype(complex)
+        for row, value in zip(rows[1:], expected):
+            assert row[5:7] == [format(value.real, ".17g"), format(value.imag, ".17g")]
+
+    @pytest.mark.parametrize("steps", ["2", "5", "400"])
+    @pytest.mark.parametrize("demo, name", [
+        ("unit", "exact_half_csc"), ("coulomb", "coulomb_exact"), ("invr2", "born_exact_invr2"),
+    ])
+    def test_one_oracle_call_per_run(self, tmp_path, monkeypatch, demo, name, steps):
+        calls = []
+        oracle = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args: calls.append(args) or oracle(*args))
+        assert run_cli(["compare", "--demo", demo, "--theta-min", "0", "--steps", steps,
+                        "-o", str(tmp_path / "out.csv")]) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("demo, k", [("coulomb", "nan"), ("coulomb", "inf"), ("invr2", "inf")])
+    def test_non_finite_wavenumber_is_bad_args(self, capsys, demo, k):
+        assert run_cli(["compare", "--demo", demo, "--k", k]) == 4
+        assert f"wavenumber must be positive and finite, got {k}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("demo, theta_min", [
+        ("unit", "5e-324"), ("coulomb", "1e-160"), ("invr2", "1e-310"),
+    ])
+    def test_overflowing_exact_amplitude_is_bad_args(self, capsys, demo, theta_min):
+        # an exact amplitude beyond the float range is a bad argument, not inf/nan cells
+        assert run_cli(["compare", "--demo", demo, "--theta-min", theta_min, "--steps", "3"]) == 4
+        assert f"is not finite at theta = {theta_min}" in capsys.readouterr().err
 
     def test_bad_theta_range(self):
         assert run_cli(["compare", "--demo", "unit", "--theta-min", "2.0",

@@ -1,6 +1,7 @@
 import cmath
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -186,6 +187,22 @@ class TestBornExact:
     def test_divergence(self):
         with pytest.raises(DomainError):
             born_exact_invr2(0.0, 1.0, 1.0)
+
+
+WAVENUMBER_CALLS = {
+    "coulomb_series": lambda k: coulomb_series(4, k),
+    "coulomb_exact": lambda k: coulomb_exact(1.0, k),
+    "born_phase_shift": lambda k: born_phase_shift(PotentialSpec("inverse_r2", 1.0), 2, k),
+    "born_series": lambda k: born_series(PotentialSpec("inverse_r2", 1.0), 4, k),
+    "born_exact_invr2": lambda k: born_exact_invr2(1.0, 1.0, k),
+}
+
+
+@pytest.mark.parametrize("k", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("name", sorted(WAVENUMBER_CALLS))
+def test_wavenumber_must_be_positive_and_finite(name, k):
+    with pytest.raises(DomainError, match=re.escape(f"wavenumber must be positive and finite, got {k}")):
+        WAVENUMBER_CALLS[name](k)
 
 
 class TestPartialWaveIdentity:
