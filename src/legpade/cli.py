@@ -250,8 +250,8 @@ def _add_series_options(sub):
     sub.add_argument("-o", "--output", default=None, help="output path (default stdout)")
 
 
-def build_parser(config_defaults: Optional[dict] = None) -> _Parser:
-    """The CLI parser; ``config_defaults`` replace the subcommands' defaults."""
+def build_parser() -> _Parser:
+    """The CLI parser."""
     parser = _Parser(prog="legpade", description="Legendre-basis rational resummation of partial-wave series")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
@@ -273,75 +273,48 @@ def build_parser(config_defaults: Optional[dict] = None) -> _Parser:
                            help="last angle in radians (default pi)")
     p_compare.add_argument("--steps", type=int, default=400, help="number of angles (default 400)")
     p_compare.set_defaults(func=cmd_compare)
-    for sub in (p_construct, p_compare):
-        sub.set_defaults(**(config_defaults or {}))
     return parser
 
 
-def _load_config(path: str) -> dict[str, str]:
-    values = {}
+def parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """Parse ``argv``, reading each ``key = value`` line of a ``--config`` file as the flag
+    ``--key=value`` right after the subcommand name: argparse types and checks it, and a
+    flag given in ``argv`` comes later and wins."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    known = set(vars(parser.parse_args(["construct"]))) | set(vars(parser.parse_args(["compare"])))
+    known -= {"command", "func", "config"}  # not flags, and a config file names no other one
     try:
-        with open(path, encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise CliError(f"config line is not 'key = value': {line!r}", EXIT_BAD_ARGS)
-                key, _, value = line.partition("=")
-                values[key.strip().replace("-", "_")] = value.strip()
+        with open(args.config, encoding="utf-8") as fh:
+            lines = [raw.strip() for raw in fh]
     except OSError as exc:
         raise CliError(f"cannot read config file: {exc}", EXIT_BAD_ARGS)
-    return values
-
-
-def _config_options(parser: _Parser) -> dict:
-    """Options a config file may set, by dest, over every subcommand."""
-    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {
-        action.dest: action
-        for sub in subcommands.choices.values()
-        for action in sub._actions
-        if action.option_strings and action.dest not in ("help", "config")
-    }
-
-
-def _config_defaults(args, parser: _Parser) -> dict:
-    """Typed values of ``args.config`` for the options of the chosen subcommand."""
-    options = _config_options(parser)
-    defaults = {}
-    for key, raw in _load_config(args.config).items():
-        if key not in options:
-            raise CliError(f"unknown config key {key!r}", EXIT_BAD_ARGS)
-        if not hasattr(args, key):
+    flags = []
+    for line in lines:
+        if not line or line.startswith("#"):
             continue
-        kind = options[key].type or str
-        try:
-            value = kind(raw)
-        except ValueError:
-            raise CliError(f"config value for {key!r} is not a valid {kind.__name__}: {raw!r}", EXIT_BAD_ARGS)
-        if options[key].choices is not None and value not in options[key].choices:
-            raise CliError(f"config value for {key!r} must be one of {options[key].choices}: {raw!r}",
-                           EXIT_BAD_ARGS)
-        defaults[key] = value
-    return defaults
+        if "=" not in line:
+            raise CliError(f"config line is not 'key = value': {line!r}", EXIT_BAD_ARGS)
+        key, _, value = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if key not in known:
+            raise CliError(f"unknown config key {key!r}", EXIT_BAD_ARGS)
+        if hasattr(args, key):  # keys that only the other subcommand takes are ignored
+            flags.append(f"--{key.replace('_', '-')}={value.strip()}")
+    at = list(argv).index(args.command) + 1
+    return parser.parse_args([*argv[:at], *flags, *argv[at:]])
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        if args.config is not None:
-            # config values become defaults, so argparse lets any given flag win
-            args = build_parser(_config_defaults(args, parser)).parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         if getattr(args, "coeffs", None) is None and getattr(args, "demo", None) is None:
             raise CliError("choose a --demo or supply --coeffs", EXIT_BAD_ARGS)
         return args.func(args)
+    except SystemExit as exc:  # argparse: --help, --version and usage errors
+        return int(exc.code or 0)
     except CliError as exc:
         print(f"legpade: {exc}", file=sys.stderr)
         return exc.code

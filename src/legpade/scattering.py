@@ -139,26 +139,25 @@ def exact_half_csc(theta):
     return _closed_form(theta, "1/(2 sin(theta/2))", lambda s: 0.5 / s)
 
 
+def _gamma_ratio(ik: complex) -> complex:
+    """Gamma(1 + ik) / Gamma(1 - ik), the l = 0 Coulomb phase factor."""
+    return cmath.exp(log_gamma_complex(1 + ik) - log_gamma_complex(1 - ik))
+
+
 def coulomb_series(n: int, k: float) -> ComplexSeries:
-    """Coulomb partial-wave coefficients c_l = (2l+1)/(2ik) * ratio of
-    conjugate gamma values at l+1 +- i/k."""
+    """Coulomb partial-wave coefficients c_l = (2l+1)/(2ik) * Gamma(l+1+i/k) / Gamma(l+1-i/k),
+    the gamma ratio stepped up from l = 0 by (l+i/k)/(l-i/k): two log-gamma calls for any n."""
     if n < 0:
         raise DomainError(f"order must be non-negative, got {n}")
     ik = 1j / _check_wavenumber(k)
-    pref = 1.0 / (2j * k)
-    c = [
-        pref
-        * (2 * l + 1)
-        * cmath.exp(log_gamma_complex(l + 1 + ik) - log_gamma_complex(l + 1 - ik))
-        for l in range(n + 1)
-    ]
-    return ComplexSeries(np.array(c))
+    l = np.arange(n + 1)
+    ratios = np.cumprod(np.append(_gamma_ratio(ik), (l[1:] + ik) / (l[1:] - ik)))
+    return ComplexSeries(1.0 / (2j * k) * (2 * l + 1) * ratios)
 
 
 def coulomb_exact(theta, k: float):
     """Closed-form Coulomb amplitude (attractive unit coupling) at an angle (a complex) or an array."""
-    ik = 1j / _check_wavenumber(k)
-    ratio = cmath.exp(log_gamma_complex(1 + ik) - log_gamma_complex(1 - ik))
+    ratio = _gamma_ratio(1j / _check_wavenumber(k))
     return _closed_form(theta, "the Coulomb amplitude",
                         lambda s: -1.0 / (2.0 * k * k * s * s) * ratio * np.exp(-2j / k * np.log(s)))
 

@@ -68,7 +68,7 @@ def eval_partial_sum(series: ComplexSeries, theta):
     return complex(value) if isinstance(theta, float) else value
 
 
-def project_legendre_coefficient(f: Callable[[float], complex], n: int) -> complex:
+def project_legendre_coefficient(f: Callable[[np.ndarray], np.ndarray], n: int) -> complex:
     """Order-n Legendre coefficient of a function of theta.
 
     ((2n+1)/2) times the integral of f(theta) P_n(cos theta) sin(theta) over
@@ -77,8 +77,9 @@ def project_legendre_coefficient(f: Callable[[float], complex], n: int) -> compl
     200 panels), with the real and imaginary parts as the two components of
     one integral. Integrating in theta lets the sin(theta) Jacobian
     regularize the forward-direction divergences the scattering oracles
-    carry; the panel nodes never touch the endpoints. ``f`` is called with
-    one float angle at a time, once per node. Raises
+    carry; the panel nodes never touch the endpoints. ``f`` is called once
+    per panel with the array of its 21 node angles and returns the values
+    there (or one value for all of them), like the closed-form oracles. Raises
     QuadratureConvergenceError, with the quadrature's reason, when the
     integral does not reach the tolerance.
     """
@@ -86,8 +87,7 @@ def project_legendre_coefficient(f: Callable[[float], complex], n: int) -> compl
         raise DomainError(f"projection order must be non-negative, got {n}")
 
     def weighted(theta):
-        values = np.array([f(t) for t in theta], dtype=complex)
-        return values * legendre_eval_all(n, np.cos(theta))[n] * np.sin(theta)
+        return np.asarray(f(theta), dtype=complex) * legendre_eval_all(n, np.cos(theta))[n] * np.sin(theta)
 
     # quad's error estimate never falls below 50 eps * integral |integrand|, so
     # the absolute tolerance grows with pi * max |integrand| on the first

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import legpade.cli as cli
-from legpade.cli import CSV_HEADER, _config_defaults, build_parser, main
+from legpade.cli import CSV_HEADER, build_parser, main, parse_args
 from legpade.pade import construct, evaluate
 from legpade.scattering import born_exact_invr2, coulomb_exact, exact_half_csc, unit_series
 
@@ -264,6 +264,26 @@ class TestConfigFile:
         config.write_text("demo = nonsense\n")
         assert run_cli(["compare", "--config", str(config)]) == 4
 
+    @pytest.mark.parametrize(
+        "command, text, code, message",
+        [
+            ("construct", "demo = unit\nsteps = 5\n", 0, ""),
+            ("compare", "demo = unit\nconfig = other.cfg\n", 4, "unknown config key 'config'"),
+            ("compare", "demo = unit\nhelp = 1\n", 4, "unknown config key 'help'"),
+            ("compare", "demo = unit\nsteps 5\n", 4, "config line is not 'key = value'"),
+            ("compare", "demo = coulomb\nk = -2\n", 4, "wavenumber must be positive"),
+            ("construct", "demo = coulomb\nk = -2\n", 4, "wavenumber must be positive"),
+        ],
+        ids=["compare-only-key-ignored", "key-config", "key-help", "no-equals", "negative-k", "negative-k-construct"],
+    )
+    def test_edge_cases(self, tmp_path, capsys, command, text, code, message):
+        config = tmp_path / "edge.cfg"
+        outfile = tmp_path / "out"
+        config.write_text(text)
+        assert run_cli([command, "--config", str(config), "-o", str(outfile)]) == code
+        assert message in capsys.readouterr().err
+        assert outfile.exists() == (code == 0)
+
     @pytest.mark.parametrize("command", ["construct", "compare"])
     def test_every_typed_option_accepted(self, tmp_path, command):
         parser = build_parser()
@@ -272,7 +292,8 @@ class TestConfigFile:
         assert {"N", "L", "M", "k", "rn_rmax"} <= set(typed)
         config = tmp_path / "all.cfg"
         config.write_text("".join(f"{dest.replace('_', '-')} = 3\n" for dest in typed))
-        values = _config_defaults(parser.parse_args([command, "--config", str(config)]), parser)
+        args = parse_args([command, "--config", str(config)])
+        values = {dest: getattr(args, dest) for dest in typed}
         assert values == {dest: kind("3") for dest, kind in typed.items()}
         assert all(type(values[dest]) is kind for dest, kind in typed.items())
 

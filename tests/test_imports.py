@@ -55,9 +55,9 @@ def test_start_up_leaves_fractions_and_polynomial_out(tmp_path):
 
 
 def test_projection_leaves_polynomial_out():
-    body = ("import math\n"
+    body = ("import numpy as np\n"
             "from legpade.series import project_legendre_coefficient\n"
-            "project_legendre_coefficient(lambda t: 1.0 / (2.0 * math.sin(0.5 * t)), 3)")
+            "project_legendre_coefficient(lambda t: 1.0 / (2.0 * np.sin(0.5 * t)), 3)")
     assert _modules_loaded(body, ("numpy.polynomial",)) == []
 
 

@@ -104,24 +104,33 @@ class TestIntegrals:
 # below QUADPACK's floor 50 eps integral |f| = 2.4e-11, so quad raises on roundoff
 @example(amplitude=1.0, sign=-1.0, growth=2.0, frequency=12.875, phase=5.875, lo=-0.1953125,
          width=4.609375, epsrel=1e-12)
+# in float, rounding the cosine's argument (near 35) added 2.0e-16 to this draw's error and took
+# it past the floor 50 eps integral |f| = 4.4e-16
+@example(amplitude=1.0, sign=-1.0, growth=0.0, frequency=16.75, phase=1.991264039380761,
+         lo=1.984375, width=0.1, epsrel=1e-06)
 def test_finite_result_within_own_error_of_mpmath(amplitude, sign, growth, frequency, phase, lo, width, epsrel):
-    # Re of A e^{i phase} e^{z lo} (e^{z width} - 1) / z with z = growth + i frequency
+    # Re of A e^{i phase} e^{z lo} (e^{z (hi - lo)} - 1) / z with z = growth + i frequency, on the
+    # interval [lo, hi] that quad is given; the integrand is evaluated by mpmath at each node quad
+    # passes, so quad sees the function the oracle integrates up to one rounding of each value
+    hi = lo + width
     mp.mp.dps = 40
     z = mp.mpc(growth, frequency)
-    area = mp.exp(z * lo) * (mp.expm1(z * width) / z if z != 0 else width)
+    area = mp.exp(z * lo) * (mp.expm1(z * (mp.mpf(hi) - lo)) / z if z != 0 else mp.mpf(hi) - lo)
     exact = float(mp.re(sign * amplitude * mp.expj(phase) * area))
+
+    def f(x):
+        values = [sign * amplitude * mp.exp(growth * t) * mp.cos(frequency * t + phase) for t in map(mp.mpf, x)]
+        return np.array(values, dtype=float)
+
     try:
-        value, abserr, _ = quad(
-            lambda x: sign * amplitude * np.exp(growth * x) * np.cos(frequency * x + phase),
-            lo, lo + width, epsabs=1e-12, epsrel=epsrel, limit=400,
-        )
+        value, abserr, _ = quad(f, lo, hi, epsabs=1e-12, epsrel=epsrel, limit=400)
     except QuadratureConvergenceError as exc:
         # allowed only for a tolerance within 10x of QUADPACK's error floor 50 eps integral |f|
         assert "roundoff" in str(exc)
         # integral |f| piecewise between the zeros of the cosine
-        first, last = (math.ceil((frequency * x + phase) / math.pi - 0.5) for x in (lo, lo + width))
+        first, last = (math.ceil((frequency * x + phase) / math.pi - 0.5) for x in (lo, hi))
         zeros = [((k + 0.5) * math.pi - phase) / frequency for k in range(first, last)] if frequency else []
-        cuts = [lo, *zeros, lo + width]
+        cuts = [lo, *zeros, hi]
         with mp.workdps(15):
             abs_area = mp.quad(lambda x: amplitude * mp.exp(growth * x) * abs(mp.cos(frequency * x + phase)), cuts)
         assert max(1e-12, epsrel * abs(exact)) <= 10.0 * 50.0 * np.finfo(float).eps * float(abs_area)

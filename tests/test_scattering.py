@@ -29,7 +29,7 @@ from legpade.scattering import (
     unit_series,
 )
 from legpade.series import eval_partial_sum, project_legendre_coefficient
-from legpade.special import legendre_eval, spherical_bessel_j
+from legpade.special import legendre_eval, log_gamma_complex, spherical_bessel_j
 
 RN_REFERENCE = RNParams(mass=10.0, charge=5.0, eta=1e-4, mu=1e-6)
 
@@ -85,6 +85,28 @@ class TestCoulomb:
             expected = (2 * l + 1) / (2 * l - 1) * (l + 1j / k) / (l - 1j / k)
             ratio = series.coefficients[l] / series.coefficients[l - 1]
             assert ratio == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [0, 1, 40, 120])
+    def test_two_log_gamma_calls_for_any_order(self, monkeypatch, n):
+        calls = []
+
+        def counting_log_gamma(z):
+            calls.append(z)
+            return log_gamma_complex(z)
+
+        monkeypatch.setattr(scattering, "log_gamma_complex", counting_log_gamma)
+        coulomb_series(n, 1.0)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
+    def test_recurrence_against_mpmath_to_order_120(self, k):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            eta = 1 / mp.mpf(k)
+            for l, c in enumerate(coulomb_series(120, k).coefficients):
+                ratio = mp.exp(mp.loggamma(l + 1 + 1j * eta) - mp.loggamma(l + 1 - 1j * eta))
+                ref = (2 * l + 1) / (2j * mp.mpf(k)) * ratio
+                assert abs(mp.mpc(c) - ref) <= 5e-15 * abs(ref)
 
     def test_exact_amplitude_modulus(self):
         for k in (0.5, 1.0, 3.0):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from legpade.errors import DomainError, QuadratureConvergenceError
+from legpade.scattering import exact_half_csc
 from legpade.series import ComplexSeries, eval_partial_sum, project_legendre_coefficient
 from legpade.special import legendre_eval
 
@@ -71,12 +72,12 @@ class TestEvalPartialSum:
 
 class TestProjection:
     def test_orthonormal_projection(self):
-        f = lambda theta: legendre_eval(3, math.cos(theta))
+        f = lambda theta: legendre_eval(3, np.cos(theta))
         assert project_legendre_coefficient(f, 3) == pytest.approx(1.0, abs=1e-12)
         assert project_legendre_coefficient(f, 2) == pytest.approx(0.0, abs=1e-12)
 
     def test_half_cosecant_coefficients_are_unity(self):
-        f = lambda theta: 1.0 / (2.0 * math.sin(0.5 * theta))
+        f = lambda theta: 1.0 / (2.0 * np.sin(0.5 * theta))
         for n in range(7):
             assert project_legendre_coefficient(f, n) == pytest.approx(1.0, abs=1e-9)
 
@@ -99,11 +100,11 @@ class TestProjection:
     def test_vanishing_coefficient_of_large_function(self):
         # the absolute tolerance must clear quad's 50 eps * integral|integrand| floor
         assert project_legendre_coefficient(lambda t: 20.0, 1) == pytest.approx(0.0, abs=1e-11)
-        assert project_legendre_coefficient(lambda t: 1e4 * math.cos(t) ** 2, 1) == pytest.approx(
+        assert project_legendre_coefficient(lambda t: 1e4 * np.cos(t) ** 2, 1) == pytest.approx(
             0.0, abs=1e-8
         )
         # a small imaginary part next to a large real one shares the real part's tolerance
-        small_imag = project_legendre_coefficient(lambda t: 20.0 + 1e-6j * math.cos(t), 1)
+        small_imag = project_legendre_coefficient(lambda t: 20.0 + 1e-6j * np.cos(t), 1)
         assert small_imag == pytest.approx(1e-6j, abs=1e-11)
 
     def test_divergent_projection_raises(self):
@@ -118,11 +119,23 @@ class TestProjection:
         angles = []
 
         def f(theta):
-            angles.append(theta)
-            return complex(math.cos(theta), math.sin(3.0 * theta))
+            angles.extend(theta.tolist())
+            return np.cos(theta) + 1j * np.sin(3.0 * theta)
 
         project_legendre_coefficient(f, 2)
         assert len(angles) - len(set(angles)) == 21
+
+    def test_one_call_per_panel(self):
+        # f gets each panel's 21 nodes at once; the first panel is also called to set the tolerance
+        panels = []
+
+        def f(theta):
+            panels.append(theta.copy())
+            return exact_half_csc(theta)
+
+        assert project_legendre_coefficient(f, 3) == pytest.approx(1.0, abs=1e-9)
+        assert {theta.shape for theta in panels} == {(21,)}
+        assert len(panels) == 1 + len({theta.tobytes() for theta in panels}) == 4
 
     def test_negative_order_rejected(self):
         with pytest.raises(DomainError):
