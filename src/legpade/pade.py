@@ -11,10 +11,13 @@ numerator. One product-linearization matrix G, with G[n, k] the order-n
 coefficient of P_k * sum_m c_m P_m, serves all three: its rows L+1 .. L+M
 form the system, G[:L+1] @ b is the numerator and G[L+1:] @ b the residual.
 Products of Legendre polynomials are relinearized through squared
-zero-projection 3j symbols, evaluated as a float table from their closed
-form; the exact rational symbols in ``special`` are the oracle it is tested
-against. The system is solved by numpy.linalg and rejected when its 1-norm
-condition number reaches 1e14.
+zero-projection 3j symbols. For each (n, k) only the k+1 orders
+m = n-k+2j can contribute, so G sums just that band, weighted by the
+symbols' float closed form: O((L+M) M^2) work and O((L+M) M) memory. G[n, k]
+does not depend on L or M, and G of any [L/M] is a bit-identical slice of G
+of a larger one built from the same series. The exact rational symbols in
+``special`` are the oracle it is tested against. The system is solved by
+numpy.linalg and rejected when its 1-norm condition number reaches 1e14.
 
 The matching sums run over every coefficient the caller supplies, not just
 the first L+M+1: feeding more terms of the underlying function sharpens the
@@ -121,21 +124,23 @@ def _checked_coefficients(series: ComplexSeries, L: int, M: int) -> np.ndarray:
 def _product_matrix(c: np.ndarray, L: int, M: int) -> np.ndarray:
     """G[n, k] for n = 0..L+M, k = 0..M: order-n coefficient of P_k * sum_m c_m P_m.
 
-    P_k P_m = sum_n (2n+1) W(k, m, n) P_n with W the squared zero-projection
-    3j symbol, in closed form W = A(g-k) A(g-m) A(g-n) / ((J+1) A(g)) for
-    J = k+m+n = 2g and A(p) = (2p)!/(2^p p!)^2. W vanishes for odd J and off
-    the triangle, so orders m > L+2M never contribute.
+    P_k P_m = sum_n (2n+1) W(k, m, n) P_n, W the squared zero-projection 3j symbol.
+    Only the band m = n-k+2j, j = 0..k, n+j >= k, is nonzero; there, with g = n+j and
+    A(p) = (2p)!/(2^p p!)^2, W = A(g-k) A(k-j) A(j) / ((2g+1) A(g)). Each entry sums
+    its band in a fixed order, so G of a smaller L, M is a bit-identical slice.
     """
-    c = c[: L + 2 * M + 1]
-    k, m, n = np.ogrid[: M + 1, : c.size, : L + M + 1]
-    J = k + m + n
-    g = J // 2
-    on = (J % 2 == 0) & (g >= k) & (g >= m) & (g >= n)
-    p = np.arange(1, g.max() + 1)
+    n = np.arange(L + M + 1)[:, None]
+    p = np.arange(1, L + 2 * M + 1)
     A = np.concatenate([[1.0], np.cumprod((2 * p - 1) / (2 * p))])
-    # entries off the rules index A[0] and are then zeroed
-    w = np.where(on, A[(g - k) * on] * A[(g - m) * on] * A[(g - n) * on] / ((J + 1) * A[g]), 0.0)
-    return (2 * np.arange(L + M + 1) + 1)[:, None] * np.einsum("kmn,m->nk", w, c)
+    G = np.empty((L + M + 1, M + 1), dtype=complex)
+    for k in range(M + 1):
+        j = np.arange(k + 1)
+        g, m = n + j, n - k + 2 * j
+        on = (g >= k) & (m < c.size)
+        # entries off the band index A[0] and c[0] and are then zeroed
+        w = A[(g - k) * on] * A[k - j] * A[j] / ((2 * g + 1) * A[g])
+        G[:, k] = np.where(on, w * c[m * on], 0.0).sum(axis=1)
+    return (2 * n + 1) * G
 
 
 def _system(G: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:

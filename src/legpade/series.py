@@ -78,7 +78,8 @@ def project_legendre_coefficient(f: Callable[[np.ndarray], np.ndarray], n: int) 
     one integral. Integrating in theta lets the sin(theta) Jacobian
     regularize the forward-direction divergences the scattering oracles
     carry; the panel nodes never touch the endpoints. ``f`` is called once
-    per panel with the array of its 21 node angles and returns the values
+    per distinct panel (the first panel's values, which set the tolerance,
+    are reused) with the array of its 21 node angles and returns the values
     there (or one value for all of them), like the closed-form oracles. Raises
     QuadratureConvergenceError, with the quadrature's reason, when the
     integral does not reach the tolerance.
@@ -92,11 +93,13 @@ def project_legendre_coefficient(f: Callable[[np.ndarray], np.ndarray], n: int) 
     # quad's error estimate never falls below 50 eps * integral |integrand|, so
     # the absolute tolerance grows with pi * max |integrand| on the first
     # panel's nodes; both parts share it, so a vanishing part still converges
-    first_panel = weighted(0.5 * math.pi + 0.5 * math.pi * NODES)
+    first_nodes = 0.5 * math.pi + 0.5 * math.pi * NODES  # quad's first panel, all of [0, pi]
+    first_panel = weighted(first_nodes)
     epsabs = 1e-13 * max(1.0, math.pi * float(np.max(np.abs(first_panel))))
 
     def parts(theta):
-        return weighted(theta).view(float).reshape(-1, 2)  # columns Re, Im
+        values = first_panel if np.array_equal(theta, first_nodes) else weighted(theta)
+        return values.view(float).reshape(-1, 2)  # columns Re, Im
 
     try:
         re, im = quad(parts, 0.0, math.pi, epsabs=epsabs, epsrel=1e-12, limit=200)[0]

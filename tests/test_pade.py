@@ -1,7 +1,11 @@
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from legpade.errors import (
     DomainError,
@@ -12,6 +16,7 @@ from legpade.errors import (
 from legpade.pade import (
     ConstructionReport,
     PadeApproximant,
+    _product_matrix,
     build_denominator_system,
     compute_numerator,
     construct,
@@ -122,6 +127,47 @@ class TestExactOracle:
         assert np.max(np.abs(a - exact_a)) <= 1e-14 * scale
         assert np.max(np.abs(rhs - exact_rhs)) <= 1e-14 * scale
         assert np.max(np.abs(numerator - exact_numerator)) <= 1e-14 * np.max(np.abs(exact_numerator))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), L=st.integers(0, 12), M=st.integers(0, 12))
+    def test_every_entry_matches_exact_threej(self, data, L, M):
+        # series cut inside the band (fewer than L+2M+1 terms) or carried past it
+        size = data.draw(st.integers(L + M + 1, L + 2 * M + 3))
+        decades = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=size, max_size=size))
+        phases = data.draw(st.lists(st.floats(0.0, 2.0 * math.pi), min_size=size, max_size=size))
+        c = 10.0 ** np.array(decades) * np.exp(1j * np.array(phases))
+        G = _product_matrix(c, L, M)
+        assert G.shape == (L + M + 1, M + 1)
+        for n in range(L + M + 1):
+            for k in range(M + 1):
+                orders = range(abs(n - k), min(size - 1, n + k) + 1)
+                w = [threej_zero_sq(k, m, n) for m in orders]
+                re = sum(Fraction(c[m].real) * x for m, x in zip(orders, w))
+                im = sum(Fraction(c[m].imag) * x for m, x in zip(orders, w))
+                exact = (2 * n + 1) * complex(float(re), float(im))
+                scale = (2 * n + 1) * sum(abs(c[m]) * float(x) for m, x in zip(orders, w))
+                assert abs(G[n, k] - exact) <= 1e-14 * scale
+
+
+class TestProductMatrix:
+    @pytest.mark.parametrize("series", [unit_series(122), coulomb_series(122, 0.7)], ids=["unit", "coulomb"])
+    def test_every_split_is_a_bit_identical_slice(self, series):
+        c = series.coefficients
+        whole = _product_matrix(c, 60, 60)
+        for L, M in [(5, 5), (20, 20), (40, 40), (36, 3), (3, 36), (60, 0), (0, 60)]:
+            G = _product_matrix(c, L, M)
+            assert G.tobytes() == whole[: L + M + 1, : M + 1].tobytes()
+
+    def test_high_degree_construct_stays_small(self):
+        # the band needs O((L+M) M) memory; the dense (M+1, L+2M+1, L+M+1) weight tensor peaked at 169 MB
+        series = unit_series(202)
+        tracemalloc.start()
+        try:
+            construct(series, 100, 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
 
 
 class TestCramerCrossCheck:

@@ -114,8 +114,8 @@ class TestProjection:
             project_legendre_coefficient(lambda theta: 1.0 / theta**2, 0)
 
     def test_each_angle_evaluated_once(self):
-        # real and imaginary parts share one panel sequence; only the 21 nodes of the
-        # first panel, which also set the absolute tolerance, are evaluated twice
+        # real and imaginary parts share one panel sequence, and the first panel's
+        # values, which set the absolute tolerance, are reused by the quadrature
         angles = []
 
         def f(theta):
@@ -123,10 +123,10 @@ class TestProjection:
             return np.cos(theta) + 1j * np.sin(3.0 * theta)
 
         project_legendre_coefficient(f, 2)
-        assert len(angles) - len(set(angles)) == 21
+        assert len(angles) - len(set(angles)) == 0
 
     def test_one_call_per_panel(self):
-        # f gets each panel's 21 nodes at once; the first panel is also called to set the tolerance
+        # f gets each panel's 21 nodes at once, and each distinct panel only once
         panels = []
 
         def f(theta):
@@ -135,7 +135,7 @@ class TestProjection:
 
         assert project_legendre_coefficient(f, 3) == pytest.approx(1.0, abs=1e-9)
         assert {theta.shape for theta in panels} == {(21,)}
-        assert len(panels) == 1 + len({theta.tobytes() for theta in panels}) == 4
+        assert len(panels) == len({theta.tobytes() for theta in panels}) == 3
 
     def test_negative_order_rejected(self):
         with pytest.raises(DomainError):
