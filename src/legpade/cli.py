@@ -40,6 +40,7 @@ from .scattering import (
     born_series,
     coulomb_exact,
     coulomb_series,
+    cross_section,
     exact_half_csc,
     rn_series,
     unit_series,
@@ -73,6 +74,11 @@ class CliError(Exception):
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _cells(values: np.ndarray, keep=True) -> list:
+    """The CSV cells of a float array, "" where ``keep`` is off."""
+    return np.where(keep, [_fmt(x) for x in values.tolist()], "").tolist()
 
 
 def _build_series(args) -> tuple[ComplexSeries, ComplexSeries, Optional[Callable[[np.ndarray], np.ndarray]]]:
@@ -192,36 +198,17 @@ def cmd_compare(args) -> int:
         poles = np.isin(thetas, exc.theta)
         pades = np.zeros(thetas.shape, dtype=complex)
         pades[~poles] = evaluate(approx, thetas[~poles])
+    # the oracles diverge at theta = 0, whose exact cells stay empty
+    has_exact = (thetas > 0.0) & (exact is not None)
     exacts = np.zeros(thetas.shape, dtype=complex)
-    if exact is not None:  # the oracles diverge at theta = 0, whose exact cells stay empty
-        exacts[thetas > 0.0] = exact(thetas[thetas > 0.0])
-    lines = [CSV_HEADER]
-    rows = zip(thetas.tolist(), partials.tolist(), pades.tolist(), exacts.tolist(), poles.tolist())
-    for theta, partial, pade_value, exact_value, pole in rows:
-        if exact is not None and theta > 0.0:
-            re_exact, im_exact = _fmt(exact_value.real), _fmt(exact_value.imag)
-        else:
-            re_exact = im_exact = ""
-        if pole:
-            re_pade = im_pade = sigma = ""
-        else:
-            re_pade, im_pade = _fmt(pade_value.real), _fmt(pade_value.imag)
-            sigma = _fmt(abs(pade_value) ** 2)
-        lines.append(
-            ",".join(
-                [
-                    _fmt(theta),
-                    _fmt(partial.real),
-                    _fmt(partial.imag),
-                    re_pade,
-                    im_pade,
-                    re_exact,
-                    im_exact,
-                    sigma,
-                    "1" if pole else "0",
-                ]
-            )
-        )
+    exacts[has_exact] = exact(thetas[has_exact]) if exact else 0.0
+    columns = [
+        _cells(thetas), _cells(partials.real), _cells(partials.imag),
+        _cells(pades.real, ~poles), _cells(pades.imag, ~poles),
+        _cells(exacts.real, has_exact), _cells(exacts.imag, has_exact),
+        _cells(cross_section(pades), ~poles), np.where(poles, "1", "0").tolist(),
+    ]
+    lines = [CSV_HEADER, *map(",".join, zip(*columns))]
     _write_text(args.output, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -329,6 +316,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_QUADRATURE
     except (DomainError, ValueError) as exc:
         print(f"legpade: bad arguments: {exc}", file=sys.stderr)
+        return EXIT_BAD_ARGS
+    except OverflowError as exc:
+        print(f"legpade: bad arguments: a value overflows the float range: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
 
 

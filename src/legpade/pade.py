@@ -38,8 +38,8 @@ from .errors import (
     ResidualTooLargeError,
     SingularSystemError,
 )
-from .series import ComplexSeries, _check_theta
-# threej_zero_sq_float is unused here; perfbench/tracer.py rebinds it on this module
+from .series import ComplexSeries, _legendre_sums
+# legendre_eval_all and threej_zero_sq_float are unused here; perfbench/tracer.py rebinds them on this module
 from .special import legendre_eval_all, threej_zero_sq_float  # noqa: F401
 
 __all__ = [
@@ -66,16 +66,11 @@ class PadeApproximant:
     denominator: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.numerator, dtype=complex)
-        b = np.asarray(self.denominator, dtype=complex)
-        if a.ndim != 1 or b.ndim != 1 or a.size < 1 or b.size < 1:
-            raise ValueError("numerator and denominator must be non-empty 1-d coefficient lists")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise ValueError("approximant coefficients must be finite")
+        # ComplexSeries checks each side and stores a read-only copy
+        a = ComplexSeries(self.numerator).coefficients
+        b = ComplexSeries(self.denominator).coefficients
         if b[0] != 1.0:
             raise ValueError(f"denominator must be normalized to b_0 = 1, got {b[0]}")
-        a = a.copy(); a.flags.writeable = False
-        b = b.copy(); b.flags.writeable = False
         object.__setattr__(self, "numerator", a)
         object.__setattr__(self, "denominator", b)
 
@@ -225,18 +220,15 @@ def construct(series: ComplexSeries, L: int, M: int) -> tuple[PadeApproximant, C
 def evaluate(p: PadeApproximant, theta):
     """Value of the approximant at an angle in [0, pi] (a complex) or an array of them.
 
-    Raises PoleError, carrying the angles in ``theta``, where the denominator
-    is below 1e-12 * sum|b_m|: a spurious rational pole inside the domain.
+    Numerator and denominator are summed by the one contraction that serves
+    ``eval_partial_sum``. Raises PoleError where the denominator is below
+    1e-12 * sum|b_m|: a spurious rational pole inside the domain. Its ``theta``
+    is the angle (a float) for a float angle and the array of pole angles otherwise.
     """
-    theta = _check_theta(theta)
-    basis = legendre_eval_all(max(p.L, p.M), np.cos(theta))
-    # basis.T puts the order axis last, so any shape of theta contracts alike
-    num = basis[: p.L + 1].T.dot(p.numerator).T
-    den = basis[: p.M + 1].T.dot(p.denominator).T
-    at_pole = abs(den) < _POLE_FLOOR * float(np.abs(p.denominator).sum())
-    scalar = isinstance(theta, float)
-    if at_pole if scalar else at_pole.any():
-        poles = theta if scalar else theta[at_pole]
-        raise PoleError(f"denominator vanishes at theta = {poles} (|Q| = {np.min(abs(den)):.3e})",
+    num, den = _legendre_sums(theta, p.numerator, p.denominator)
+    at_pole = np.abs(den) < _POLE_FLOOR * float(np.abs(p.denominator).sum())
+    if at_pole.any():
+        poles = np.asarray(theta, dtype=float)[at_pole] if at_pole.ndim else float(theta)
+        raise PoleError(f"denominator vanishes at theta = {poles} (|Q| = {np.min(np.abs(den)):.3e})",
                         theta=poles)
-    return complex(num) / complex(den) if scalar else num / den
+    return num / den

@@ -330,14 +330,15 @@ def _rn_first_order(ls: np.ndarray, params: RNParams, horizon_epsilon: float,
                     r_max: float | None) -> np.ndarray:
     """First-order phase shifts of the orders ``ls``: for each oscillator, sin^2(eta r*)
     and sin(2 eta r*), the integral against l(l+1)/r^2 + w0 is l(l+1) A + B, with A
-    against 1/r^2 and B against w0, so one four-component integral serves every order."""
+    against 1/r^2 and B against w0, so one four-component integral serves every order.
+    r_max must be finite and beyond r_+(1 + horizon_epsilon), else DomainError."""
     rp, rm, eta = params.r_plus, params.r_minus, params.eta
     if r_max is None:
         r_max = 50.0 / eta
     if not rp * (1.0 + horizon_epsilon) > rp:
         raise DomainError(f"horizon_epsilon = {horizon_epsilon} puts the lower cutoff on r_+")
-    if r_max <= rp * (1.0 + horizon_epsilon):
-        raise ValueError("r_max must lie beyond the lower quadrature cutoff")
+    if not rp * (1.0 + horizon_epsilon) < r_max < math.inf:
+        raise DomainError(f"r_max = {r_max} must be finite and lie beyond the lower quadrature cutoff")
 
     def weights(r):
         # (nodes, 4): sin^2(eta r*) against 1/r^2 and w0, then sin(2 eta r*) against both
@@ -411,5 +412,10 @@ def rn_series(
 
 
 def cross_section(f):
-    """Differential cross section, the squared modulus of the amplitude (or of each in an array)."""
-    return abs(f) ** 2
+    """Differential cross section, the squared modulus of the amplitude (or of each in an array).
+    Raises DomainError where |f|^2 overflows (or f is not finite), for a scalar and an array alike."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = np.abs(f) ** 2
+    if not np.all(np.isfinite(sigma)):
+        raise DomainError(f"the cross section |f|^2 overflows: largest |f| = {np.max(np.abs(f)):.3e}")
+    return sigma

@@ -53,6 +53,17 @@ def _check_theta(theta):
     return _in_range(theta, 0.0, math.pi, "theta = {} outside [0, pi]")
 
 
+def _legendre_sums(theta, *coefficients):
+    """Sum of c_l P_l(cos theta) for each coefficient vector, after one angle check
+    and over one basis up to the longest vector: Python complex values at a float
+    angle, arrays of theta's shape for an array of angles."""
+    theta = _check_theta(theta)
+    p = legendre_eval_all(max(c.size for c in coefficients) - 1, np.cos(theta))
+    # p.T puts the order axis last, so any shape of theta contracts alike
+    sums = [p[: c.size].T.dot(c).T for c in coefficients]
+    return [complex(s) for s in sums] if isinstance(theta, float) else sums
+
+
 def eval_partial_sum(series: ComplexSeries, theta):
     """Sum of c_l P_l(cos theta) over the retained orders, at an angle (a
     complex) or an array of them.
@@ -61,11 +72,7 @@ def eval_partial_sum(series: ComplexSeries, theta):
     against oracles that diverge in the forward direction must exclude it
     themselves.
     """
-    theta = _check_theta(theta)
-    p = legendre_eval_all(series.order, np.cos(theta))
-    # p.T puts the order axis last, so any shape of theta contracts alike
-    value = p.T.dot(series.coefficients).T
-    return complex(value) if isinstance(theta, float) else value
+    return _legendre_sums(theta, series.coefficients)[0]
 
 
 def project_legendre_coefficient(f: Callable[[np.ndarray], np.ndarray], n: int) -> complex:

@@ -185,6 +185,21 @@ class TestCompareCommand:
         assert run_cli(["compare", "--demo", demo, "--k", k]) == 4
         assert f"wavenumber must be positive and finite, got {k}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("r_max", ["inf", "nan"])
+    def test_non_finite_rn_rmax_is_bad_args(self, capsys, r_max):
+        assert run_cli(["compare", "--demo", "rn", "--rn-rmax", r_max, "--steps", "3"]) == 4
+        assert f"r_max = {r_max} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--demo", "invr2", "--alpha", "1e300"],  # |f|^2 of the approximant
+        ["--demo", "rn", "--mass", "1e300"],  # the mass squared in RNParams
+        ["--demo", "rn", "--mu", "1e300"],  # mu squared in the radial weights
+    ])
+    def test_overflowing_value_is_bad_args(self, capsys, flags):
+        # a huge finite flag is a bad argument, not an OverflowError traceback (exit 1)
+        assert run_cli(["compare", *flags, "--steps", "3"]) == 4
+        assert "overflow" in capsys.readouterr().err
+
     @pytest.mark.parametrize("demo, theta_min", [
         ("unit", "5e-324"), ("coulomb", "1e-160"), ("invr2", "1e-310"),
     ])

@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from legpade.errors import (
     DomainError,
     InsufficientCoefficientsError,
     PoleError,
+    ResidualTooLargeError,
     SingularSystemError,
 )
 from legpade.pade import (
@@ -24,7 +25,7 @@ from legpade.pade import (
     evaluate,
     solve_denominator,
 )
-from legpade.scattering import coulomb_series, exact_half_csc, unit_series
+from legpade.scattering import PotentialSpec, born_series, coulomb_series, exact_half_csc, unit_series
 from legpade.series import ComplexSeries, eval_partial_sum, project_legendre_coefficient
 from legpade.special import threej_zero_sq
 
@@ -300,6 +301,30 @@ class TestEvaluate:
         approx, _ = construct(unit_series(8), 3, 3)
         assert approx(1.0) == evaluate(approx, 1.0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.sampled_from(["unit", "coulomb", "invr2"]), L=st.integers(0, 20), M=st.integers(0, 20),
+           theta=st.floats(0.0, math.pi), angles=st.lists(st.floats(0.0, math.pi), min_size=1, max_size=30))
+    def test_ratio_of_partial_sums(self, family, L, M, theta, angles):
+        # evaluate is the quotient of the two sides' partial sums, bit for bit, and a
+        # PoleError only names angles where the denominator sum is below its floor
+        series = {"unit": unit_series, "coulomb": lambda n: coulomb_series(n, 0.7),
+                  "invr2": lambda n: born_series(PotentialSpec("inverse_r2", 1.0), n, 1.0)}[family](L + M + 2)
+        try:
+            approx, _ = construct(series, L, M)
+        except (SingularSystemError, ResidualTooLargeError):
+            assume(False)
+        numerator, denominator = ComplexSeries(approx.numerator), ComplexSeries(approx.denominator)
+        floor = 1e-12 * np.sum(np.abs(approx.denominator))
+        for at in (theta, np.array(angles)):
+            try:
+                value = evaluate(approx, at)
+            except PoleError as exc:
+                assert np.all(np.abs(eval_partial_sum(denominator, exc.theta)) < floor)
+                continue
+            expected = eval_partial_sum(numerator, at) / eval_partial_sum(denominator, at)
+            assert type(value) is type(expected)
+            assert np.asarray(value).tobytes() == np.asarray(expected).tobytes()
+
 
 class TestPadeApproximant:
     def test_b0_must_be_one(self):
@@ -309,6 +334,26 @@ class TestPadeApproximant:
     def test_finite_required(self):
         with pytest.raises(ValueError):
             PadeApproximant(np.array([np.inf + 0j]), np.array([1.0 + 0j]))
+
+    @pytest.mark.parametrize("numerator, denominator, message", [
+        (np.ones((2, 2)), [1.0], "one-dimensional"),
+        ([1.0], np.ones((1, 2)), "one-dimensional"),
+        ([], [1.0], "non-empty"),
+        ([1.0], [], "non-empty"),
+        ([np.nan], [1.0], "finite"),
+        ([1.0], [1.0, np.nan], "finite"),
+    ])
+    def test_sides_checked_as_series(self, numerator, denominator, message):
+        with pytest.raises(ValueError, match=message):
+            PadeApproximant(np.array(numerator, dtype=complex), np.array(denominator, dtype=complex))
+
+    def test_stores_read_only_copies(self):
+        a, b = np.array([1.0, 0.5], dtype=complex), np.array([1.0, 0.25], dtype=complex)
+        approx = PadeApproximant(a, b)
+        before = evaluate(approx, 1.0)
+        a[:], b[1] = 7.0, -1.0
+        assert evaluate(approx, 1.0) == before
+        assert not (approx.numerator.flags.writeable or approx.denominator.flags.writeable)
 
     def test_degrees(self):
         approx = PadeApproximant(np.zeros(4, dtype=complex), np.array([1.0, 0, 0], dtype=complex))

@@ -373,6 +373,12 @@ class TestRNPhaseShift:
             rn_phase_shift(0, RN_REFERENCE, 1, r_max=RN_REFERENCE.r_plus)
         with pytest.raises(ValueError):
             rn_series(3, RN_REFERENCE, r_max=RN_REFERENCE.r_plus)
+        # a non-finite upper cutoff is a domain error, not a quadrature failure
+        for r_max in (math.inf, math.nan):
+            with pytest.raises(DomainError, match="must be finite"):
+                rn_phase_shift(0, RN_REFERENCE, 1, r_max=r_max)
+            with pytest.raises(DomainError, match="must be finite"):
+                rn_series(3, RN_REFERENCE, r_max=r_max)
 
     def test_single_order_makes_the_series_quadratures(self, monkeypatch):
         # one four-component quadrature per radial piece, for a single order as for a series
@@ -487,3 +493,10 @@ class TestCrossSection:
         assert cross_section(3 + 4j) == pytest.approx(25.0, rel=1e-15)
         assert cross_section(0.0) == 0.0
         assert cross_section(coulomb_exact(math.pi, 1.0)) == pytest.approx(0.25, rel=1e-12)
+
+    @pytest.mark.parametrize("f", [1e200, 1e200j, np.array([1.0, 1e200j, 2.0])],
+                             ids=["float", "complex", "array"])
+    def test_overflow_is_domain_error(self, f):
+        # |f|^2 beyond the float range raises, with no RuntimeWarning (an error under pytest)
+        with pytest.raises(DomainError, match="overflows"):
+            cross_section(f)
