@@ -91,10 +91,10 @@ def _build_series(args) -> tuple[ComplexSeries, ComplexSeries, Optional[Callable
     if getattr(args, "coeffs", None):
         series = _read_coefficients(args.coeffs)
         return series, series, None
+    from .special import _check_order  # the package's one order guard
+
     demo = args.demo
-    if args.N < 0:
-        raise CliError("--N must be non-negative", EXIT_BAD_ARGS)
-    n_build = args.N + 2
+    n_build = _check_order(args.N, "--N") + 2
     if demo == "unit":
         full = unit_series(n_build)
         exact = exact_half_csc
@@ -105,12 +105,10 @@ def _build_series(args) -> tuple[ComplexSeries, ComplexSeries, Optional[Callable
         pot = PotentialSpec("inverse_r2", args.alpha)
         full = born_series(pot, n_build, args.k)
         exact = lambda th: born_exact_invr2(th, args.alpha, args.k)
-    elif demo == "rn":
+    else:  # rn; argparse's choices admit no other demo
         params = RNParams(mass=args.mass, charge=args.QoverM * args.mass, eta=args.eta, mu=args.mu)
         full = rn_series(n_build, params, horizon_epsilon=args.rn_epsilon, r_max=args.rn_rmax)
         exact = None
-    else:
-        raise CliError(f"unknown demo {demo!r}; choose from {DEMOS}", EXIT_BAD_ARGS)
     partial = ComplexSeries(full.coefficients[: args.N + 1])
     return partial, full, exact
 
@@ -145,9 +143,7 @@ def _resolve_split(args, series_order: int) -> tuple[int, int]:
         return default_split(series_order)
     if L is None or M is None:
         raise CliError("give both --L and --M, or neither", EXIT_BAD_ARGS)
-    if L < 0 or M < 0:
-        raise CliError("--L and --M must be non-negative", EXIT_BAD_ARGS)
-    return L, M
+    return L, M  # construct checks the degrees
 
 
 def _write_text(path: Optional[str], text: str):

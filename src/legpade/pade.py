@@ -40,7 +40,7 @@ from .errors import (
 )
 from .series import ComplexSeries, _legendre_sums
 # legendre_eval_all and threej_zero_sq_float are unused here; perfbench/tracer.py rebinds them on this module
-from .special import legendre_eval_all, threej_zero_sq_float  # noqa: F401
+from .special import _check_order, legendre_eval_all, threej_zero_sq_float  # noqa: F401
 
 __all__ = [
     "PadeApproximant",
@@ -97,23 +97,21 @@ class ConstructionReport:
 
 def default_split(n: int) -> tuple[int, int]:
     """Default (L, M) with L + M = n: equal halves, numerator gets the odd one."""
-    if n < 0:
-        raise DomainError(f"series order must be non-negative, got {n}")
+    n = _check_order(n, "series order")
     if n % 2 == 0:
         return n // 2, n // 2
     return (n + 1) // 2, (n - 1) // 2
 
 
-def _checked_coefficients(series: ComplexSeries, L: int, M: int) -> np.ndarray:
-    """Series coefficients after checking the degrees against them."""
-    if L < 0 or M < 0:
-        raise DomainError(f"degrees must be non-negative, got L={L}, M={M}")
+def _checked_coefficients(series: ComplexSeries, L: int, M: int) -> tuple[np.ndarray, int, int]:
+    """Series coefficients and the degrees as ints, after checking the degrees against them."""
+    L, M = _check_order(L, "numerator degree L"), _check_order(M, "denominator degree M")
     c = series.coefficients
     if c.size < L + M + 1:
         raise InsufficientCoefficientsError(
             f"need at least {L + M + 1} coefficients for L={L}, M={M}; series has {c.size}"
         )
-    return c
+    return c, L, M
 
 
 def _product_matrix(c: np.ndarray, L: int, M: int) -> np.ndarray:
@@ -173,7 +171,7 @@ def build_denominator_system(series: ComplexSeries, L: int, M: int) -> tuple[np.
     with W the squared zero-projection 3j symbol, rhs[j-1] the negated b_0
     column. Sums run over all coefficients the series carries.
     """
-    c = _checked_coefficients(series, L, M)
+    c, L, M = _checked_coefficients(series, L, M)
     if M < 1:
         raise DomainError("the denominator system needs M >= 1")
     return _system(_product_matrix(c, L, M), L)
@@ -182,13 +180,13 @@ def build_denominator_system(series: ComplexSeries, L: int, M: int) -> tuple[np.
 def solve_denominator(series: ComplexSeries, L: int, M: int) -> tuple[np.ndarray, float]:
     """Denominator coefficients b_0..b_M (b_0 = 1) and the 1-norm condition
     number of the system (1.0 when M = 0)."""
-    c = _checked_coefficients(series, L, M)
+    c, L, M = _checked_coefficients(series, L, M)
     return _denominator(_product_matrix(c, L, M), L)
 
 
 def compute_numerator(series: ComplexSeries, denominator: np.ndarray, L: int, M: int) -> np.ndarray:
     """Numerator coefficients a_0..a_L for a given denominator."""
-    c = _checked_coefficients(series, L, M)
+    c, L, M = _checked_coefficients(series, L, M)
     b = np.asarray(denominator, dtype=complex)
     if b.size != M + 1:
         raise ValueError(f"denominator must carry M+1 = {M + 1} coefficients, got {b.size}")
@@ -202,7 +200,7 @@ def construct(series: ComplexSeries, L: int, M: int) -> tuple[PadeApproximant, C
     recomputed magnitude among the enforced-zero orders L+1 .. L+M; the
     construction fails if that residual exceeds 1e-8 * max|c|.
     """
-    c = _checked_coefficients(series, L, M)
+    c, L, M = _checked_coefficients(series, L, M)
     G = _product_matrix(c, L, M)
     b, cond = _denominator(G, L)
     a = G[: L + 1] @ b

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import DomainError, QuadratureConvergenceError
 from .quadrature import quad
 from .series import ComplexSeries, _check_theta
-from .special import log_gamma_complex, spherical_bessel_jy_all
+from .special import _check_order, _in_range, log_gamma_complex, spherical_bessel_jy_all
 # spherical_bessel_j/_y are unused here; perfbench/tracer.py rebinds them on this module
 from .special import spherical_bessel_j, spherical_bessel_y  # noqa: F401
 
@@ -56,12 +56,15 @@ __all__ = [
     "cross_section",
 ]
 
-POTENTIAL_KINDS = ("inverse_r", "inverse_r2")
+POTENTIAL_KINDS = ("inverse_r2",)
+_BIG = float(np.finfo(float).max)
+_K_MIN = math.nextafter(1.0 / _BIG, 1.0)  # the least wavenumber whose 1/k is finite
 
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Central potential alpha/r (kind 'inverse_r') or alpha/r^2 ('inverse_r2')."""
+    """Central potential alpha/r^2 (kind 'inverse_r2'). The 1/r potential has no
+    kind: its Born integral diverges logarithmically."""
 
     kind: str
     alpha: float = 1.0
@@ -91,20 +94,15 @@ class RNParams:
     omega: float = field(init=False)
 
     def __post_init__(self):
-        for name in ("mass", "charge", "eta", "mu"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.mass <= 0.0:
-            raise ValueError(f"mass must be positive, got {self.mass}")
+        _in_range(self.mass, math.ulp(0.0), _BIG, "mass must be finite and positive, got {}")
+        _in_range(self.charge, -_BIG, _BIG, "charge must be finite, got {}")
+        _in_range(self.eta, math.ulp(0.0), _BIG, "wavenumber eta must be finite and positive, got {}")
+        _in_range(self.mu, 0.0, _BIG, "particle mass mu must be finite and non-negative, got {}")
         if abs(self.charge) >= self.mass:
             raise ValueError(
                 f"|Q| = {abs(self.charge)} must be strictly below M = {self.mass} "
                 "(extremal configurations are rejected)"
             )
-        if self.eta <= 0.0:
-            raise ValueError(f"wavenumber eta must be positive, got {self.eta}")
-        if self.mu < 0.0:
-            raise ValueError(f"particle mass mu must be non-negative, got {self.mu}")
         disc = math.sqrt(self.mass**2 - self.charge**2)
         object.__setattr__(self, "r_plus", self.mass + disc)
         object.__setattr__(self, "r_minus", self.mass - disc)
@@ -113,15 +111,11 @@ class RNParams:
 
 def unit_series(n: int) -> ComplexSeries:
     """Series with c_l = 1 for l = 0..n; partial sums of 1/(2 sin(theta/2))."""
-    if n < 0:
-        raise DomainError(f"order must be non-negative, got {n}")
-    return ComplexSeries(np.ones(n + 1, dtype=complex))
+    return ComplexSeries(np.ones(_check_order(n, "series order") + 1, dtype=complex))
 
 
 def _check_wavenumber(k: float) -> float:
-    if not 0.0 < k < math.inf:
-        raise DomainError(f"wavenumber must be positive and finite, got {k}")
-    return k
+    return _in_range(k, _K_MIN, _BIG, "wavenumber must be positive and finite, got {} (1/k must be finite too)")
 
 
 def _closed_form(theta, amplitude: str, f):
@@ -147,8 +141,7 @@ def _gamma_ratio(ik: complex) -> complex:
 def coulomb_series(n: int, k: float) -> ComplexSeries:
     """Coulomb partial-wave coefficients c_l = (2l+1)/(2ik) * Gamma(l+1+i/k) / Gamma(l+1-i/k),
     the gamma ratio stepped up from l = 0 by (l+i/k)/(l-i/k): two log-gamma calls for any n."""
-    if n < 0:
-        raise DomainError(f"order must be non-negative, got {n}")
+    n = _check_order(n, "series order")
     ik = 1j / _check_wavenumber(k)
     l = np.arange(n + 1)
     ratios = np.cumprod(np.append(_gamma_ratio(ik), (l[1:] + ik) / (l[1:] - ik)))
@@ -178,8 +171,8 @@ def _checked_quad(f, a, b, *, epsabs, epsrel, limit=400, **kwargs):
     return value, abserr, neval
 
 
-def _bessel_sq_moments(n: int, power: int) -> np.ndarray:
-    """integrals of j_l(x)^2 * x^power over [0, inf) for l = 0..n, four quadratures.
+def _bessel_sq_moments(n: int) -> np.ndarray:
+    """integrals of j_l(x)^2 over [0, inf) for l = 0..n, four quadratures.
 
     Every order shares each quadrature's panels. The body runs up to
     max(100, 3n), beyond the turning point of j_n; on the tail, j_l = A sin + B cos
@@ -190,14 +183,14 @@ def _bessel_sq_moments(n: int, power: int) -> np.ndarray:
 
     def body(x):
         j, _ = spherical_bessel_jy_all(n, x)
-        return (j * j * x**power).T
+        return (j * j).T
 
     def tail(x):
-        # mean, cos and sin parts of j^2 x^power, each (nodes, orders)
+        # mean, cos and sin parts of j^2, each (nodes, orders)
         j, y = spherical_bessel_jy_all(n, x)
         s, c = np.sin(x), np.cos(x)
         a, b = j * s - y * c, j * c + y * s
-        return [(part * x**power).T for part in (0.5 * (j * j + y * y), 0.5 * (b * b - a * a), a * b)]
+        return [part.T for part in (0.5 * (j * j + y * y), 0.5 * (b * b - a * a), a * b)]
 
     body_value, _, _ = _checked_quad(body, 0.0, x0, epsabs=1e-14, epsrel=1e-12, limit=600)
     tail_mean, _, _ = _checked_quad(lambda x: tail(x)[0], x0, np.inf, epsabs=1e-13, epsrel=1e-12)
@@ -214,17 +207,13 @@ def _born_shifts(potential: PotentialSpec, n: int, k: float, method: str) -> np.
     """First-order phase shifts of the orders 0..n, after checking the arguments."""
     if method not in ("auto", "quadrature"):
         raise ValueError(f"method must be 'auto' or 'quadrature', got {method!r}")
-    if n < 0:
-        raise DomainError(f"order must be non-negative, got {n}")
+    n = _check_order(n, "partial-wave order")
     _check_wavenumber(k)
     if potential.alpha == 0.0:
         return np.zeros(n + 1)
-    if potential.kind == "inverse_r2":
-        if method == "auto":
-            return -math.pi * potential.alpha / (2.0 * (2 * np.arange(n + 1) + 1))
-        return -potential.alpha * _bessel_sq_moments(n, 0)
-    # inverse_r: r^2 V = alpha * r, moment power 1 (divergent; quadrature reports it)
-    return -(potential.alpha / k) * _bessel_sq_moments(n, 1)
+    if method == "auto":
+        return -math.pi * potential.alpha / (2.0 * (2 * np.arange(n + 1) + 1))
+    return -potential.alpha * _bessel_sq_moments(n)
 
 
 def born_phase_shift(potential: PotentialSpec, l: int, k: float, method: str = "auto") -> float:
@@ -234,11 +223,9 @@ def born_phase_shift(potential: PotentialSpec, l: int, k: float, method: str = "
     path ('auto'); method='quadrature' forces the adaptive integration, which
     must agree with the closed form and serves as its independent check. Its
     four quadratures integrate every order 0..l at once and return entry l,
-    so build many orders with ``born_series``, not a loop over this. The
-    1/r potential has a logarithmically divergent Born integral, reported as
-    a quadrature convergence failure.
+    so build many orders with ``born_series``, not a loop over this.
     """
-    return float(_born_shifts(potential, l, k, method)[l])
+    return float(_born_shifts(potential, l, k, method)[-1])
 
 
 def born_series(potential: PotentialSpec, n: int, k: float, method: str = "auto") -> ComplexSeries:
@@ -248,7 +235,7 @@ def born_series(potential: PotentialSpec, n: int, k: float, method: str = "auto"
     ``born_phase_shift``).
     """
     shifts = _born_shifts(potential, n, k, method)
-    return ComplexSeries((2 * np.arange(n + 1) + 1) / k * shifts)
+    return ComplexSeries((2 * np.arange(shifts.size) + 1) / k * shifts)
 
 
 def born_exact_invr2(theta, alpha: float, k: float):
@@ -272,10 +259,8 @@ def _rn_radial(r, params: RNParams):
 
 
 def _check_outside_horizon(r: float, params: RNParams) -> float:
-    r = float(r)
-    if r <= params.r_plus:
-        raise DomainError(f"r = {r} must lie outside the outer horizon r_+ = {params.r_plus}")
-    return r
+    return _in_range(r, math.nextafter(params.r_plus, math.inf), math.inf,
+                     f"r = {{}} must lie outside the outer horizon r_+ = {params.r_plus}")
 
 
 def rn_tortoise(r: float, params: RNParams) -> float:
@@ -291,8 +276,7 @@ def rn_drstar_dr(r: float, params: RNParams) -> float:
 def rn_effective_potential(r: float, l: int, params: RNParams) -> float:
     """Effective radial potential for angular momentum l."""
     r = _check_outside_horizon(r, params)
-    if l < 0:
-        raise DomainError(f"order must be non-negative, got {l}")
+    l = _check_order(l, "partial-wave order")
     _, horizon_factor, w0 = _rn_radial(r, params)
     return float(horizon_factor * (l * (l + 1) / r**2 + w0))
 
@@ -331,14 +315,14 @@ def _rn_first_order(ls: np.ndarray, params: RNParams, horizon_epsilon: float,
     """First-order phase shifts of the orders ``ls``: for each oscillator, sin^2(eta r*)
     and sin(2 eta r*), the integral against l(l+1)/r^2 + w0 is l(l+1) A + B, with A
     against 1/r^2 and B against w0, so one four-component integral serves every order.
-    r_max must be finite and beyond r_+(1 + horizon_epsilon), else DomainError."""
+    r_max must be beyond r_+(1 + horizon_epsilon), with r_max^2 finite, else DomainError."""
     rp, rm, eta = params.r_plus, params.r_minus, params.eta
     if r_max is None:
         r_max = 50.0 / eta
     if not rp * (1.0 + horizon_epsilon) > rp:
         raise DomainError(f"horizon_epsilon = {horizon_epsilon} puts the lower cutoff on r_+")
-    if not rp * (1.0 + horizon_epsilon) < r_max < math.inf:
-        raise DomainError(f"r_max = {r_max} must be finite and lie beyond the lower quadrature cutoff")
+    _in_range(r_max, math.nextafter(rp * (1.0 + horizon_epsilon), math.inf), math.sqrt(_BIG),
+              "r_max = {} must be finite, with a finite square, and lie beyond the lower quadrature cutoff")
 
     def weights(r):
         # (nodes, 4): sin^2(eta r*) against 1/r^2 and w0, then sin(2 eta r*) against both
@@ -368,8 +352,7 @@ def rn_phase_shift(
     below and r_max (default 50/eta, several oscillation wavelengths) above, in
     four shared quadratures that serve every l; build many orders with ``rn_series``.
     """
-    if l < 0:
-        raise DomainError(f"order must be non-negative, got {l}")
+    l = _check_order(l, "partial-wave order")
     if order not in (0, 1):
         raise ValueError(f"phase-shift order must be 0 or 1, got {order}")
     mm, q, eta = params.mass, params.charge, params.eta
@@ -401,9 +384,7 @@ def rn_series(
     subtract_one=True for the (e^{2i delta} - 1) convention, which in this
     orientation subtracts (-1)^l.
     """
-    if n < 0:
-        raise DomainError(f"order must be non-negative, got {n}")
-    ls = np.arange(n + 1)
+    ls = np.arange(_check_order(n, "series order") + 1)
     delta = rn_phase_shift(0, params, 0) + _rn_first_order(ls, params, horizon_epsilon, r_max)
     term = np.exp(2j * delta)
     if subtract_one:

@@ -9,9 +9,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, QuadratureConvergenceError
+from .errors import QuadratureConvergenceError
 from .quadrature import NODES, quad
-from .special import _in_range, legendre_eval_all
+from .special import _check_order, _in_range, legendre_eval_all
 
 __all__ = ["ComplexSeries", "eval_partial_sum", "project_legendre_coefficient"]
 
@@ -91,8 +91,7 @@ def project_legendre_coefficient(f: Callable[[np.ndarray], np.ndarray], n: int) 
     QuadratureConvergenceError, with the quadrature's reason, when the
     integral does not reach the tolerance.
     """
-    if n < 0:
-        raise DomainError(f"projection order must be non-negative, got {n}")
+    n = _check_order(n, "projection order")
 
     def weighted(theta):
         return np.asarray(f(theta), dtype=complex) * legendre_eval_all(n, np.cos(theta))[n] * np.sin(theta)

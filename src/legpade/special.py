@@ -51,13 +51,20 @@ def _in_range(x, lo: float, hi: float, message: str):
     return x
 
 
+def _check_order(n, what: str) -> int:
+    """n as an int after checking that it is a non-negative integral value (an int, a
+    numpy integer or an integral float); DomainError names ``what`` and n otherwise."""
+    if 0 <= n < math.inf and n % 1 == 0:
+        return int(n)
+    raise DomainError(f"{what} must be a non-negative integer, got {n}")
+
+
 def legendre_eval_all(l_max: int, x) -> np.ndarray:
     """P_0(x) .. P_{l_max}(x) for a float or an array x, shape (l_max+1,) + shape(x).
 
     x within 4 eps outside [-1, 1] is clipped onto it; NaN or further out raise DomainError.
     """
-    if l_max < 0:
-        raise DomainError(f"Legendre degree must be non-negative, got {l_max}")
+    l_max = _check_order(l_max, "Legendre degree")
     x = _in_range(x, -_X_TOL, _X_TOL, "Legendre argument x = {} outside [-1, 1]")
     x = min(1.0, max(-1.0, x)) if isinstance(x, float) else np.clip(x, -1.0, 1.0)
     # the same arithmetic on a float and on an array, so a scalar stays a float
@@ -69,7 +76,7 @@ def legendre_eval_all(l_max: int, x) -> np.ndarray:
 
 def legendre_eval(l: int, x):
     """P_l(x) for integer l >= 0 and x (a float or an array) in [-1, 1]."""
-    return legendre_eval_all(l, x)[l]
+    return legendre_eval_all(l, x)[-1]
 
 
 @lru_cache(maxsize=None)
@@ -102,11 +109,8 @@ def threej_zero_sq(l: int, m: int, n: int) -> Fraction:
     Returns Fraction(0) when l+m+n is odd or the triangle inequality fails;
     selection-rule zeros are exact, never raised as errors.
     """
-    for v in (l, m, n):
-        if v != int(v) or v < 0:
-            raise DomainError(f"3j indices must be non-negative integers, got {(l, m, n)}")
     # the square is invariant under permutations, so the cache keys on the sorted triple
-    return _threej_sq_canonical(*sorted((int(l), int(m), int(n))))
+    return _threej_sq_canonical(*sorted(_check_order(v, "3j index") for v in (l, m, n)))
 
 
 def triple_product_integral(l: int, m: int, n: int) -> Fraction:
@@ -195,8 +199,9 @@ def spherical_bessel_jy_all(n: int, x) -> tuple[np.ndarray, np.ndarray]:
     where it is stable, so wholly upward once x >= n; above order x, j_l = r_l
     j_(l-1) with the ratios r_l = j_l/j_(l-1) of Miller's downward recurrence,
     started at order n + 20 + 4.8 sqrt(n) (Gillman and Fiebig, Comput. Phys. 2,
-    62 (1988)). j_0(0) = 1 and j_l(0) = 0 for l >= 1. The caller checks the domain.
+    62 (1988)). j_0(0) = 1 and j_l(0) = 0 for l >= 1. The caller checks x.
     """
+    n = _check_order(n, "Bessel order")
     x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         s, c = np.sin(x), np.cos(x)
@@ -222,20 +227,12 @@ def spherical_bessel_jy_all(n: int, x) -> tuple[np.ndarray, np.ndarray]:
 
 def spherical_bessel_j(l: int, x: float) -> float:
     """Spherical Bessel function j_l(x) for x >= 0: entry l of ``spherical_bessel_jy_all(l, x)``."""
-    if l < 0:
-        raise DomainError(f"order must be non-negative, got {l}")
-    x = float(x)
-    if x < 0.0:
-        raise DomainError(f"argument must be non-negative, got {x}")
-    return float(spherical_bessel_jy_all(l, np.array([x]))[0][l, 0])
+    x = _in_range(x, 0.0, math.inf, "argument must be non-negative, got {}")
+    return float(spherical_bessel_jy_all(l, np.array([x]))[0][-1, 0])
 
 
 def spherical_bessel_y(l: int, x: float) -> float:
     """Spherical Bessel function of the second kind, y_l(x), x > 0: entry l of
     ``spherical_bessel_jy_all(l, x)``."""
-    if l < 0:
-        raise DomainError(f"order must be non-negative, got {l}")
-    x = float(x)
-    if x <= 0.0:
-        raise DomainError(f"argument must be positive, got {x}")
-    return float(spherical_bessel_jy_all(l, np.array([x]))[1][l, 0])
+    x = _in_range(x, math.ulp(0.0), math.inf, "argument must be positive, got {}")
+    return float(spherical_bessel_jy_all(l, np.array([x]))[1][-1, 0])

@@ -180,7 +180,10 @@ class TestCompareCommand:
                         "-o", str(tmp_path / "out.csv")]) == 0
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("demo, k", [("coulomb", "nan"), ("coulomb", "inf"), ("invr2", "inf")])
+    # with k = 5e-324, 1/k overflows; pytest turns numpy's RuntimeWarning into an error, so
+    # the guard must reject k before anything divides by it
+    @pytest.mark.parametrize("demo, k", [("coulomb", "nan"), ("coulomb", "inf"), ("invr2", "inf"),
+                                         ("coulomb", "5e-324"), ("invr2", "5e-324")])
     def test_non_finite_wavenumber_is_bad_args(self, capsys, demo, k):
         assert run_cli(["compare", "--demo", demo, "--k", k]) == 4
         assert f"wavenumber must be positive and finite, got {k}" in capsys.readouterr().err
@@ -189,6 +192,17 @@ class TestCompareCommand:
     def test_non_finite_rn_rmax_is_bad_args(self, capsys, r_max):
         assert run_cli(["compare", "--demo", "rn", "--rn-rmax", r_max, "--steps", "3"]) == 4
         assert f"r_max = {r_max} must be finite" in capsys.readouterr().err
+
+    def test_rn_cutoff_with_overflowing_square_is_bad_args(self, capsys):
+        # the default r_max = 50/eta = 5e301 is finite, but r_max^2 in the radial weights is not;
+        # pytest turns the overflow warning into an error, so the guard must come first
+        assert run_cli(["compare", "--demo", "rn", "--eta", "1e-300", "--steps", "3"]) == 4
+        assert f"r_max = {50.0 / 1e-300} must be finite, with a finite square" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--N", "-1"], ["--N", "-2"], ["--L", "-1", "--M", "2"], ["--L", "2", "--M", "-1"]])
+    def test_negative_order_is_bad_args(self, capsys, flags):
+        assert run_cli(["compare", "--demo", "unit", *flags, "--steps", "3"]) == 4
+        assert "must be a non-negative integer, got -" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [
         ["--demo", "invr2", "--alpha", "1e300"],  # |f|^2 of the approximant

@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 import legpade.scattering as scattering
-from legpade.errors import DomainError, QuadratureConvergenceError
+from legpade.errors import DomainError
 from legpade.pade import construct, evaluate
 from legpade.scattering import (
     _rn_radial,
@@ -139,8 +139,9 @@ class TestBornPhaseShift:
             assert abs(by_quad - closed) < 1e-8
 
     def test_inverse_r_diverges(self):
-        with pytest.raises(QuadratureConvergenceError):
-            born_phase_shift(PotentialSpec("inverse_r", 1.0), 0, 1.0)
+        # the 1/r Born integral diverges, so the kind is rejected before any quadrature
+        with pytest.raises(ValueError, match="kind must be one of"):
+            PotentialSpec("inverse_r", 1.0)
 
     @pytest.mark.parametrize("n", [0, 8, 20, 40])
     def test_quadrature_series_makes_four_quadratures(self, monkeypatch, n):
@@ -220,7 +221,7 @@ WAVENUMBER_CALLS = {
 }
 
 
-@pytest.mark.parametrize("k", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("k", [math.nan, math.inf, 0.0, -1.0, 5e-324, 5.562684646268003e-309])
 @pytest.mark.parametrize("name", sorted(WAVENUMBER_CALLS))
 def test_wavenumber_must_be_positive_and_finite(name, k):
     with pytest.raises(DomainError, match=re.escape(f"wavenumber must be positive and finite, got {k}")):
@@ -299,6 +300,8 @@ class TestTortoise:
             rn_tortoise(p.r_plus, p)
         with pytest.raises(DomainError):
             rn_drstar_dr(0.5 * p.r_plus, p)
+        with pytest.raises(DomainError, match="must lie outside the outer horizon"):
+            rn_tortoise(math.nan, p)
 
 
 class TestEffectivePotential:
@@ -373,8 +376,9 @@ class TestRNPhaseShift:
             rn_phase_shift(0, RN_REFERENCE, 1, r_max=RN_REFERENCE.r_plus)
         with pytest.raises(ValueError):
             rn_series(3, RN_REFERENCE, r_max=RN_REFERENCE.r_plus)
-        # a non-finite upper cutoff is a domain error, not a quadrature failure
-        for r_max in (math.inf, math.nan):
+        # a non-finite upper cutoff, or one whose square (in the radial weights) overflows,
+        # is a domain error, not a quadrature failure
+        for r_max in (math.inf, math.nan, 1e200):
             with pytest.raises(DomainError, match="must be finite"):
                 rn_phase_shift(0, RN_REFERENCE, 1, r_max=r_max)
             with pytest.raises(DomainError, match="must be finite"):

@@ -184,6 +184,13 @@ class TestSphericalBessel:
             spherical_bessel_j(2, -0.5)
         with pytest.raises(DomainError):
             spherical_bessel_j(-1, 1.0)
+        # NaN lies in no range
+        with pytest.raises(DomainError, match="argument must be non-negative, got nan"):
+            spherical_bessel_j(2, math.nan)
+        with pytest.raises(DomainError, match="argument must be positive, got nan"):
+            spherical_bessel_y(2, math.nan)
+        with pytest.raises(DomainError, match="argument must be positive, got 0.0"):
+            spherical_bessel_y(2, 0.0)
 
     def test_neumann_wronskian(self):
         # j_l' y_l - j_l y_l' = 1/x^2 checked through the recurrence form:
