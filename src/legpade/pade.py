@@ -27,6 +27,7 @@ series two orders past L+M).
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,6 +223,7 @@ def evaluate(p: PadeApproximant, theta):
     ``eval_partial_sum``. Raises PoleError where the denominator is below
     1e-12 * sum|b_m|: a spurious rational pole inside the domain. Its ``theta``
     is the angle (a float) for a float angle and the array of pole angles otherwise.
+    Raises DomainError where the value overflows.
     """
     num, den = _legendre_sums(theta, p.numerator, p.denominator)
     at_pole = np.abs(den) < _POLE_FLOOR * float(np.abs(p.denominator).sum())
@@ -229,4 +231,14 @@ def evaluate(p: PadeApproximant, theta):
         poles = np.asarray(theta, dtype=float)[at_pole] if at_pole.ndim else float(theta)
         raise PoleError(f"denominator vanishes at theta = {poles} (|Q| = {np.min(np.abs(den)):.3e})",
                         theta=poles)
-    return num / den
+    if not at_pole.ndim:
+        value = num / den  # Python complex division overflows to inf without a warning
+        if not cmath.isfinite(value):
+            raise DomainError(f"the approximant overflows at theta = {float(theta)}")
+        return value
+    with np.errstate(over="ignore"):
+        value = num / den
+    bad = ~np.isfinite(value)
+    if bad.any():
+        raise DomainError(f"the approximant overflows at theta = {np.min(np.asarray(theta, dtype=float)[bad])}")
+    return value

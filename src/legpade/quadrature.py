@@ -1,27 +1,19 @@
 """Adaptive Gauss-Kronrod quadrature in numpy.
 
-The phase-shift integrals need three things: adaptive integration of a
-smooth function over a finite interval, the same over ``[a, inf)``, and
-Fourier integrals ``int_a^inf f(x) cos|sin(omega x) dx`` whose integrands
-decay too slowly for the plain map. This module provides all three with
+The phase-shift integrals need adaptive integration of a smooth function
+over a finite interval and over ``[a, inf)``. This module provides both with
 the 10-point Gauss / 21-point Kronrod pair and QUADPACK's error estimate
 (Piessens, de Doncker-Kapenga, Ueberhuber and Kahaner, *QUADPACK*,
 Springer 1983):
 
 * finite ``[a, b]``: bisect the panel with the largest error estimate until
   the summed estimate is at most ``max(epsabs, epsrel * |I|)``;
-* ``[a, inf)``: the same on ``t in (0, 1]`` after ``x = a + (1 - t) / t``;
-* ``weight="cos"|"sin"`` on ``[a, inf)``: integrate ``[a, z_0]`` up to the
-  first zero of the weight, then one half-period ``pi / |omega|`` per cycle,
-  and extrapolate the cycles' partial sums with Wynn's epsilon algorithm
-  (Wynn, MTAC 10, 1956). The ``[a, z_0]`` piece is redone when its error
-  exceeds its share of the whole integral's target.
+* ``[a, inf)``: the same on ``t in (0, 1]`` after ``x = a + (1 - t) / t``.
 
 Integrands take a numpy array of the 21 nodes of one panel and return the
 values there, one per node or a (21, m) block of m components. A block
 shares one panel sequence: its error estimate and ``|I|`` are max-norms
-over the components, and each component has its own epsilon table
-(Wynn's, as above). Failure to reach the tolerance raises
+over the components. Failure to reach the tolerance raises
 ``QuadratureConvergenceError``; no partial result is returned. That
 includes roundoff, detected as in QUADPACK dqage: six bisections that
 change the value by at most 1e-5 relative while keeping 99% of the error.
@@ -84,10 +76,6 @@ GAUSS_WEIGHTS[1:10:2] = _WG
 GAUSS_WEIGHTS[11:20:2] = _WG[::-1]
 _WEIGHTS = np.stack([KRONROD_WEIGHTS, GAUSS_WEIGHTS])
 
-# tolerance shares of a Fourier integral, as in QUADPACK qawf: epsabs * (1 - p)
-# before the first zero, epsabs * (1 - p) * p**(k + 1) for cycle k; they sum to epsabs
-_CYCLE_SHARE = 0.9
-_WYNN_DEPTH = 50  # longest epsilon-table diagonal kept
 _ROUNDOFF_LIMIT = 6  # QUADPACK dqage gives up after this many unproductive bisections
 
 
@@ -157,79 +145,14 @@ def _adaptive(f, a: float, b: float, epsabs: float, epsrel: float, limit: int) -
     return np.array([math.fsum(c) for c in zip(*(item[3] for item in heap))]), errsum, panels
 
 
-def _wynn(diagonal: list, s: float) -> list:
-    """Ascending diagonal of Wynn's epsilon table after appending partial sum s.
-
-    ``diagonal[k]`` is eps_k of the previous diagonal; the even entries are
-    the extrapolated limits. The diagonal stops where two neighbours agree
-    to rounding, since the next entry would divide by their difference.
-    """
-    new = [s]
-    before = 0.0
-    for old in diagonal[:_WYNN_DEPTH]:
-        delta = new[-1] - old
-        if abs(delta) <= 4.0 * _EPS * abs(old):
-            break
-        new.append(before + 1.0 / delta)
-        before = old
-    return new
-
-
-def _fourier(f, a: float, omega: float, weight: str, epsabs: float, epsrel: float,
-             limit: int, limlst: int) -> tuple[np.ndarray, float, int]:
-    """int_a^inf f(x) cos|sin(omega x) dx from half-period cycles and Wynn's epsilon,
-    one epsilon table per component."""
-    trig = np.cos if weight == "cos" else np.sin
-
-    def g(x):
-        return f(x) * trig(omega * x)[:, None]
-
-    half_period = math.pi / abs(omega)
-    offset = 0.5 if weight == "cos" else 0.0  # zeros at (m + offset) * half_period
-    z0 = (math.ceil(a / half_period - offset) + offset) * half_period
-    head, head_err, panels = 0.0, 0.0, 0
-    if z0 > a:
-        head, head_err, panels = _adaptive(g, a, z0, epsabs * (1.0 - _CYCLE_SHARE), epsrel, limit)
-    tail, errsum = 0.0, 0.0
-    diagonals: list = []
-    recent: list = []  # last extrapolated limits of the tail, newest first
-    for k in range(limlst):
-        lo = z0 + k * half_period
-        cycle_eps = epsabs * (1.0 - _CYCLE_SHARE) * _CYCLE_SHARE ** (k + 1)
-        value, err, n = _adaptive(g, lo, lo + half_period, cycle_eps, epsrel, limit)
-        tail = tail + value
-        errsum += err
-        panels += n
-        diagonals = [_wynn(d, s) for d, s in zip(diagonals or [[]] * tail.size, tail.tolist())]
-        recent = [np.array([d[(len(d) - 1) & ~1] for d in diagonals])] + recent[:2]
-        if len(recent) == 3:
-            target = max(epsabs, epsrel * _norm(head + recent[0]))
-            if head_err > (1.0 - _CYCLE_SHARE) * target:
-                # epsrel held the head to its own value, which can exceed the whole
-                # integral's target once the tail cancels part of it: redo it to its share
-                head, head_err, n = _adaptive(g, a, z0, (1.0 - _CYCLE_SHARE) * target, 0.0, limit)
-                panels += n
-            limit_value = head + recent[0]
-            extrap_err = max(_norm(sum(np.abs(recent[0] - r) for r in recent[1:])),
-                             5.0 * _EPS * _norm(limit_value))
-            if extrap_err + head_err + errsum <= max(epsabs, epsrel * _norm(limit_value)):
-                return limit_value, extrap_err + head_err + errsum, panels
-    raise QuadratureConvergenceError(
-        f"Fourier integral did not settle within {limlst} half-period cycles"
-    )
-
-
 def quad(f, a: float, b: float, *, epsabs: float = 1.49e-8, epsrel: float = 1.49e-8,
-         limit: int = 50, weight: str | None = None, wvar: float | None = None,
-         limlst: int = 50) -> tuple[float | np.ndarray, float, int]:
+         limit: int = 50) -> tuple[float | np.ndarray, float, int]:
     """Integral of the vectorized ``f`` over ``[a, b]``; ``b`` may be ``inf``.
 
     Returns ``(value, error estimate, integrand points)``; the value is an
     array of m when ``f`` returns a (nodes, m) block (see the module notes).
-    ``limit`` caps the subintervals of each adaptive integration. With
-    ``weight="cos"`` or ``"sin"`` the integrand is ``f(x) * cos|sin(wvar * x)``
-    over ``[a, inf)`` and ``limlst`` caps the half-period cycles. Raises
-    ``QuadratureConvergenceError`` when the tolerance is not reached.
+    ``limit`` caps the subintervals. Raises ``QuadratureConvergenceError``
+    when the tolerance is not reached.
     """
     a, b = float(a), float(b)
     if not math.isfinite(a) or b == -math.inf or math.isnan(b):
@@ -242,11 +165,7 @@ def quad(f, a: float, b: float, *, epsabs: float = 1.49e-8, epsrel: float = 1.49
         scalar = fx.ndim == 1
         return fx.reshape(x.size, -1)
 
-    if weight is not None:
-        if weight not in ("cos", "sin") or b != math.inf or not wvar:
-            raise ValueError("weight 'cos' or 'sin' needs b = inf and a nonzero wvar")
-        value, err, panels = _fourier(block, a, float(wvar), weight, epsabs, epsrel, limit, limlst)
-    elif b == math.inf:
+    if b == math.inf:
         def mapped(t):
             return block(a + (1.0 - t) / t) / (t * t)[:, None]
 

@@ -10,16 +10,19 @@ Four families feed the rational resummation:
 
 The closed forms take an angle or an array of them through the one angle guard,
 ``series._check_theta``, and reject theta = 0 and any angle where they overflow.
+A wavenumber so small that the Coulomb or Born coefficients overflow raises a
+DomainError that names it.
 
 Phase-shift quadratures use the numpy Gauss-Kronrod integrator of
 ``legpade.quadrature``; the improper integrals are split at documented
 breakpoints and the near-horizon log endpoint is tamed with a logarithmic
 substitution. The Born integrands of all orders 0..N form one (nodes, orders)
-block from ``special.spherical_bessel_jy_all``, so four quadratures give every
-Born shift up to N, and a single-order call integrates orders 0..l. The
-Reissner-Nordstrom first-order integrands are linear in l(l+1), so one
-four-component integral (four quadratures) gives the shifts of every order.
-Each quadrature logs its interval, error estimate and integrand points at
+block, so three quadratures give every Born shift up to N: the body of j_l^2,
+the mean of its tail, and the tail's oscillating part on a contour rotated
+into the upper half plane, where it decays like e^(-2t). A single-order call
+integrates orders 0..l. The Reissner-Nordstrom first-order integrands are
+linear in l(l+1), so one four-component integral (four quadratures) gives the
+shifts of every order. Each quadrature logs its interval, error estimate and integrand points at
 DEBUG on the ``legpade.scattering`` logger.
 """
 
@@ -34,7 +37,7 @@ import numpy as np
 from .errors import DomainError, QuadratureConvergenceError
 from .quadrature import quad
 from .series import ComplexSeries, _check_theta
-from .special import _check_order, _in_range, log_gamma_complex, spherical_bessel_jy_all
+from .special import _check_order, _hankel_envelopes, _in_range, log_gamma_complex, spherical_bessel_jy_all
 # spherical_bessel_j/_y are unused here; perfbench/tracer.py rebinds them on this module
 from .special import spherical_bessel_j, spherical_bessel_y  # noqa: F401
 
@@ -133,9 +136,28 @@ def exact_half_csc(theta):
     return _closed_form(theta, "1/(2 sin(theta/2))", lambda s: 0.5 / s)
 
 
-def _gamma_ratio(ik: complex) -> complex:
-    """Gamma(1 + ik) / Gamma(1 - ik), the l = 0 Coulomb phase factor."""
-    return cmath.exp(log_gamma_complex(1 + ik) - log_gamma_complex(1 - ik))
+def _overflow_at(k: float) -> DomainError:
+    return DomainError(f"wavenumber k = {k} is too small: the partial-wave coefficients overflow")
+
+
+def _series_at(k: float, coefficients) -> ComplexSeries:
+    """ComplexSeries of coefficients() computed under np.errstate; DomainError names the
+    wavenumber k where an entry is not finite (1/k overflows them for the smallest k)."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        c = coefficients()
+    if not np.all(np.isfinite(c)):
+        raise _overflow_at(k)
+    return ComplexSeries(c)
+
+
+def _gamma_ratio(k: float) -> complex:
+    """Gamma(1 + i/k) / Gamma(1 - i/k), the l = 0 Coulomb phase factor; DomainError names k
+    where its log-gamma difference overflows."""
+    ik = 1j / k
+    log_ratio = log_gamma_complex(1 + ik) - log_gamma_complex(1 - ik)
+    if not cmath.isfinite(log_ratio):
+        raise _overflow_at(k)
+    return cmath.exp(log_ratio)
 
 
 def coulomb_series(n: int, k: float) -> ComplexSeries:
@@ -144,18 +166,22 @@ def coulomb_series(n: int, k: float) -> ComplexSeries:
     n = _check_order(n, "series order")
     ik = 1j / _check_wavenumber(k)
     l = np.arange(n + 1)
-    ratios = np.cumprod(np.append(_gamma_ratio(ik), (l[1:] + ik) / (l[1:] - ik)))
-    return ComplexSeries(1.0 / (2j * k) * (2 * l + 1) * ratios)
+
+    def coefficients():
+        ratios = np.cumprod(np.append(_gamma_ratio(k), (l[1:] + ik) / (l[1:] - ik)))
+        return 1.0 / (2j * k) * (2 * l + 1) * ratios
+
+    return _series_at(k, coefficients)
 
 
 def coulomb_exact(theta, k: float):
     """Closed-form Coulomb amplitude (attractive unit coupling) at an angle (a complex) or an array."""
-    ratio = _gamma_ratio(1j / _check_wavenumber(k))
+    ratio = _gamma_ratio(_check_wavenumber(k))
     return _closed_form(theta, "the Coulomb amplitude",
                         lambda s: -1.0 / (2.0 * k * k * s * s) * ratio * np.exp(-2j / k * np.log(s)))
 
 
-def _checked_quad(f, a, b, *, epsabs, epsrel, limit=400, **kwargs):
+def _checked_quad(f, a, b, *, epsabs, epsrel, limit=400):
     """``quad`` through the module global (tracers rebind it), logged at DEBUG.
 
     ``logging`` is imported here because only the quadrature paths log and
@@ -164,7 +190,7 @@ def _checked_quad(f, a, b, *, epsabs, epsrel, limit=400, **kwargs):
     import logging
 
     try:
-        value, abserr, neval = quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit, **kwargs)
+        value, abserr, neval = quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit)
     except QuadratureConvergenceError as exc:
         raise QuadratureConvergenceError(f"quadrature on [{a:g}, {b:g}] did not converge: {exc}") from exc
     logging.getLogger(__name__).debug("quadrature on [%g, %g]: abserr %.3g, neval %d", a, b, abserr, neval)
@@ -172,12 +198,14 @@ def _checked_quad(f, a, b, *, epsabs, epsrel, limit=400, **kwargs):
 
 
 def _bessel_sq_moments(n: int) -> np.ndarray:
-    """integrals of j_l(x)^2 over [0, inf) for l = 0..n, four quadratures.
+    """integrals of j_l(x)^2 over [0, inf) for l = 0..n, three quadratures.
 
     Every order shares each quadrature's panels. The body runs up to
-    max(100, 3n), beyond the turning point of j_n; on the tail, j_l = A sin + B cos
-    with rational A, B (recovered through y_l), so the mean part decays like a
-    power and the rest is a clean Fourier integral handled by weighted quadrature.
+    x0 = max(100, 3n), beyond the turning point of j_n. On the tail,
+    j_l^2 = |u_l|^2 / 2 + Re(u_l^2 e^(2ix)) / 2 with u_l = h_l^(1) e^(-ix)
+    (``special._hankel_envelopes``): the mean part decays like a power, and by
+    Jordan's lemma the oscillatory part's integral is i e^(2i x0) times that of
+    u_l(x0 + it)^2 e^(-2t) over t in [0, inf), a smooth, decaying integrand.
     """
     x0 = max(100.0, 3.0 * n)
 
@@ -185,22 +213,19 @@ def _bessel_sq_moments(n: int) -> np.ndarray:
         j, _ = spherical_bessel_jy_all(n, x)
         return (j * j).T
 
-    def tail(x):
-        # mean, cos and sin parts of j^2, each (nodes, orders)
-        j, y = spherical_bessel_jy_all(n, x)
-        s, c = np.sin(x), np.cos(x)
-        a, b = j * s - y * c, j * c + y * s
-        return [part.T for part in (0.5 * (j * j + y * y), 0.5 * (b * b - a * a), a * b)]
+    def mean(x):
+        return 0.5 * (np.abs(_hankel_envelopes(n, x)) ** 2).T
+
+    def rotated(t):
+        # real parts, then imaginary parts: (nodes, 2(n+1))
+        w = (_hankel_envelopes(n, x0 + 1j * t) ** 2 * np.exp(-2.0 * t)).T
+        return np.hstack([w.real, w.imag])
 
     body_value, _, _ = _checked_quad(body, 0.0, x0, epsabs=1e-14, epsrel=1e-12, limit=600)
-    tail_mean, _, _ = _checked_quad(lambda x: tail(x)[0], x0, np.inf, epsabs=1e-13, epsrel=1e-12)
-    tail_cos, _, _ = _checked_quad(
-        lambda x: tail(x)[1], x0, np.inf, weight="cos", wvar=2.0, epsabs=1e-13, epsrel=1e-12, limlst=200
-    )
-    tail_sin, _, _ = _checked_quad(
-        lambda x: tail(x)[2], x0, np.inf, weight="sin", wvar=2.0, epsabs=1e-13, epsrel=1e-12, limlst=200
-    )
-    return body_value + tail_mean + tail_cos + tail_sin
+    tail_mean, _, _ = _checked_quad(mean, x0, np.inf, epsabs=1e-13, epsrel=1e-12)
+    rotated_value, _, _ = _checked_quad(rotated, 0.0, np.inf, epsabs=1e-13, epsrel=1e-12)
+    re, im = rotated_value.reshape(2, -1)
+    return body_value + tail_mean + 0.5 * (1j * np.exp(2j * x0) * (re + 1j * im)).real
 
 
 def _born_shifts(potential: PotentialSpec, n: int, k: float, method: str) -> np.ndarray:
@@ -222,7 +247,7 @@ def born_phase_shift(potential: PotentialSpec, l: int, k: float, method: str = "
     For the 1/r^2 potential the closed form -pi*alpha/(2(2l+1)) is the fast
     path ('auto'); method='quadrature' forces the adaptive integration, which
     must agree with the closed form and serves as its independent check. Its
-    four quadratures integrate every order 0..l at once and return entry l,
+    three quadratures integrate every order 0..l at once and return entry l,
     so build many orders with ``born_series``, not a loop over this.
     """
     return float(_born_shifts(potential, l, k, method)[-1])
@@ -231,11 +256,11 @@ def born_phase_shift(potential: PotentialSpec, l: int, k: float, method: str = "
 def born_series(potential: PotentialSpec, n: int, k: float, method: str = "auto") -> ComplexSeries:
     """Partial-wave series c_l = (2l+1) * phase_shift_l / k, real-valued.
 
-    With method='quadrature' four quadratures serve all orders 0..n (see
+    With method='quadrature' three quadratures serve all orders 0..n (see
     ``born_phase_shift``).
     """
     shifts = _born_shifts(potential, n, k, method)
-    return ComplexSeries((2 * np.arange(shifts.size) + 1) / k * shifts)
+    return _series_at(k, lambda: (2 * np.arange(shifts.size) + 1) / k * shifts)
 
 
 def born_exact_invr2(theta, alpha: float, k: float):

@@ -5,7 +5,8 @@ Legendre polynomials by the Bonnet three-term recurrence (one evaluator,
 zero-projection Wigner 3j symbols in exact rational arithmetic, the
 principal branch of the complex log-gamma function, and spherical Bessel
 functions of both kinds, every order up to n in one call
-(``spherical_bessel_jy_all``), with thin scalar wrappers.
+(``spherical_bessel_jy_all``), with thin scalar wrappers, and the envelopes
+h_l^(1)(z) e^(-iz) of the spherical Hankel functions at complex z.
 """
 
 from __future__ import annotations
@@ -38,7 +39,10 @@ _X_TOL = 1.0 + 4.0 * np.finfo(float).eps
 
 def _in_range(x, lo: float, hi: float, message: str):
     """x as a float, or an array-like as a float array, after checking that every
-    entry lies in [lo, hi] (NaN does not); ``message`` formats the first that does not."""
+    entry lies in [lo, hi] (NaN does not); ``message`` formats the first that does not.
+    Text (a str, bytes, or an array-like of them) is rejected, though numpy would parse it."""
+    if not isinstance(x, float) and np.asarray(x).dtype.kind in "SU":
+        raise DomainError(message.format(repr(x)))
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
         x = float(x)
@@ -223,6 +227,18 @@ def spherical_bessel_jy_all(n: int, x) -> tuple[np.ndarray, np.ndarray]:
             if ratio:
                 j[k] = np.where(x >= k, j[k], ratio[k] * j[k - 1])
     return np.array(j[: n + 1]), np.array(y[: n + 1])
+
+
+def _hankel_envelopes(n: int, z) -> np.ndarray:
+    """u_0 .. u_n at an array z with Re z > 0, shape (n+1,) + shape(z), where
+    u_l(z) = h_l^(1)(z) e^(-iz) is a polynomial in 1/z, analytic off the origin:
+    u_0 = -i/z, u_1 = -1/z - i/z^2, then the upward recurrence of h^(1), which is
+    stable. On the real axis |u_l|^2 = j_l^2 + y_l^2. The caller checks n and z."""
+    z = np.asarray(z, dtype=complex)
+    u = [-1j / z, -1.0 / z - 1j / (z * z)]
+    for k in range(1, n):
+        u.append((2 * k + 1) / z * u[k] - u[k - 1])
+    return np.array(u[: n + 1])
 
 
 def spherical_bessel_j(l: int, x: float) -> float:

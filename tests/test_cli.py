@@ -188,6 +188,17 @@ class TestCompareCommand:
         assert run_cli(["compare", "--demo", demo, "--k", k]) == 4
         assert f"wavenumber must be positive and finite, got {k}" in capsys.readouterr().err
 
+    # pytest turns numpy's RuntimeWarning into an error, so each overflow must stay quiet
+    @pytest.mark.parametrize("demo, k, message", [
+        ("coulomb", "5.56268464626801e-309", "wavenumber k = 5.56268464626801e-309 is too small"),
+        ("coulomb", "1e-308", "wavenumber k = 1e-308 is too small"),  # log-gamma at 1 + i/k
+        ("invr2", "1e-307", "the approximant overflows at theta = 0.05"),  # finite coefficients
+        ("invr2", "1e-307 --N 20", "wavenumber k = 1e-307 is too small"),
+    ])
+    def test_tiny_wavenumber_is_bad_args(self, capsys, demo, k, message):
+        assert run_cli(["compare", "--demo", demo, "--k", *k.split()]) == 4
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("r_max", ["inf", "nan"])
     def test_non_finite_rn_rmax_is_bad_args(self, capsys, r_max):
         assert run_cli(["compare", "--demo", "rn", "--rn-rmax", r_max, "--steps", "3"]) == 4

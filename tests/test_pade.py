@@ -297,6 +297,15 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             evaluate(approx, 3.2)
 
+    def test_overflow_is_domain_error(self):
+        # 1e308 / (1 + 0.9 cos theta) leaves the float range near theta = pi, off any pole
+        approx = PadeApproximant(np.array([1e308 + 0j]), np.array([1.0 + 0j, 0.9 + 0j]))
+        for at in (math.pi, np.array([0.0, 3.0, math.pi])):
+            with pytest.raises(DomainError, match="the approximant overflows at theta = 3.0"
+                               if np.ndim(at) else "the approximant overflows at theta = 3.14"):
+                evaluate(approx, at)
+        assert abs(evaluate(approx, 0.0)) == pytest.approx(1e308 / 1.9, rel=1e-15)
+
     def test_callable_form(self):
         approx, _ = construct(unit_series(8), 3, 3)
         assert approx(1.0) == evaluate(approx, 1.0)

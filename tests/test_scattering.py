@@ -143,23 +143,23 @@ class TestBornPhaseShift:
         with pytest.raises(ValueError, match="kind must be one of"):
             PotentialSpec("inverse_r", 1.0)
 
-    @pytest.mark.parametrize("n", [0, 8, 20, 40])
-    def test_quadrature_series_makes_four_quadratures(self, monkeypatch, n):
-        # the body and three tail integrals serve every order at once
+    @pytest.mark.parametrize("n", [0, 1, 5, 8, 20, 40, 60, 120])
+    def test_quadrature_series_makes_three_quadratures(self, monkeypatch, n):
+        # the body, the mean tail and the rotated oscillatory tail serve every order at once
         calls = []
         original = scattering.quad
 
         def counting_quad(f, a, b, **kwargs):
-            calls.append((a, b, kwargs.get("weight")))
+            calls.append((a, b))
             return original(f, a, b, **kwargs)
 
         monkeypatch.setattr(scattering, "quad", counting_quad)
         series = born_series(PotentialSpec("inverse_r2", 1.0), n, 1.0, method="quadrature")
         x0 = max(100.0, 3.0 * n)
-        assert calls == [(0.0, x0, None), (x0, np.inf, None), (x0, np.inf, "cos"), (x0, np.inf, "sin")]
+        assert calls == [(0.0, x0), (x0, np.inf), (0.0, np.inf)]
         l = np.arange(n + 1)
         shifts = series.coefficients.real / (2 * l + 1)
-        assert np.max(np.abs(shifts + math.pi / (2 * (2 * l + 1)))) <= 1e-12
+        assert np.max(np.abs(shifts + math.pi / (2 * (2 * l + 1)))) <= 1e-15
 
     def test_single_order_is_entry_of_series(self):
         pot = PotentialSpec("inverse_r2", 1.0)
@@ -228,6 +228,18 @@ def test_wavenumber_must_be_positive_and_finite(name, k):
         WAVENUMBER_CALLS[name](k)
 
 
+@pytest.mark.parametrize("call, k", [
+    (lambda k: coulomb_series(4, k), 5.56268464626801e-309),  # (2l+1)/(2k) overflows
+    (lambda k: coulomb_series(4, k), 1e-308),  # the log-gamma at 1 + i/k overflows
+    (lambda k: coulomb_exact(1.0, k), 1e-308),
+    (lambda k: born_series(PotentialSpec("inverse_r2", 1.0), 20, k), 1e-307),  # (2l+1)/k overflows
+])
+def test_overflowing_coefficients_name_the_wavenumber(call, k):
+    # pytest turns numpy's RuntimeWarning into an error, so the overflow must stay quiet
+    with pytest.raises(DomainError, match=re.escape(f"wavenumber k = {k} is too small")):
+        call(k)
+
+
 class TestPartialWaveIdentity:
     def test_bessel_legendre_sum(self):
         # sum of (2l+1) j_l(kr)^2 P_l(cos theta) converges to sin(qr)/(qr)
@@ -273,6 +285,11 @@ class TestRNParams:
             fields = {"mass": 10.0, "charge": 5.0, "eta": 1e-4, "mu": 0.0, field: bad}
             with pytest.raises(ValueError, match=f"{field} must be finite"):
                 RNParams(**fields)
+
+    @pytest.mark.parametrize("text", ["10", b"10"])
+    def test_numeric_text_is_rejected(self, text):
+        with pytest.raises(DomainError, match=re.escape(f"mass must be finite and positive, got {text!r}")):
+            RNParams(mass=text, charge=5.0, eta=1e-4)
 
 
 class TestTortoise:

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,8 @@ from numpy.polynomial.legendre import leggauss
 
 from legpade.errors import DomainError, PoleError
 from legpade.special import (
+    _hankel_envelopes,
+    _in_range,
     legendre_eval,
     legendre_eval_all,
     log_gamma_complex,
@@ -248,3 +251,27 @@ class TestSphericalBesselAllOrders:
         j, _ = spherical_bessel_jy_all(5, np.array([0.0, 1e-300]))
         assert j[:, 0].tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
         assert j[0, 1] == 1.0 and j[1, 1] == pytest.approx(1e-300 / 3, rel=1e-15)
+
+
+class TestHankelEnvelopes:
+    # left and right of every order's turning point, near and far from the real axis
+    Z = np.array([0.5 + 0.1j, 3.0 + 2.0j, 12.0, 25.0 + 40.0j, 100.0 + 0.5j, 150.0 + 60.0j])
+
+    def test_against_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        u = _hankel_envelopes(_BESSEL_L, self.Z)
+        assert u.shape == (_BESSEL_L + 1, self.Z.size)
+        # mpmath forms h^(1) = j + iy, which cancels by e^(-2 Im z) off the real axis
+        with mp.workdps(100):
+            for i, z in enumerate(self.Z.tolist()):
+                z = mp.mpc(z)
+                for l in range(_BESSEL_L + 1):
+                    ref = complex(mp.hankel1(l + 0.5, z) * mp.sqrt(mp.pi / (2 * z)) * mp.exp(-1j * z))
+                    assert abs(u[l, i] - ref) <= 1e-13 * abs(ref)
+
+
+@pytest.mark.parametrize("text", ["10", b"10", np.str_("0.5"), ["1", "2"], np.array([b"0.5"])])
+def test_numeric_text_is_not_a_number(text):
+    # numpy would read these as 10.0, 0.5, [1.0, 2.0] and [0.5]
+    with pytest.raises(DomainError, match=re.escape(f"got {text!r}")):
+        _in_range(text, 0.0, 100.0, "value must lie in [0, 100], got {}")
