@@ -4,6 +4,16 @@ The CLI maps these onto exit codes, so library code should raise the most
 specific class that applies rather than bare ValueError/RuntimeError.
 """
 
+__all__ = [
+    "LegpadeError",
+    "DomainError",
+    "PoleError",
+    "InsufficientCoefficientsError",
+    "SingularSystemError",
+    "ResidualTooLargeError",
+    "QuadratureConvergenceError",
+]
+
 
 class LegpadeError(Exception):
     """Base class for all errors raised by this package."""

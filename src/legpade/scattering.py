@@ -11,7 +11,7 @@ Four families feed the rational resummation:
 The closed forms take an angle or an array of them through the one angle guard,
 ``series._check_theta``, and reject theta = 0 and any angle where they overflow.
 A wavenumber so small that the Coulomb or Born coefficients overflow raises a
-DomainError that names it.
+DomainError that names it (and, for Born, the coupling alpha).
 
 Phase-shift quadratures use the numpy Gauss-Kronrod integrator of
 ``legpade.quadrature``; the improper integrals are split at documented
@@ -64,6 +64,10 @@ _BIG = float(np.finfo(float).max)
 _K_MIN = math.nextafter(1.0 / _BIG, 1.0)  # the least wavenumber whose 1/k is finite
 
 
+def _check_coupling(alpha):
+    return _in_range(alpha, -_BIG, _BIG, "coupling alpha must be a finite number, got {}")
+
+
 @dataclass(frozen=True)
 class PotentialSpec:
     """Central potential alpha/r^2 (kind 'inverse_r2'). The 1/r potential has no
@@ -75,8 +79,8 @@ class PotentialSpec:
     def __post_init__(self):
         if self.kind not in POTENTIAL_KINDS:
             raise ValueError(f"kind must be one of {POTENTIAL_KINDS}, got {self.kind!r}")
-        if not math.isfinite(self.alpha):
-            raise ValueError("coupling must be finite")
+        if np.ndim(_check_coupling(self.alpha)):
+            raise DomainError(f"coupling alpha must be one number, got {self.alpha!r}")
 
 
 @dataclass(frozen=True)
@@ -136,17 +140,18 @@ def exact_half_csc(theta):
     return _closed_form(theta, "1/(2 sin(theta/2))", lambda s: 0.5 / s)
 
 
-def _overflow_at(k: float) -> DomainError:
-    return DomainError(f"wavenumber k = {k} is too small: the partial-wave coefficients overflow")
+def _overflow_at(k: float, alpha: float | None = None) -> DomainError:
+    coupling = "" if alpha is None else f" or the coupling alpha = {alpha} too large"
+    return DomainError(f"wavenumber k = {k} is too small{coupling}: the partial-wave coefficients overflow")
 
 
-def _series_at(k: float, coefficients) -> ComplexSeries:
+def _series_at(k: float, coefficients, alpha: float | None = None) -> ComplexSeries:
     """ComplexSeries of coefficients() computed under np.errstate; DomainError names the
-    wavenumber k where an entry is not finite (1/k overflows them for the smallest k)."""
+    wavenumber k, and the coupling alpha of a Born series, where an entry is not finite."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         c = coefficients()
     if not np.all(np.isfinite(c)):
-        raise _overflow_at(k)
+        raise _overflow_at(k, alpha)
     return ComplexSeries(c)
 
 
@@ -260,12 +265,12 @@ def born_series(potential: PotentialSpec, n: int, k: float, method: str = "auto"
     ``born_phase_shift``).
     """
     shifts = _born_shifts(potential, n, k, method)
-    return _series_at(k, lambda: (2 * np.arange(shifts.size) + 1) / k * shifts)
+    return _series_at(k, lambda: (2 * np.arange(shifts.size) + 1) / k * shifts, potential.alpha)
 
 
 def born_exact_invr2(theta, alpha: float, k: float):
     """Closed-form first-order amplitude for V = alpha/r^2, at an angle (a float) or an array."""
-    k = _check_wavenumber(k)
+    alpha, k = _check_coupling(alpha), _check_wavenumber(k)
     return _closed_form(theta, "the 1/r^2 Born amplitude", lambda s: -math.pi * alpha / (4.0 * k * s))
 
 

@@ -86,6 +86,29 @@ class TestConstructCommand:
         infile.write_text("l,re,im\n0,1.0,0.0\n2,1.0,0.0\n")
         assert run_cli(["construct", "--coeffs", str(infile), "--L", "1", "--M", "0"]) == 4
 
+    def test_unreadable_coefficient_file_is_bad_args(self, tmp_path, capsys):
+        assert run_cli(["construct", "--coeffs", str(tmp_path / "missing.csv")]) == 4
+        assert "cannot read coefficient file" in capsys.readouterr().err
+
+    def test_blank_coefficient_rows_skipped(self, tmp_path):
+        infile = tmp_path / "blank.csv"
+        outfile = tmp_path / "out.txt"
+        infile.write_text("l,re,im\n0,1.0,0.0\n\n , ,\n1,2.0,0.0\n")
+        assert run_cli(["construct", "--coeffs", str(infile), "--L", "1", "--M", "0", "-o", str(outfile)]) == 0
+        assert [line for line in outfile.read_text().splitlines() if line.startswith("a,")] == ["a,0,1,0", "a,1,2,0"]
+
+    @pytest.mark.parametrize("row", ["1,2.0", "one,2.0,0.0", "1,2.0,x"])
+    def test_malformed_coefficient_row_rejected(self, tmp_path, capsys, row):
+        infile = tmp_path / "bad.csv"
+        infile.write_text(f"l,re,im\n0,1.0,0.0\n{row}\n")
+        assert run_cli(["construct", "--coeffs", str(infile), "--L", "1", "--M", "0"]) == 4
+        assert "malformed coefficient row" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--L", "3"], ["--M", "3"]])
+    def test_one_degree_alone_is_bad_args(self, capsys, flags):
+        assert run_cli(["construct", "--demo", "unit", *flags]) == 4
+        assert "give both --L and --M, or neither" in capsys.readouterr().err
+
     def test_duplicate_orders_rejected(self, tmp_path, capsys):
         infile = tmp_path / "dup.csv"
         infile.write_text("l,re,im\n" + "".join(f"{l},1.0,0.0\n" for l in (0, 1, 1, 2, 3, 4)))
@@ -244,6 +267,10 @@ class TestCompareCommand:
     def test_unknown_demo_is_bad_args(self):
         assert run_cli(["compare", "--demo", "nonsense"]) == 4
 
+    def test_overflowing_born_coefficients_name_the_coupling(self, capsys):
+        assert run_cli(["compare", "--demo", "invr2", "--alpha", "1e308"]) == 4
+        assert "wavenumber k = 1.0 is too small or the coupling alpha = 1e+308 too large" in capsys.readouterr().err
+
     def test_quadrature_failure_exit_code(self):
         # an absurd upper cutoff forces the oscillatory quadrature past its
         # subdivision budget
@@ -288,6 +315,17 @@ class TestConfigFile:
         rc = run_cli(["compare", "--config", str(config), "--ste", "5", "-o", str(outfile)])
         assert rc == 0
         assert len(read_rows(outfile)) == 5
+
+    def test_comments_and_blank_lines_skipped(self, tmp_path):
+        config = tmp_path / "sweep.cfg"
+        outfile = tmp_path / "out.csv"
+        config.write_text("# a sweep\n\ndemo = unit\n   \n  # steps = 9\nsteps = 4\n")
+        assert run_cli(["compare", "--config", str(config), "-o", str(outfile)]) == 0
+        assert len(read_rows(outfile)) == 4
+
+    def test_unreadable_config_is_bad_args(self, tmp_path, capsys):
+        assert run_cli(["compare", "--demo", "unit", "--config", str(tmp_path / "missing.cfg")]) == 4
+        assert "cannot read config file" in capsys.readouterr().err
 
     def test_badly_typed_value_rejected(self, tmp_path):
         config = tmp_path / "bad.cfg"

@@ -61,6 +61,37 @@ def test_projection_leaves_polynomial_out():
     assert _modules_loaded(body, ("numpy.polynomial",)) == []
 
 
+MODULES = ("errors", "special", "series", "pade", "scattering")
+# the package's public names when its __init__ still listed them itself; each must stay
+EARLIER_API = {
+    "errors": "LegpadeError DomainError PoleError InsufficientCoefficientsError SingularSystemError "
+              "ResidualTooLargeError QuadratureConvergenceError",
+    "special": "legendre_eval legendre_eval_all threej_zero_sq triple_product_integral log_gamma_complex "
+               "spherical_bessel_j",
+    "series": "ComplexSeries eval_partial_sum project_legendre_coefficient",
+    "pade": "PadeApproximant ConstructionReport build_denominator_system solve_denominator compute_numerator "
+            "construct evaluate default_split",
+    "scattering": "PotentialSpec RNParams unit_series exact_half_csc coulomb_series coulomb_exact born_phase_shift "
+                  "born_series born_exact_invr2 rn_tortoise rn_drstar_dr rn_effective_potential rn_phase_shift "
+                  "rn_series cross_section",
+}
+
+
+def test_package_api_is_the_modules_api():
+    import legpade
+
+    modules = {name: importlib.import_module(f"legpade.{name}") for name in MODULES}
+    expected = ["__version__", *(name for module in modules.values() for name in module.__all__)]
+    assert legpade.__all__ == expected and len(set(expected)) == len(expected)
+    namespace = {}
+    exec("from legpade import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(expected)
+    earlier = [(module, name) for module, names in EARLIER_API.items() for name in names.split()]
+    assert len(earlier) == 39
+    assert [(module, name) for module, name in earlier
+            if getattr(legpade, name) is not getattr(modules[module], name)] == []
+
+
 def test_tracer_bindings_exist():
     # perfbench/tracer.py rebinds these names; one missing would break a traced run
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"

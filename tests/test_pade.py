@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import legpade.pade as pade
 from legpade.errors import (
     DomainError,
     InsufficientCoefficientsError,
@@ -79,6 +80,10 @@ class TestDenominatorSystem:
         with pytest.raises(InsufficientCoefficientsError):
             build_denominator_system(unit_series(3), 3, 3)
 
+    def test_no_system_without_a_denominator(self):
+        with pytest.raises(DomainError, match="needs M >= 1"):
+            build_denominator_system(unit_series(4), 4, 0)
+
     def test_zero_series_is_singular(self):
         series = ComplexSeries(np.zeros(3))
         with pytest.raises(SingularSystemError):
@@ -100,6 +105,15 @@ class TestSolve:
         with pytest.raises(SingularSystemError) as exc_info:
             solve_denominator(ComplexSeries(np.zeros(5)), 2, 2)
         assert exc_info.value.condition_estimate == math.inf
+
+    def test_inaccurate_solve_raises_with_condition(self, monkeypatch):
+        # a well-conditioned system whose (faked) solution misses the right-hand side
+        _, cond = solve_denominator(unit_series(8), 3, 3)
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) + 1e-3)
+        with pytest.raises(SingularSystemError, match="solve residual .* exceeds 1e-10") as exc_info:
+            solve_denominator(unit_series(8), 3, 3)
+        assert exc_info.value.condition_estimate == cond
 
 
 class TestExactOracle:
@@ -282,6 +296,15 @@ class TestConstruct:
         assert isinstance(report, ConstructionReport)
         assert report.condition_estimate >= 1.0
         assert 0.0 <= report.residual < 1e-12
+
+    def test_residual_above_floor_raises(self, monkeypatch):
+        # a zero floor turns the rounding residual of a sound construction into a failure
+        _, report = construct(unit_series(8), 3, 3)
+        assert report.residual > 0.0
+        monkeypatch.setattr(pade, "_RESIDUAL_FLOOR", 0.0)
+        with pytest.raises(ResidualTooLargeError, match="enforced-zero orders leave residual") as exc_info:
+            construct(unit_series(8), 3, 3)
+        assert exc_info.value.residual == report.residual
 
 
 class TestEvaluate:

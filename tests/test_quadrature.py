@@ -58,6 +58,16 @@ class TestIntegrals:
             quad(f, 0.0, 2 * np.pi, epsabs=0.0, epsrel=1e-12, limit=400)
         assert len(calls) < 40
 
+    def test_non_finite_integrand_raises(self):
+        with pytest.raises(QuadratureConvergenceError, match=r"non-finite integrand on \[0, 1\]"):
+            quad(lambda x: np.full(x.shape, np.nan), 0.0, 1.0)
+
+    def test_interval_too_short_to_bisect_raises(self):
+        # the step's panel keeps the largest error down to a few ulps of 1/3; no tolerance is reachable
+        with pytest.raises(QuadratureConvergenceError, match=r"interval \[0\.3333333333333\d*, "
+                                                             r"0\.3333333333333\d*\] too short to bisect"):
+            quad(lambda x: np.sign(x - 1.0 / 3.0), 0.0, 1.0, epsabs=0.0, epsrel=0.0, limit=200)
+
     def test_unsupported_limits_rejected(self):
         with pytest.raises(ValueError):
             quad(np.exp, -np.inf, 0.0)

@@ -170,6 +170,10 @@ class TestBornPhaseShift:
         with pytest.raises(ValueError):
             PotentialSpec("yukawa", 1.0)
 
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="method must be 'auto' or 'quadrature', got 'simpson'"):
+            born_series(PotentialSpec("inverse_r2", 1.0), 3, 1.0, method="simpson")
+
 
 class TestBornSeries:
     def test_constant_coefficients(self):
@@ -238,6 +242,28 @@ def test_overflowing_coefficients_name_the_wavenumber(call, k):
     # pytest turns numpy's RuntimeWarning into an error, so the overflow must stay quiet
     with pytest.raises(DomainError, match=re.escape(f"wavenumber k = {k} is too small")):
         call(k)
+
+
+@pytest.mark.parametrize("alpha", ["1.0", math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", [
+    lambda alpha: PotentialSpec("inverse_r2", alpha),
+    lambda alpha: born_exact_invr2(1.0, alpha, 1.0),
+], ids=["PotentialSpec", "born_exact_invr2"])
+def test_coupling_must_be_a_finite_number(call, alpha):
+    with pytest.raises(DomainError, match=re.escape(f"coupling alpha must be a finite number, got {alpha!r}")):
+        call(alpha)
+
+
+def test_coupling_must_be_one_number():
+    with pytest.raises(DomainError, match=re.escape("coupling alpha must be one number, got array([1., 2.])")):
+        PotentialSpec("inverse_r2", np.array([1.0, 2.0]))
+
+
+def test_overflowing_born_coefficients_name_the_coupling():
+    # with alpha = 1 these coefficients are finite; alpha = 1e308 makes (2l+1) delta_l / k overflow
+    with pytest.raises(DomainError, match=re.escape("wavenumber k = 0.001 is too small or the coupling "
+                                                    "alpha = 1e+308 too large")):
+        born_series(PotentialSpec("inverse_r2", 1e308), 3, 1e-3)
 
 
 class TestPartialWaveIdentity:
