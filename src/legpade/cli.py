@@ -8,9 +8,9 @@ Two subcommands:
   partial sum, the approximant, the exact oracle where one exists, and the
   cross section.
 
-Exit codes: 0 success, 1 output file cannot be written, 2 construction
-failure, 3 quadrature failure, 4 bad arguments. All angles are radians. A
-``key = value`` config file can pre-load any long flag; explicit flags win.
+Exit codes: 0 success, 1 output file cannot be written, 2 construction failure, 3
+quadrature failure, 4 bad arguments (also when their arrays exceed memory). All angles are
+radians. A ``key = value`` config file can pre-load any long flag; explicit flags win.
 """
 
 from __future__ import annotations
@@ -310,7 +310,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except QuadratureConvergenceError as exc:
         print(f"legpade: quadrature failed: {exc}", file=sys.stderr)
         return EXIT_QUADRATURE
-    except (DomainError, ValueError) as exc:
+    except (DomainError, ValueError, MemoryError) as exc:  # MemoryError: an array too large for the arguments
         print(f"legpade: bad arguments: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
     except OverflowError as exc:

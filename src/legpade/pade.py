@@ -41,7 +41,7 @@ from .errors import (
 )
 from .series import ComplexSeries, _legendre_sums
 # legendre_eval_all and threej_zero_sq_float are unused here; perfbench/tracer.py rebinds them on this module
-from .special import _check_order, legendre_eval_all, threej_zero_sq_float  # noqa: F401
+from .special import _check_order, _finite, legendre_eval_all, threej_zero_sq_float  # noqa: F401
 
 __all__ = [
     "PadeApproximant",
@@ -236,9 +236,5 @@ def evaluate(p: PadeApproximant, theta):
         if not cmath.isfinite(value):
             raise DomainError(f"the approximant overflows at theta = {float(theta)}")
         return value
-    with np.errstate(over="ignore"):
-        value = num / den
-    bad = ~np.isfinite(value)
-    if bad.any():
-        raise DomainError(f"the approximant overflows at theta = {np.min(np.asarray(theta, dtype=float)[bad])}")
-    return value
+    return _finite(lambda: num / den, lambda bad: DomainError(
+        f"the approximant overflows at theta = {np.min(np.asarray(theta, dtype=float)[bad])}"))

@@ -10,8 +10,8 @@ Four families feed the rational resummation:
 
 The closed forms take an angle or an array of them through the one angle guard,
 ``series._check_theta``, and reject theta = 0 and any angle where they overflow.
-A wavenumber so small that the Coulomb or Born coefficients overflow raises a
-DomainError that names it (and, for Born, the coupling alpha).
+A wavenumber so small that the Coulomb or Born coefficients overflow, or a Born coupling
+so large, raises a DomainError that names them; ``special._finite`` makes each such check.
 
 Phase-shift quadratures use the numpy Gauss-Kronrod integrator of
 ``legpade.quadrature``; the improper integrals are split at documented
@@ -37,9 +37,9 @@ import numpy as np
 from .errors import DomainError, QuadratureConvergenceError
 from .quadrature import quad
 from .series import ComplexSeries, _check_theta
-from .special import _check_order, _hankel_envelopes, _in_range, log_gamma_complex, spherical_bessel_jy_all
+from .special import _check_order, _finite, _hankel_envelopes, _in_range, log_gamma_complex
 # spherical_bessel_j/_y are unused here; perfbench/tracer.py rebinds them on this module
-from .special import spherical_bessel_j, spherical_bessel_y  # noqa: F401
+from .special import spherical_bessel_j, spherical_bessel_jy_all, spherical_bessel_y  # noqa: F401
 
 __all__ = [
     "PotentialSpec",
@@ -61,11 +61,12 @@ __all__ = [
 
 POTENTIAL_KINDS = ("inverse_r2",)
 _BIG = float(np.finfo(float).max)
+_SQRT_BIG = math.sqrt(_BIG)  # the largest float whose square is finite
 _K_MIN = math.nextafter(1.0 / _BIG, 1.0)  # the least wavenumber whose 1/k is finite
 
 
 def _check_coupling(alpha):
-    return _in_range(alpha, -_BIG, _BIG, "coupling alpha must be a finite number, got {}")
+    return _in_range(alpha, -_BIG, _BIG, "coupling alpha must be a finite number, got {}", "coupling alpha")
 
 
 @dataclass(frozen=True)
@@ -79,8 +80,7 @@ class PotentialSpec:
     def __post_init__(self):
         if self.kind not in POTENTIAL_KINDS:
             raise ValueError(f"kind must be one of {POTENTIAL_KINDS}, got {self.kind!r}")
-        if np.ndim(_check_coupling(self.alpha)):
-            raise DomainError(f"coupling alpha must be one number, got {self.alpha!r}")
+        _check_coupling(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -101,10 +101,12 @@ class RNParams:
     omega: float = field(init=False)
 
     def __post_init__(self):
-        _in_range(self.mass, math.ulp(0.0), _BIG, "mass must be finite and positive, got {}")
-        _in_range(self.charge, -_BIG, _BIG, "charge must be finite, got {}")
-        _in_range(self.eta, math.ulp(0.0), _BIG, "wavenumber eta must be finite and positive, got {}")
-        _in_range(self.mu, 0.0, _BIG, "particle mass mu must be finite and non-negative, got {}")
+        _in_range(self.mass, math.ulp(0.0), _BIG, "mass must be finite and positive, got {}", "mass")
+        _in_range(self.charge, -_BIG, _BIG, "charge must be finite, got {}", "charge")
+        _in_range(self.eta, math.ulp(0.0), _BIG, "wavenumber eta must be finite and positive, got {}", "eta")
+        _in_range(self.mu, 0.0, _BIG, "particle mass mu must be finite and non-negative, got {}", "mu")
+        _in_range(self.mass, 0.0, _SQRT_BIG, "mass = {} is too large: its square overflows")
+        _in_range(self.mu, 0.0, _SQRT_BIG, "particle mass mu = {} is too large: its square overflows")
         if abs(self.charge) >= self.mass:
             raise ValueError(
                 f"|Q| = {abs(self.charge)} must be strictly below M = {self.mass} "
@@ -122,17 +124,15 @@ def unit_series(n: int) -> ComplexSeries:
 
 
 def _check_wavenumber(k: float) -> float:
-    return _in_range(k, _K_MIN, _BIG, "wavenumber must be positive and finite, got {} (1/k must be finite too)")
+    return _in_range(k, _K_MIN, _BIG, "wavenumber must be positive and finite, got {} (1/k must be finite too)",
+                     "wavenumber k")
 
 
 def _closed_form(theta, amplitude: str, f):
     """f(sin(theta/2)) after the angle guard; DomainError names ``amplitude`` where it is not finite."""
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        value = f(np.sin(0.5 * _check_theta(theta)))
     # |f| falls as theta grows, so the smallest angle is one where it is not finite
-    if not np.all(np.isfinite(value)):
-        raise DomainError(f"{amplitude} is not finite at theta = {np.min(theta)}")
-    return value
+    return _finite(lambda: f(np.sin(0.5 * _check_theta(theta))),
+                   lambda bad: DomainError(f"{amplitude} is not finite at theta = {np.min(theta)}"))
 
 
 def exact_half_csc(theta):
@@ -146,23 +146,17 @@ def _overflow_at(k: float, alpha: float | None = None) -> DomainError:
 
 
 def _series_at(k: float, coefficients, alpha: float | None = None) -> ComplexSeries:
-    """ComplexSeries of coefficients() computed under np.errstate; DomainError names the
-    wavenumber k, and the coupling alpha of a Born series, where an entry is not finite."""
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        c = coefficients()
-    if not np.all(np.isfinite(c)):
-        raise _overflow_at(k, alpha)
-    return ComplexSeries(c)
+    """ComplexSeries of coefficients(), computed through the guard ``special._finite``: DomainError
+    names the wavenumber k, and the coupling alpha of a Born series, where an entry is not finite."""
+    return ComplexSeries(_finite(coefficients, lambda bad: _overflow_at(k, alpha)))
 
 
 def _gamma_ratio(k: float) -> complex:
     """Gamma(1 + i/k) / Gamma(1 - i/k), the l = 0 Coulomb phase factor; DomainError names k
     where its log-gamma difference overflows."""
     ik = 1j / k
-    log_ratio = log_gamma_complex(1 + ik) - log_gamma_complex(1 - ik)
-    if not cmath.isfinite(log_ratio):
-        raise _overflow_at(k)
-    return cmath.exp(log_ratio)
+    return cmath.exp(_finite(lambda: log_gamma_complex(1 + ik) - log_gamma_complex(1 - ik),
+                             lambda bad: _overflow_at(k)))
 
 
 def coulomb_series(n: int, k: float) -> ComplexSeries:
@@ -234,16 +228,16 @@ def _bessel_sq_moments(n: int) -> np.ndarray:
 
 
 def _born_shifts(potential: PotentialSpec, n: int, k: float, method: str) -> np.ndarray:
-    """First-order phase shifts of the orders 0..n, after checking the arguments."""
+    """First-order phase shifts of the orders 0..n, after the argument checks; an overflow names alpha."""
     if method not in ("auto", "quadrature"):
         raise ValueError(f"method must be 'auto' or 'quadrature', got {method!r}")
     n = _check_order(n, "partial-wave order")
     _check_wavenumber(k)
     if potential.alpha == 0.0:
         return np.zeros(n + 1)
-    if method == "auto":
-        return -math.pi * potential.alpha / (2.0 * (2 * np.arange(n + 1) + 1))
-    return -potential.alpha * _bessel_sq_moments(n)
+    moments = None if method == "auto" else _bessel_sq_moments(n)
+    return _finite(lambda: -math.pi * potential.alpha / (2.0 * (2 * np.arange(n + 1) + 1)) if moments is None
+                   else -potential.alpha * moments, lambda bad: _overflow_at(k, potential.alpha))
 
 
 def born_phase_shift(potential: PotentialSpec, l: int, k: float, method: str = "auto") -> float:
@@ -290,7 +284,7 @@ def _rn_radial(r, params: RNParams):
 
 def _check_outside_horizon(r: float, params: RNParams) -> float:
     return _in_range(r, math.nextafter(params.r_plus, math.inf), math.inf,
-                     f"r = {{}} must lie outside the outer horizon r_+ = {params.r_plus}")
+                     f"r = {{}} must lie outside the outer horizon r_+ = {params.r_plus}", "r")
 
 
 def rn_tortoise(r: float, params: RNParams) -> float:
@@ -307,6 +301,7 @@ def rn_effective_potential(r: float, l: int, params: RNParams) -> float:
     """Effective radial potential for angular momentum l."""
     r = _check_outside_horizon(r, params)
     l = _check_order(l, "partial-wave order")
+    _in_range(r, 0.0, _SQRT_BIG, "r = {} is too large: its square overflows")
     _, horizon_factor, w0 = _rn_radial(r, params)
     return float(horizon_factor * (l * (l + 1) / r**2 + w0))
 
@@ -349,10 +344,11 @@ def _rn_first_order(ls: np.ndarray, params: RNParams, horizon_epsilon: float,
     rp, rm, eta = params.r_plus, params.r_minus, params.eta
     if r_max is None:
         r_max = 50.0 / eta
-    if not rp * (1.0 + horizon_epsilon) > rp:
-        raise DomainError(f"horizon_epsilon = {horizon_epsilon} puts the lower cutoff on r_+")
-    _in_range(r_max, math.nextafter(rp * (1.0 + horizon_epsilon), math.inf), math.sqrt(_BIG),
-              "r_max = {} must be finite, with a finite square, and lie beyond the lower quadrature cutoff")
+    cutoff = "horizon_epsilon = {} puts the lower cutoff on r_+"
+    if not rp * (1.0 + _in_range(horizon_epsilon, -math.inf, math.inf, cutoff, "horizon_epsilon")) > rp:
+        raise DomainError(cutoff.format(horizon_epsilon))
+    _in_range(r_max, math.nextafter(rp * (1.0 + horizon_epsilon), math.inf), _SQRT_BIG,
+              "r_max = {} must be finite, with a finite square, and lie beyond the lower quadrature cutoff", "r_max")
 
     def weights(r):
         # (nodes, 4): sin^2(eta r*) against 1/r^2 and w0, then sin(2 eta r*) against both
@@ -425,8 +421,5 @@ def rn_series(
 def cross_section(f):
     """Differential cross section, the squared modulus of the amplitude (or of each in an array).
     Raises DomainError where |f|^2 overflows (or f is not finite), for a scalar and an array alike."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        sigma = np.abs(f) ** 2
-    if not np.all(np.isfinite(sigma)):
-        raise DomainError(f"the cross section |f|^2 overflows: largest |f| = {np.max(np.abs(f)):.3e}")
-    return sigma
+    return _finite(lambda: np.abs(f) ** 2, lambda bad: DomainError(
+        f"the cross section |f|^2 overflows: largest |f| = {np.max(np.abs(f)):.3e}"))

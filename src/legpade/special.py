@@ -1,4 +1,4 @@
-"""Self-contained special functions.
+"""Self-contained special functions, and the package's guards of arguments and of results.
 
 Legendre polynomials by the Bonnet three-term recurrence (one evaluator,
 ``legendre_eval_all``, for a scalar argument or an array of them), squared
@@ -37,9 +37,10 @@ __all__ = [
 _X_TOL = 1.0 + 4.0 * np.finfo(float).eps
 
 
-def _in_range(x, lo: float, hi: float, message: str):
+def _in_range(x, lo: float, hi: float, message: str, name: str | None = None):
     """x as a float, or an array-like as a float array, after checking that every
     entry lies in [lo, hi] (NaN does not); ``message`` formats the first that does not.
+    Given the ``name`` of a parameter that must be one number, an array raises DomainError naming it.
     Text (a str, bytes, or an array-like of them) is rejected, though numpy would parse it."""
     if not isinstance(x, float) and np.asarray(x).dtype.kind in "SU":
         raise DomainError(message.format(repr(x)))
@@ -49,10 +50,22 @@ def _in_range(x, lo: float, hi: float, message: str):
         if lo <= x <= hi:
             return x
         raise DomainError(message.format(x))
+    if name is not None:
+        raise DomainError(f"{name} must be one number, got {x!r}")
     inside = (lo <= x) & (x <= hi)
     if not inside.all():
         raise DomainError(message.format(x.flat[np.argmin(inside)]))
     return x
+
+
+def _finite(compute, error):
+    """compute() under np.errstate that silences overflow, division by zero and invalid values;
+    raises error(bad), a DomainError, where the mask bad marks an entry that is not finite."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        value = compute()
+    if (bad := ~np.isfinite(value)).any():
+        raise error(bad)
+    return value
 
 
 def _check_order(n, what: str) -> int:
@@ -243,12 +256,12 @@ def _hankel_envelopes(n: int, z) -> np.ndarray:
 
 def spherical_bessel_j(l: int, x: float) -> float:
     """Spherical Bessel function j_l(x) for x >= 0: entry l of ``spherical_bessel_jy_all(l, x)``."""
-    x = _in_range(x, 0.0, math.inf, "argument must be non-negative, got {}")
+    x = _in_range(x, 0.0, math.inf, "argument must be non-negative, got {}", "argument x")
     return float(spherical_bessel_jy_all(l, np.array([x]))[0][-1, 0])
 
 
 def spherical_bessel_y(l: int, x: float) -> float:
     """Spherical Bessel function of the second kind, y_l(x), x > 0: entry l of
     ``spherical_bessel_jy_all(l, x)``."""
-    x = _in_range(x, math.ulp(0.0), math.inf, "argument must be positive, got {}")
+    x = _in_range(x, math.ulp(0.0), math.inf, "argument must be positive, got {}", "argument x")
     return float(spherical_bessel_jy_all(l, np.array([x]))[1][-1, 0])

@@ -271,6 +271,27 @@ class TestCompareCommand:
         assert run_cli(["compare", "--demo", "invr2", "--alpha", "1e308"]) == 4
         assert "wavenumber k = 1.0 is too small or the coupling alpha = 1e+308 too large" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, name", [
+        (["--mass", "1e200"], "mass = 1e+200"),
+        (["--mu", "1e200"], "particle mass mu = 1e+200"),
+    ])
+    def test_rn_value_whose_square_overflows_names_it(self, capsys, flags, name):
+        assert run_cli(["compare", "--demo", "rn", *flags, "--steps", "3"]) == 4
+        assert f"legpade: bad arguments: {name} is too large: its square overflows" in capsys.readouterr().err
+
+    def test_out_of_memory_is_bad_args(self, monkeypatch, capsys):
+        # numpy raises MemoryError for an array too large for the arguments (--N 1000000 asks
+        # for a 7.28 TiB matrix); a stub raises it here, as a real allocation that large may
+        # succeed under overcommit and then exhaust the machine
+        message = "Unable to allocate 7.28 TiB for an array with shape (1000001, 500001) and data type complex128"
+
+        def no_memory(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "construct", no_memory)
+        assert run_cli(["compare", "--demo", "unit", "--steps", "3"]) == 4
+        assert capsys.readouterr().err == f"legpade: bad arguments: {message}\n"
+
     def test_quadrature_failure_exit_code(self):
         # an absurd upper cutoff forces the oscillatory quadrature past its
         # subdivision budget

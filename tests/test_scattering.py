@@ -29,7 +29,7 @@ from legpade.scattering import (
     unit_series,
 )
 from legpade.series import eval_partial_sum, project_legendre_coefficient
-from legpade.special import legendre_eval, log_gamma_complex, spherical_bessel_j
+from legpade.special import legendre_eval, log_gamma_complex, spherical_bessel_j, spherical_bessel_y
 
 RN_REFERENCE = RNParams(mass=10.0, charge=5.0, eta=1e-4, mu=1e-6)
 
@@ -264,6 +264,55 @@ def test_overflowing_born_coefficients_name_the_coupling():
     with pytest.raises(DomainError, match=re.escape("wavenumber k = 0.001 is too small or the coupling "
                                                     "alpha = 1e+308 too large")):
         born_series(PotentialSpec("inverse_r2", 1e308), 3, 1e-3)
+
+
+PAIR = np.array([1.0, 2.0])
+ONE_NUMBER_CALLS = {
+    "born_phase_shift k": ("wavenumber k", lambda: born_phase_shift(PotentialSpec("inverse_r2", 1.0), 2, PAIR)),
+    "born_series k": ("wavenumber k", lambda: born_series(PotentialSpec("inverse_r2", 1.0), 3, PAIR)),
+    "born_exact_invr2 alpha": ("coupling alpha", lambda: born_exact_invr2(1.0, PAIR, 1.0)),
+    "born_exact_invr2 k": ("wavenumber k", lambda: born_exact_invr2(1.0, 1.0, PAIR)),
+    "coulomb_series k": ("wavenumber k", lambda: coulomb_series(4, PAIR)),
+    "coulomb_exact k": ("wavenumber k", lambda: coulomb_exact(1.0, PAIR)),
+    "RNParams mass": ("mass", lambda: RNParams(mass=10.0 * PAIR, charge=1.0, eta=1e-4)),
+    "RNParams charge": ("charge", lambda: RNParams(mass=10.0, charge=PAIR, eta=1e-4)),
+    "RNParams eta": ("eta", lambda: RNParams(mass=10.0, charge=5.0, eta=PAIR)),
+    "RNParams mu": ("mu", lambda: RNParams(mass=10.0, charge=5.0, eta=1e-4, mu=PAIR)),
+    "rn_tortoise r": ("r", lambda: rn_tortoise(100.0 * PAIR, RN_REFERENCE)),
+    "rn_drstar_dr r": ("r", lambda: rn_drstar_dr(100.0 * PAIR, RN_REFERENCE)),
+    "rn_effective_potential r": ("r", lambda: rn_effective_potential(100.0 * PAIR, 2, RN_REFERENCE)),
+    "rn_series r_max": ("r_max", lambda: rn_series(3, RN_REFERENCE, r_max=1e6 * PAIR)),
+    "rn_series horizon_epsilon": ("horizon_epsilon", lambda: rn_series(3, RN_REFERENCE, horizon_epsilon=1e-8 * PAIR)),
+    "spherical_bessel_j x": ("argument x", lambda: spherical_bessel_j(2, PAIR)),
+    "spherical_bessel_y x": ("argument x", lambda: spherical_bessel_y(2, PAIR)),
+}
+
+
+@pytest.mark.parametrize("call", sorted(ONE_NUMBER_CALLS))
+def test_scalar_parameter_must_be_one_number(call):
+    # unchecked, these return an array or fail in numpy with a TypeError or ValueError naming no parameter
+    name, f = ONE_NUMBER_CALLS[call]
+    with pytest.raises(DomainError, match=re.escape(f"{name} must be one number, got array(")):
+        f()
+
+
+@pytest.mark.parametrize("method, alpha", [("auto", 1.7e308), ("quadrature", 1.5e308)])
+def test_overflowing_born_shift_names_the_coupling(method, alpha):
+    # -pi alpha / 2 overflows (auto), as does alpha times the Bessel moment (quadrature); pytest turns
+    # numpy's overflow RuntimeWarning into an error, so the guard must also keep it quiet
+    with pytest.raises(DomainError, match=re.escape(f"the coupling alpha = {alpha} too large")):
+        born_phase_shift(PotentialSpec("inverse_r2", alpha), 0, 1.0, method=method)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("mass = 1e+200", lambda: RNParams(mass=1e200, charge=5e199, eta=1e-4)),
+    ("particle mass mu = 1e+200", lambda: rn_series(4, RNParams(10.0, 5.0, 1e-4, mu=1e200))),
+    ("r = 1e+200", lambda: rn_effective_potential(1e200, 2, RN_REFERENCE)),
+], ids=["mass", "mu", "r"])
+def test_rn_value_whose_square_overflows_is_named(name, call):
+    # unchecked, Python's float power raises a bare OverflowError for each square
+    with pytest.raises(DomainError, match=re.escape(f"{name} is too large: its square overflows")):
+        call()
 
 
 class TestPartialWaveIdentity:

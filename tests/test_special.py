@@ -8,6 +8,7 @@ from numpy.polynomial.legendre import leggauss
 
 from legpade.errors import DomainError, PoleError
 from legpade.special import (
+    _finite,
     _hankel_envelopes,
     _in_range,
     legendre_eval,
@@ -275,3 +276,15 @@ def test_numeric_text_is_not_a_number(text):
     # numpy would read these as 10.0, 0.5, [1.0, 2.0] and [0.5]
     with pytest.raises(DomainError, match=re.escape(f"got {text!r}")):
         _in_range(text, 0.0, 100.0, "value must lie in [0, 100], got {}")
+
+
+def test_finite_guard_names_the_entries_that_are_not_finite():
+    def error(bad):
+        return DomainError(f"not finite at entries {np.flatnonzero(bad).tolist()}")
+
+    assert _finite(lambda: 1.0 / np.array([2.0, 4.0]), error).tolist() == [0.5, 0.25]
+    # division by zero, 0/0 and overflow; pytest turns numpy's RuntimeWarning into an error,
+    # so the guard must keep all three quiet
+    with pytest.raises(DomainError, match=re.escape("not finite at entries [1, 2, 3]")):
+        _finite(lambda: np.array([1.0, 1.0, 0.0, 1e308]) / np.array([2.0, 0.0, 0.0, 1e-308]), error)
+    assert _finite(lambda: complex(3.0, 4.0), error) == 3 + 4j  # a Python scalar passes through
