@@ -3,8 +3,8 @@
 
 Partial waves are built from the zeroth-order phase shift (closed form)
 plus the first-order correction (four improper integrals over the effective
-potential in the tortoise coordinate, taken together in four quadratures
-that serve every order); the first-order shifts printed here are read back
+potential in the tortoise coordinate, taken together in one quadrature over
+u = ln(r/r_+ - 1) that serves every order); the first-order shifts printed here are read back
 from the series coefficients. No closed-form amplitude exists here; the
 oscillation removal shows up as the collapse in total variation of |f| near
 the backward direction.

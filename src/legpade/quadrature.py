@@ -89,6 +89,8 @@ def _panel(f, a: float, b: float) -> tuple[np.ndarray, float]:
     the largest of their QUADPACK error estimates."""
     half = 0.5 * (b - a)
     fx = f(0.5 * (a + b) + half * NODES)
+    if not np.isfinite(fx).all():
+        raise QuadratureConvergenceError(f"non-finite integrand on [{a:g}, {b:g}]")
     resk, resg = _WEIGHTS @ fx
     resabs, resasc = (np.abs(np.concatenate([fx.T, (fx - 0.5 * resk).T])) @ KRONROD_WEIGHTS).reshape(2, -1)
     result = resk * half

@@ -14,15 +14,15 @@ A wavenumber so small that the Coulomb or Born coefficients overflow, or a Born 
 so large, raises a DomainError that names them; ``special._finite`` makes each such check.
 
 Phase-shift quadratures use the numpy Gauss-Kronrod integrator of
-``legpade.quadrature``; the improper integrals are split at documented
-breakpoints and the near-horizon log endpoint is tamed with a logarithmic
-substitution. The Born integrands of all orders 0..N form one (nodes, orders)
+``legpade.quadrature``. The Born integrands of all orders 0..N form one (nodes, orders)
 block, so three quadratures give every Born shift up to N: the body of j_l^2,
 the mean of its tail, and the tail's oscillating part on a contour rotated
 into the upper half plane, where it decays like e^(-2t). A single-order call
 integrates orders 0..l. The Reissner-Nordstrom first-order integrands are
-linear in l(l+1), so one four-component integral (four quadratures) gives the
-shifts of every order. Each quadrature logs its interval, error estimate and integrand points at
+linear in l(l+1), so one four-component integral gives the shifts of every
+order, in one quadrature over u = ln(r/r_+ - 1), where the log endpoint at the
+horizon is smooth; weights that overflow raise a DomainError naming mass and mu.
+Each quadrature logs its interval, error estimate and integrand points at
 DEBUG on the ``legpade.scattering`` logger.
 """
 
@@ -106,6 +106,7 @@ class RNParams:
         _in_range(self.eta, math.ulp(0.0), _BIG, "wavenumber eta must be finite and positive, got {}", "eta")
         _in_range(self.mu, 0.0, _BIG, "particle mass mu must be finite and non-negative, got {}", "mu")
         _in_range(self.mass, 0.0, _SQRT_BIG, "mass = {} is too large: its square overflows")
+        _in_range(self.mass, 1.0 / _SQRT_BIG, _BIG, "mass = {} is too small: its square underflows")
         _in_range(self.mu, 0.0, _SQRT_BIG, "particle mass mu = {} is too large: its square overflows")
         if abs(self.charge) >= self.mass:
             raise ValueError(
@@ -306,40 +307,12 @@ def rn_effective_potential(r: float, l: int, params: RNParams) -> float:
     return float(horizon_factor * (l * (l + 1) / r**2 + w0))
 
 
-def _rn_integral(f, params: RNParams, horizon_epsilon: float, r_max: float) -> np.ndarray:
-    """Integral of the (nodes, m) block f over (r_+, r_max] with the documented cutoffs.
-
-    The slice hugging the horizon is integrated in u = ln(r/r_+ - 1), where
-    the integrable log endpoint becomes smooth; the rest is split at the
-    potential's near zone and the first oscillation scale, one quadrature per piece.
-    """
-    rp = params.r_plus
-    total = 0.0
-
-    def near(u):
-        e = np.exp(u)
-        return f(rp * (1.0 + e)) * (rp * e)[:, None]
-
-    hi0 = min(2.0 * rp, r_max)
-    if hi0 > rp * (1.0 + horizon_epsilon):
-        u_hi = math.log(hi0 / rp - 1.0)
-        value, _, _ = _checked_quad(near, math.log(horizon_epsilon), u_hi, epsabs=1e-13, epsrel=1e-9)
-        total += value
-    lo = hi0
-    for hi in sorted({min(20.0 * rp, r_max), min(1.0 / params.eta, r_max), r_max}):
-        if hi <= lo:
-            continue
-        value, _, _ = _checked_quad(f, lo, hi, epsabs=1e-13, epsrel=1e-9, limit=1500)
-        total += value
-        lo = hi
-    return total
-
-
 def _rn_first_order(ls: np.ndarray, params: RNParams, horizon_epsilon: float,
                     r_max: float | None) -> np.ndarray:
     """First-order phase shifts of the orders ``ls``: for each oscillator, sin^2(eta r*)
     and sin(2 eta r*), the integral against l(l+1)/r^2 + w0 is l(l+1) A + B, with A
-    against 1/r^2 and B against w0, so one four-component integral serves every order.
+    against 1/r^2 and B against w0, so one four-component integral serves every order,
+    one quadrature over u = ln(r/r_+ - 1) from ln(horizon_epsilon) to ln(r_max/r_+ - 1).
     r_max must be beyond r_+(1 + horizon_epsilon), with r_max^2 finite, else DomainError."""
     rp, rm, eta = params.r_plus, params.r_minus, params.eta
     if r_max is None:
@@ -350,13 +323,21 @@ def _rn_first_order(ls: np.ndarray, params: RNParams, horizon_epsilon: float,
     _in_range(r_max, math.nextafter(rp * (1.0 + horizon_epsilon), math.inf), _SQRT_BIG,
               "r_max = {} must be finite, with a finite square, and lie beyond the lower quadrature cutoff", "r_max")
 
-    def weights(r):
-        # (nodes, 4): sin^2(eta r*) against 1/r^2 and w0, then sin(2 eta r*) against both
+    def block(u):
+        # (nodes, 4) at r = r_+(1 + e^u), times dr/du = r_+ e^u: sin^2(eta r*)
+        # against 1/r^2 and w0, then sin(2 eta r*) against both
+        e = np.exp(u)
+        r = rp * (1.0 + e)
         rstar, _, w0 = _rn_radial(r, params)
         sin2, sin2e, inv2 = np.sin(eta * rstar) ** 2, np.sin(2.0 * eta * rstar), 1.0 / (r * r)
-        return np.stack([sin2 * inv2, sin2 * w0, sin2e * inv2, sin2e * w0], axis=1)
+        return np.stack([sin2 * inv2, sin2 * w0, sin2e * inv2, sin2e * w0], axis=1) * (rp * e)[:, None]
 
-    a_sin2, b_sin2, a_sin2e, b_sin2e = _rn_integral(weights, params, horizon_epsilon, r_max)
+    def weights(u):
+        return _finite(lambda: block(u), lambda bad: DomainError(
+            f"mass = {params.mass} and particle mass mu = {params.mu} make the first-order weights overflow"))
+
+    (a_sin2, b_sin2, a_sin2e, b_sin2e), _, _ = _checked_quad(
+        weights, math.log(horizon_epsilon), math.log(r_max / rp - 1.0), epsabs=1e-13, epsrel=1e-9, limit=1500)
     ll = ls * (ls + 1.0)
     i_sin2, i_sin2e = ll * a_sin2 + b_sin2, ll * a_sin2e + b_sin2e
     phase = -np.arctan((i_sin2 / eta) / (1.0 + i_sin2e / eta))
@@ -376,7 +357,7 @@ def rn_phase_shift(
     2*M*eta*ln(sqrt(M^2-Q^2)/M). Order 1 is linear in l(l+1) over four improper
     integrals of the effective potential, cut off at r_+(1 + horizon_epsilon)
     below and r_max (default 50/eta, several oscillation wavelengths) above, in
-    four shared quadratures that serve every l; build many orders with ``rn_series``.
+    one quadrature that serves every l; build many orders with ``rn_series``.
     """
     l = _check_order(l, "partial-wave order")
     if order not in (0, 1):
@@ -401,7 +382,7 @@ def rn_series(
 ) -> ComplexSeries:
     """Partial-wave series c_l = (2l+1)/(2i omega) * exp(2i delta_l) terms.
 
-    All first-order shifts share four quadratures (see ``rn_phase_shift``).
+    All first-order shifts share one quadrature (see ``rn_phase_shift``).
     The l*pi/2 part of the zeroth-order shift only contributes a factor
     (-1)^l to the exponential, which mirrors the amplitude through
     theta -> pi - theta; the series is built in the orientation with the

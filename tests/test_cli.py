@@ -242,9 +242,12 @@ class TestCompareCommand:
         ["--demo", "invr2", "--alpha", "1e300"],  # |f|^2 of the approximant
         ["--demo", "rn", "--mass", "1e300"],  # the mass squared in RNParams
         ["--demo", "rn", "--mu", "1e300"],  # mu squared in the radial weights
+        ["--demo", "rn", "--mu", "1e151"],  # mu^2 over the horizon factor in the first-order weights
+        ["--demo", "rn", "--mass", "1e-120"],  # 1/r^3 near a tiny horizon in the first-order weights
     ])
     def test_overflowing_value_is_bad_args(self, capsys, flags):
-        # a huge finite flag is a bad argument, not an OverflowError traceback (exit 1)
+        # a finite flag that overflows a value is a bad argument, not an OverflowError
+        # traceback (exit 1) or a quadrature failure on non-finite weights (exit 3)
         assert run_cli(["compare", *flags, "--steps", "3"]) == 4
         assert "overflow" in capsys.readouterr().err
 

@@ -315,6 +315,22 @@ def test_rn_value_whose_square_overflows_is_named(name, call):
         call()
 
 
+def test_rn_mass_whose_square_underflows_is_named():
+    # unchecked, r_+ = r_- and the order-0 shift takes the log of zero
+    with pytest.raises(DomainError, match=re.escape("mass = 1e-300 is too small: its square underflows")):
+        RNParams(1e-300, 0.0, 1e-4)
+
+
+@pytest.mark.parametrize("params", [RNParams(10.0, 5.0, 1e-4, mu=1e151), RNParams(1e-120, 0.0, 1e-4)],
+                         ids=["mu", "mass"])
+def test_overflowing_rn_weights_name_mass_and_mu(params):
+    # mu^2 over the horizon factor, or 1/r^3 near a tiny horizon, overflows; pytest turns
+    # numpy's RuntimeWarning into an error, so the guard must also keep it quiet
+    message = f"mass = {params.mass} and particle mass mu = {params.mu} make the first-order weights overflow"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        rn_series(4, params)
+
+
 class TestPartialWaveIdentity:
     def test_bessel_legendre_sum(self):
         # sum of (2l+1) j_l(kr)^2 P_l(cos theta) converges to sin(qr)/(qr)
@@ -477,7 +493,7 @@ class TestRNPhaseShift:
                 rn_series(3, RN_REFERENCE, r_max=r_max)
 
     def test_single_order_makes_the_series_quadratures(self, monkeypatch):
-        # one four-component quadrature per radial piece, for a single order as for a series
+        # one four-component quadrature in u = ln(r/r_+ - 1), for a single order as for a series
         calls = []
         original = scattering.quad
 
@@ -489,8 +505,26 @@ class TestRNPhaseShift:
         rn_series(20, RN_REFERENCE)
         series_calls, calls[:] = calls[:], []
         value = rn_phase_shift(7, RN_REFERENCE, 1)
-        assert len(calls) == 4 and calls == series_calls
+        assert calls == series_calls == [(math.log(1e-8), math.log(5e5 / RN_REFERENCE.r_plus - 1.0))]
         assert value == scattering._rn_first_order(np.arange(21), RN_REFERENCE, 1e-8, None)[7]
+
+    def test_cutoff_beyond_twice_the_horizon_moves_the_integral(self):
+        # eps >= 1 puts the lower cutoff at r_+(1 + eps) >= 2 r_+, checked against QUADPACK in r
+        p = RN_REFERENCE
+        rp, eta = p.r_plus, p.eta
+        values = [rn_phase_shift(1, p, 1, horizon_epsilon=eps) for eps in (1.0, 2.0, 10.0)]
+        assert len(set(values)) == 3
+
+        def integral(osc):
+            def g(r):
+                rstar, _, w0 = _rn_radial(r, p)
+                return osc(eta * rstar) * (2.0 / (r * r) + w0)
+            return quad(g, 11.0 * rp, 50.0 / eta, epsabs=0.0, epsrel=1e-12, limit=1000)[0]
+
+        i_sin2, i_sin2e = integral(lambda x: math.sin(x) ** 2), integral(lambda x: math.sin(2.0 * x))
+        expected = -math.atan((i_sin2 / eta) / (1.0 + i_sin2e / eta))
+        expected += (rp + p.r_minus) * eta * math.log((rp - p.r_minus) / (rp + p.r_minus))
+        assert values[2] == pytest.approx(expected, rel=1e-9)
 
     def test_cutoff_on_horizon_rejected(self):
         for epsilon in (1e-17, 0.0, -1e-3):
@@ -559,8 +593,9 @@ class TestRNSeries:
             caplog.clear()
             rn_series(n, RN_REFERENCE)
             records = [r for r in caplog.records if r.name == "legpade.scattering"]
-            # for all orders and weights together: the near-horizon slice and three outer pieces
-            assert len(records) == 4
+            # for all orders and weights together, over [ln eps, ln(r_max/r_+ - 1)]
+            assert len(records) == 1
+            assert records[0].args[:2] == (math.log(1e-8), math.log(5e5 / RN_REFERENCE.r_plus - 1.0))
             for record in records:
                 assert record.levelno == logging.DEBUG
                 lo, hi, abserr, neval = record.args
