@@ -24,7 +24,7 @@ ALPHA, K = 1.0, 1.0
 pot = PotentialSpec("inverse_r2", ALPHA)
 
 print("Born phase shifts: closed form vs quadrature of -k int j_l^2 V r^2 dr")
-# born_series integrates every order in the same three quadratures; c_l = (2l+1) delta_l / k
+# born_series integrates every order in the same two quadratures; c_l = (2l+1) delta_l / k
 by_quadrature = born_series(pot, 4, K, method="quadrature").coefficients.real
 for l, c in enumerate(by_quadrature):
     closed = born_phase_shift(pot, l, K)

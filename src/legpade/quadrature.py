@@ -28,6 +28,7 @@ import sys
 import numpy as np
 
 from .errors import QuadratureConvergenceError
+from .special import _finite
 
 __all__ = ["quad"]
 
@@ -86,29 +87,27 @@ def _norm(v) -> float:
 
 def _panel(f, a: float, b: float) -> tuple[np.ndarray, float]:
     """G10K21 on one panel of the (21, m) block integrand f: the m Kronrod values and
-    the largest of their QUADPACK error estimates."""
+    the largest of their QUADPACK error estimates. A non-finite integrand value, or a rule
+    sum that overflows, raises QuadratureConvergenceError through ``special._finite``."""
     half = 0.5 * (b - a)
     fx = f(0.5 * (a + b) + half * NODES)
-    if not np.isfinite(fx).all():
-        raise QuadratureConvergenceError(f"non-finite integrand on [{a:g}, {b:g}]")
-    resk, resg = _WEIGHTS @ fx
-    resabs, resasc = (np.abs(np.concatenate([fx.T, (fx - 0.5 * resk).T])) @ KRONROD_WEIGHTS).reshape(2, -1)
-    result = resk * half
-    half = abs(half)
+
+    def sums():
+        # rows: Kronrod value, Kronrod minus Gauss, then the two QUADPACK sums of |f|, times half
+        kg = _WEIGHTS @ fx
+        kg[1] = kg[0] - kg[1]
+        resabs_resasc = np.abs(np.concatenate([fx.T, (fx - 0.5 * kg[0]).T])) @ KRONROD_WEIGHTS
+        return np.concatenate([kg, resabs_resasc.reshape(2, -1)]) * half
+
+    rows = _finite(sums, lambda bad: QuadratureConvergenceError(f"non-finite integrand on [{a:g}, {b:g}]"))
     err = 0.0
-    components = zip(result.tolist(), (resk - resg).tolist(), resabs.tolist(), resasc.tolist())
-    for value, diff, absv, asc in components:
-        absv *= half
-        asc *= half
-        e = abs(diff * half)
-        if not (math.isfinite(value) and math.isfinite(e)):
-            raise QuadratureConvergenceError(f"non-finite integrand on [{a:g}, {b:g}]")
+    for e, absv, asc in zip(*np.abs(rows[1:]).tolist()):
         if asc != 0.0 and e != 0.0:
             e = asc * min(1.0, (200.0 * e / asc) ** 1.5)
         if absv > _TINY / (50.0 * _EPS):
             e = max(50.0 * _EPS * absv, e)
         err = max(err, e)
-    return result, err
+    return rows[0], err
 
 
 def _adaptive(f, a: float, b: float, epsabs: float, epsrel: float, limit: int) -> tuple[np.ndarray, float, int]:

@@ -15,11 +15,11 @@ so large, raises a DomainError that names them; ``special._finite`` makes each s
 
 Phase-shift quadratures use the numpy Gauss-Kronrod integrator of
 ``legpade.quadrature``. The Born integrands of all orders 0..N form one (nodes, orders)
-block, so three quadratures give every Born shift up to N: the body of j_l^2,
-the mean of its tail, and the tail's oscillating part on a contour rotated
-into the upper half plane, where it decays like e^(-2t). A single-order call
-integrates orders 0..l. The Reissner-Nordstrom first-order integrands are
-linear in l(l+1), so one four-component integral gives the shifts of every
+block, so two quadratures give every Born shift up to N: the body of j_l^2,
+and its tail as one integrand, the tail's mean plus its oscillating part on a
+contour rotated into the upper half plane, where it decays like e^(-2t). A
+single-order call integrates orders 0..l. The Reissner-Nordstrom first-order
+integrands are linear in l(l+1), so one four-component integral gives the shifts of every
 order, in one quadrature over u = ln(r/r_+ - 1), where the log endpoint at the
 horizon is smooth; weights that overflow raise a DomainError naming mass and mu.
 Each quadrature logs its interval, error estimate and integrand points at
@@ -198,34 +198,31 @@ def _checked_quad(f, a, b, *, epsabs, epsrel, limit=400):
 
 
 def _bessel_sq_moments(n: int) -> np.ndarray:
-    """integrals of j_l(x)^2 over [0, inf) for l = 0..n, three quadratures.
+    """integrals of j_l(x)^2 over [0, inf) for l = 0..n, two quadratures.
 
     Every order shares each quadrature's panels. The body runs up to
     x0 = max(100, 3n), beyond the turning point of j_n. On the tail,
     j_l^2 = |u_l|^2 / 2 + Re(u_l^2 e^(2ix)) / 2 with u_l = h_l^(1) e^(-ix)
     (``special._hankel_envelopes``): the mean part decays like a power, and by
     Jordan's lemma the oscillatory part's integral is i e^(2i x0) times that of
-    u_l(x0 + it)^2 e^(-2t) over t in [0, inf), a smooth, decaying integrand.
+    u_l(x0 + it)^2 e^(-2t) over t in [0, inf), a smooth, decaying integrand,
+    so both parts are one integrand in t.
     """
     x0 = max(100.0, 3.0 * n)
+    phase = 1j * np.exp(2j * x0)
 
     def body(x):
         j, _ = spherical_bessel_jy_all(n, x)
         return (j * j).T
 
-    def mean(x):
-        return 0.5 * (np.abs(_hankel_envelopes(n, x)) ** 2).T
-
-    def rotated(t):
-        # real parts, then imaginary parts: (nodes, 2(n+1))
-        w = (_hankel_envelopes(n, x0 + 1j * t) ** 2 * np.exp(-2.0 * t)).T
-        return np.hstack([w.real, w.imag])
+    def tail(t):
+        # one recurrence on the stacked points x0 + t and x0 + it
+        u, rotated = np.split(_hankel_envelopes(n, np.concatenate([x0 + t, x0 + 1j * t])), 2, axis=1)
+        return 0.5 * (np.abs(u) ** 2 + (phase * rotated**2).real * np.exp(-2.0 * t)).T
 
     body_value, _, _ = _checked_quad(body, 0.0, x0, epsabs=1e-14, epsrel=1e-12, limit=600)
-    tail_mean, _, _ = _checked_quad(mean, x0, np.inf, epsabs=1e-13, epsrel=1e-12)
-    rotated_value, _, _ = _checked_quad(rotated, 0.0, np.inf, epsabs=1e-13, epsrel=1e-12)
-    re, im = rotated_value.reshape(2, -1)
-    return body_value + tail_mean + 0.5 * (1j * np.exp(2j * x0) * (re + 1j * im)).real
+    tail_value, _, _ = _checked_quad(tail, 0.0, np.inf, epsabs=1e-13, epsrel=1e-12)
+    return body_value + tail_value
 
 
 def _born_shifts(potential: PotentialSpec, n: int, k: float, method: str) -> np.ndarray:
@@ -247,7 +244,7 @@ def born_phase_shift(potential: PotentialSpec, l: int, k: float, method: str = "
     For the 1/r^2 potential the closed form -pi*alpha/(2(2l+1)) is the fast
     path ('auto'); method='quadrature' forces the adaptive integration, which
     must agree with the closed form and serves as its independent check. Its
-    three quadratures integrate every order 0..l at once and return entry l,
+    two quadratures integrate every order 0..l at once and return entry l,
     so build many orders with ``born_series``, not a loop over this.
     """
     return float(_born_shifts(potential, l, k, method)[-1])
@@ -256,7 +253,7 @@ def born_phase_shift(potential: PotentialSpec, l: int, k: float, method: str = "
 def born_series(potential: PotentialSpec, n: int, k: float, method: str = "auto") -> ComplexSeries:
     """Partial-wave series c_l = (2l+1) * phase_shift_l / k, real-valued.
 
-    With method='quadrature' three quadratures serve all orders 0..n (see
+    With method='quadrature' two quadratures serve all orders 0..n (see
     ``born_phase_shift``).
     """
     shifts = _born_shifts(potential, n, k, method)

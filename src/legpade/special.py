@@ -60,19 +60,24 @@ def _in_range(x, lo: float, hi: float, message: str, name: str | None = None):
 
 def _finite(compute, error):
     """compute() under np.errstate that silences overflow, division by zero and invalid values;
-    raises error(bad), a DomainError, where the mask bad marks an entry that is not finite."""
+    raises error(bad) where the mask bad marks an entry that is not finite: a DomainError, or
+    the QuadratureConvergenceError of a quadrature panel."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         value = compute()
-    if (bad := ~np.isfinite(value)).any():
-        raise error(bad)
+    if not (finite := np.isfinite(value)).all():
+        raise error(~finite)
     return value
 
 
 def _check_order(n, what: str) -> int:
     """n as an int after checking that it is a non-negative integral value (an int, a
-    numpy integer or an integral float); DomainError names ``what`` and n otherwise."""
-    if 0 <= n < math.inf and n % 1 == 0:
-        return int(n)
+    numpy integer or an integral float); DomainError names ``what`` and n otherwise,
+    also where the comparison or int() fails (text, None, a complex, an array)."""
+    try:
+        if 0 <= n < math.inf and n % 1 == 0:
+            return int(n)
+    except (TypeError, ValueError):
+        pass
     raise DomainError(f"{what} must be a non-negative integer, got {n}")
 
 

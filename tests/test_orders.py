@@ -73,6 +73,7 @@ bad_orders = st.one_of(
     st.floats(0.0, 1e6).filter(lambda x: x % 1 != 0),
     st.floats(0.0, 1e6).filter(lambda x: x % 1 != 0).map(np.float64),
     st.sampled_from([math.nan, math.inf, -math.inf, np.float64(math.nan), np.float64(math.inf)]),
+    st.sampled_from(["3", None, 3 + 0j, np.array([3]), np.array([1, 2])]),
 )
 
 
@@ -83,6 +84,12 @@ bad_orders = st.one_of(
 @example(order=3.5)
 @example(order=2.5)
 @example(order=5.5)
+# not numbers: the guard's comparison or int() raises TypeError or ValueError
+@example(order="3")
+@example(order=None)
+@example(order=3 + 0j)
+@example(order=np.array([3]))
+@example(order=np.array([1, 2]))
 def test_bad_order_is_domain_error(name, order):
     with pytest.raises(DomainError, match=re.escape(f"must be a non-negative integer, got {order}")):
         ORDER_CALLS[name](order)

@@ -59,12 +59,15 @@ class TestIntegrals:
         assert len(calls) < 40
 
     def test_non_finite_integrand_raises(self):
-        with pytest.raises(QuadratureConvergenceError, match=r"non-finite integrand on \[0, 1\]"):
-            quad(lambda x: np.full(x.shape, np.nan), 0.0, 1.0)
-        # checked before any arithmetic: the rule's matmul on an inf warns "invalid value",
-        # an error under pytest's filter
-        with pytest.raises(QuadratureConvergenceError, match=r"non-finite integrand on \[0, 1\]"):
-            quad(lambda x: np.where(x > 0.9, np.inf, 1.0), 0.0, 1.0)
+        # the rule sums go through one guard, which keeps numpy's warnings (errors under pytest's
+        # filter) from escaping: "invalid value" from the matmul on an inf, and "overflow" from
+        # finite values whose rule sum overflows, in a one-component or a two-component block
+        for f in (lambda x: np.full(x.shape, np.nan),
+                  lambda x: np.where(x > 0.9, np.inf, 1.0),
+                  lambda x: np.full(x.shape, 1e308),
+                  lambda x: np.stack([np.ones_like(x), np.full(x.shape, 1e308)], axis=1)):
+            with pytest.raises(QuadratureConvergenceError, match=r"non-finite integrand on \[0, 1\]"):
+                quad(f, 0.0, 1.0)
 
     def test_interval_too_short_to_bisect_raises(self):
         # the step's panel keeps the largest error down to a few ulps of 1/3; no tolerance is reachable

@@ -144,8 +144,9 @@ class TestBornPhaseShift:
             PotentialSpec("inverse_r", 1.0)
 
     @pytest.mark.parametrize("n", [0, 1, 5, 8, 20, 40, 60, 120])
-    def test_quadrature_series_makes_three_quadratures(self, monkeypatch, n):
-        # the body, the mean tail and the rotated oscillatory tail serve every order at once
+    def test_quadrature_series_makes_two_quadratures(self, monkeypatch, n):
+        # the body and the tail (its mean and its rotated oscillatory part in one integrand)
+        # serve every order at once
         calls = []
         original = scattering.quad
 
@@ -156,7 +157,7 @@ class TestBornPhaseShift:
         monkeypatch.setattr(scattering, "quad", counting_quad)
         series = born_series(PotentialSpec("inverse_r2", 1.0), n, 1.0, method="quadrature")
         x0 = max(100.0, 3.0 * n)
-        assert calls == [(0.0, x0), (x0, np.inf), (0.0, np.inf)]
+        assert calls == [(0.0, x0), (0.0, np.inf)]
         l = np.arange(n + 1)
         shifts = series.coefficients.real / (2 * l + 1)
         assert np.max(np.abs(shifts + math.pi / (2 * (2 * l + 1)))) <= 1e-15
