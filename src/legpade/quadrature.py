@@ -28,7 +28,6 @@ import sys
 import numpy as np
 
 from .errors import QuadratureConvergenceError
-from .special import _finite
 
 __all__ = ["quad"]
 
@@ -88,26 +87,28 @@ def _norm(v) -> float:
 def _panel(f, a: float, b: float) -> tuple[np.ndarray, float]:
     """G10K21 on one panel of the (21, m) block integrand f: the m Kronrod values and
     the largest of their QUADPACK error estimates. A non-finite integrand value, or a rule
-    sum that overflows, raises QuadratureConvergenceError through ``special._finite``."""
+    sum that overflows, raises QuadratureConvergenceError (``quad`` silences numpy's warnings)."""
     half = 0.5 * (b - a)
     fx = f(0.5 * (a + b) + half * NODES)
-
-    def sums():
-        # rows: Kronrod value, Kronrod minus Gauss, then the two QUADPACK sums of |f|, times half
-        kg = _WEIGHTS @ fx
-        kg[1] = kg[0] - kg[1]
-        resabs_resasc = np.abs(np.concatenate([fx.T, (fx - 0.5 * kg[0]).T])) @ KRONROD_WEIGHTS
-        return np.concatenate([kg, resabs_resasc.reshape(2, -1)]) * half
-
-    rows = _finite(sums, lambda bad: QuadratureConvergenceError(f"non-finite integrand on [{a:g}, {b:g}]"))
+    resk, resg = _WEIGHTS @ fx
+    resabs, resasc = (np.abs(np.concatenate([fx.T, (fx - 0.5 * resk).T])) @ KRONROD_WEIGHTS).reshape(2, -1)
+    result = resk * half
+    half = abs(half)
     err = 0.0
-    for e, absv, asc in zip(*np.abs(rows[1:]).tolist()):
+    components = zip(result.tolist(), (resk - resg).tolist(), resabs.tolist(), resasc.tolist())
+    for value, diff, absv, asc in components:
+        absv *= half
+        asc *= half
+        e = abs(diff * half)
+        # a non-finite integrand value makes resabs non-finite; an overflowing sum, any of the four
+        if not all(map(math.isfinite, (value, e, absv, asc))):
+            raise QuadratureConvergenceError(f"non-finite integrand on [{a:g}, {b:g}]")
         if asc != 0.0 and e != 0.0:
             e = asc * min(1.0, (200.0 * e / asc) ** 1.5)
         if absv > _TINY / (50.0 * _EPS):
             e = max(50.0 * _EPS * absv, e)
         err = max(err, e)
-    return rows[0], err
+    return result, err
 
 
 def _adaptive(f, a: float, b: float, epsabs: float, epsrel: float, limit: int) -> tuple[np.ndarray, float, int]:
@@ -166,11 +167,13 @@ def quad(f, a: float, b: float, *, epsabs: float = 1.49e-8, epsrel: float = 1.49
         scalar = fx.ndim == 1
         return fx.reshape(x.size, -1)
 
-    if b == math.inf:
-        def mapped(t):
-            return block(a + (1.0 - t) / t) / (t * t)[:, None]
+    # numpy's overflow warnings are silenced once per call; each panel checks its sums instead
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if b == math.inf:
+            def mapped(t):
+                return block(a + (1.0 - t) / t) / (t * t)[:, None]
 
-        value, err, panels = _adaptive(mapped, 0.0, 1.0, epsabs, epsrel, limit)
-    else:
-        value, err, panels = _adaptive(block, a, b, epsabs, epsrel, limit)
+            value, err, panels = _adaptive(mapped, 0.0, 1.0, epsabs, epsrel, limit)
+        else:
+            value, err, panels = _adaptive(block, a, b, epsabs, epsrel, limit)
     return (float(value[0]) if scalar else value), err, 21 * panels

@@ -60,21 +60,21 @@ def _in_range(x, lo: float, hi: float, message: str, name: str | None = None):
 
 def _finite(compute, error):
     """compute() under np.errstate that silences overflow, division by zero and invalid values;
-    raises error(bad) where the mask bad marks an entry that is not finite: a DomainError, or
-    the QuadratureConvergenceError of a quadrature panel."""
+    raises error(bad), a DomainError, where the mask bad marks an entry that is not finite."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         value = compute()
-    if not (finite := np.isfinite(value)).all():
-        raise error(~finite)
+    if (bad := ~np.isfinite(value)).any():
+        raise error(bad)
     return value
 
 
 def _check_order(n, what: str) -> int:
     """n as an int after checking that it is a non-negative integral value (an int, a
-    numpy integer or an integral float); DomainError names ``what`` and n otherwise,
-    also where the comparison or int() fails (text, None, a complex, an array)."""
+    numpy integer, an integral float or a 0-d array of one); DomainError names ``what`` and n
+    otherwise, also where the comparison or int() fails (text, None, a complex, an array) and
+    for a one-entry array, which int() converts on numpy before 2.4."""
     try:
-        if 0 <= n < math.inf and n % 1 == 0:
+        if 0 <= n < math.inf and n % 1 == 0 and not (isinstance(n, np.ndarray) and n.ndim):
             return int(n)
     except (TypeError, ValueError):
         pass

@@ -59,8 +59,8 @@ class TestIntegrals:
         assert len(calls) < 40
 
     def test_non_finite_integrand_raises(self):
-        # the rule sums go through one guard, which keeps numpy's warnings (errors under pytest's
-        # filter) from escaping: "invalid value" from the matmul on an inf, and "overflow" from
+        # quad silences numpy's warnings (errors under pytest's filter) and each panel checks its
+        # rule sums instead: "invalid value" from the matmul on an inf, and "overflow" from
         # finite values whose rule sum overflows, in a one-component or a two-component block
         for f in (lambda x: np.full(x.shape, np.nan),
                   lambda x: np.where(x > 0.9, np.inf, 1.0),
