@@ -46,6 +46,7 @@ from .scattering import (
     unit_series,
 )
 from .series import ComplexSeries, eval_partial_sum
+from .special import _check_order
 
 DEMOS = ("unit", "coulomb", "invr2", "rn")
 CSV_HEADER = "theta,re_partial,im_partial,re_pade,im_pade,re_exact,im_exact,sigma_pade,pole_flag"
@@ -91,8 +92,6 @@ def _build_series(args) -> tuple[ComplexSeries, ComplexSeries, Optional[Callable
     if getattr(args, "coeffs", None):
         series = _read_coefficients(args.coeffs)
         return series, series, None
-    from .special import _check_order  # the package's one order guard
-
     demo = args.demo
     n_build = _check_order(args.N, "--N") + 2
     if demo == "unit":
@@ -302,10 +301,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"legpade: {exc}", file=sys.stderr)
         return exc.code
     except (SingularSystemError, ResidualTooLargeError, InsufficientCoefficientsError) as exc:
-        detail = ""
-        if isinstance(exc, SingularSystemError) and exc.condition_estimate is not None:
-            detail = f" (condition estimate {exc.condition_estimate:.3e})"
-        print(f"legpade: construction failed: {exc}{detail}", file=sys.stderr)
+        print(f"legpade: construction failed: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCTION
     except QuadratureConvergenceError as exc:
         print(f"legpade: quadrature failed: {exc}", file=sys.stderr)

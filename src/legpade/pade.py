@@ -159,7 +159,8 @@ def _denominator(G: np.ndarray, L: int) -> tuple[np.ndarray, float]:
     norm_a = np.max(np.abs(a))
     if residual > 1e-10 * norm_a * max(1.0, np.max(np.abs(tail))):
         raise SingularSystemError(
-            f"solve residual {residual:.3e} exceeds 1e-10 * |A|; system is numerically singular",
+            f"solve residual {residual:.3e} exceeds 1e-10 * |A| at condition number {cond:.3e}; "
+            "system is numerically singular",
             condition_estimate=cond,
         )
     return np.concatenate([[1.0 + 0.0j], tail]), cond

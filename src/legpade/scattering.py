@@ -51,9 +51,6 @@ __all__ = [
     "born_phase_shift",
     "born_series",
     "born_exact_invr2",
-    "rn_tortoise",
-    "rn_drstar_dr",
-    "rn_effective_potential",
     "rn_phase_shift",
     "rn_series",
     "cross_section",
@@ -280,30 +277,6 @@ def _rn_radial(r, params: RNParams):
     return rstar, horizon_factor, w0
 
 
-def _check_outside_horizon(r: float, params: RNParams) -> float:
-    return _in_range(r, math.nextafter(params.r_plus, math.inf), math.inf,
-                     f"r = {{}} must lie outside the outer horizon r_+ = {params.r_plus}", "r")
-
-
-def rn_tortoise(r: float, params: RNParams) -> float:
-    """Tortoise coordinate outside the outer horizon."""
-    return float(_rn_radial(_check_outside_horizon(r, params), params)[0])
-
-
-def rn_drstar_dr(r: float, params: RNParams) -> float:
-    """Jacobian dr*/dr = 1/((1 - r_+/r)(1 - r_-/r))."""
-    return float(1.0 / _rn_radial(_check_outside_horizon(r, params), params)[1])
-
-
-def rn_effective_potential(r: float, l: int, params: RNParams) -> float:
-    """Effective radial potential for angular momentum l."""
-    r = _check_outside_horizon(r, params)
-    l = _check_order(l, "partial-wave order")
-    _in_range(r, 0.0, _SQRT_BIG, "r = {} is too large: its square overflows")
-    _, horizon_factor, w0 = _rn_radial(r, params)
-    return float(horizon_factor * (l * (l + 1) / r**2 + w0))
-
-
 def _rn_first_order(ls: np.ndarray, params: RNParams, horizon_epsilon: float,
                     r_max: float | None) -> np.ndarray:
     """First-order phase shifts of the orders ``ls``: for each oscillator, sin^2(eta r*)
@@ -373,7 +346,7 @@ def rn_phase_shift(
 def rn_series(
     n: int,
     params: RNParams,
-    subtract_one: bool = False,
+    *,
     horizon_epsilon: float = 1e-8,
     r_max: float | None = None,
 ) -> ComplexSeries:
@@ -384,16 +357,11 @@ def rn_series(
     (-1)^l to the exponential, which mirrors the amplitude through
     theta -> pi - theta; the series is built in the orientation with the
     forward divergence at theta = 0, matching the reference cross-section
-    data, so every order takes the zeroth-order shift of l = 0. Set
-    subtract_one=True for the (e^{2i delta} - 1) convention, which in this
-    orientation subtracts (-1)^l.
+    data, so every order takes the zeroth-order shift of l = 0.
     """
     ls = np.arange(_check_order(n, "series order") + 1)
     delta = rn_phase_shift(0, params, 0) + _rn_first_order(ls, params, horizon_epsilon, r_max)
-    term = np.exp(2j * delta)
-    if subtract_one:
-        term -= (-1.0) ** ls
-    return ComplexSeries((2 * ls + 1) / (2j * params.omega) * term)
+    return ComplexSeries((2 * ls + 1) / (2j * params.omega) * np.exp(2j * delta))
 
 
 def cross_section(f):

@@ -24,7 +24,6 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 __all__ = [
-    "legendre_eval",
     "legendre_eval_all",
     "threej_zero_sq",
     "triple_product_integral",
@@ -94,11 +93,6 @@ def legendre_eval_all(l_max: int, x) -> np.ndarray:
     for k in range(1, l_max):
         p.append(((2 * k + 1) * x * p[k] - k * p[k - 1]) / (k + 1))
     return np.array(p[: l_max + 1])
-
-
-def legendre_eval(l: int, x):
-    """P_l(x) for integer l >= 0 and x (a float or an array) in [-1, 1]."""
-    return legendre_eval_all(l, x)[-1]
 
 
 @lru_cache(maxsize=None)

@@ -71,10 +71,13 @@ class TestConstructCommand:
     def test_missing_source_is_bad_args(self):
         assert run_cli(["construct", "--L", "3", "--M", "3"]) == 4
 
-    def test_singular_input_is_construction_failure(self, tmp_path):
+    def test_singular_input_is_construction_failure(self, tmp_path, capsys):
         infile = tmp_path / "zeros.csv"
         write_coeffs(infile, np.zeros(4, dtype=complex))
         assert run_cli(["construct", "--coeffs", str(infile), "--L", "1", "--M", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("legpade: construction failed: condition number inf is not below")
+        assert err.count("condition") == 1
 
     def test_header_required(self, tmp_path):
         infile = tmp_path / "bad.csv"

@@ -66,14 +66,14 @@ MODULES = ("errors", "special", "series", "pade", "scattering")
 EARLIER_API = {
     "errors": "LegpadeError DomainError PoleError InsufficientCoefficientsError SingularSystemError "
               "ResidualTooLargeError QuadratureConvergenceError",
-    "special": "legendre_eval legendre_eval_all threej_zero_sq triple_product_integral log_gamma_complex "
+    "special": "legendre_eval_all threej_zero_sq triple_product_integral log_gamma_complex "
                "spherical_bessel_j",
     "series": "ComplexSeries eval_partial_sum project_legendre_coefficient",
     "pade": "PadeApproximant ConstructionReport build_denominator_system solve_denominator compute_numerator "
             "construct evaluate default_split",
     "scattering": "PotentialSpec RNParams unit_series exact_half_csc coulomb_series coulomb_exact born_phase_shift "
-                  "born_series born_exact_invr2 rn_tortoise rn_drstar_dr rn_effective_potential rn_phase_shift "
-                  "rn_series cross_section",
+                  "born_series born_exact_invr2 rn_phase_shift rn_series "
+                  "cross_section",
 }
 
 
@@ -87,7 +87,7 @@ def test_package_api_is_the_modules_api():
     exec("from legpade import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(expected)
     earlier = [(module, name) for module, names in EARLIER_API.items() for name in names.split()]
-    assert len(earlier) == 39
+    assert len(earlier) == 35
     assert [(module, name) for module, name in earlier
             if getattr(legpade, name) is not getattr(modules[module], name)] == []
 

@@ -19,14 +19,12 @@ from legpade.scattering import (
     born_phase_shift,
     born_series,
     coulomb_series,
-    rn_effective_potential,
     rn_phase_shift,
     rn_series,
     unit_series,
 )
 from legpade.series import project_legendre_coefficient
 from legpade.special import (
-    legendre_eval,
     legendre_eval_all,
     spherical_bessel_j,
     spherical_bessel_jy_all,
@@ -49,13 +47,11 @@ ORDER_CALLS = {
     "rn_series": lambda n: rn_series(n, RN),
     "rn_phase_shift_0": lambda n: rn_phase_shift(n, RN, 0),
     "rn_phase_shift_1": lambda n: rn_phase_shift(n, RN, 1),
-    "rn_effective_potential": lambda n: rn_effective_potential(3.0 * RN.r_plus, n, RN),
     "default_split": default_split,
     "construct_L": lambda n: construct(SERIES, n, 3),
     "construct_M": lambda n: construct(SERIES, 3, n),
     "solve_denominator_M": lambda n: solve_denominator(SERIES, 4, n),
     "legendre_eval_all": lambda n: legendre_eval_all(n, np.linspace(-1.0, 1.0, 7)),
-    "legendre_eval": lambda n: legendre_eval(n, 0.3),
     "project_legendre_coefficient": lambda n: project_legendre_coefficient(np.cos, n),
     "spherical_bessel_j": lambda n: spherical_bessel_j(n, 1.5),
     "spherical_bessel_y": lambda n: spherical_bessel_y(n, 1.5),

@@ -21,15 +21,12 @@ from legpade.scattering import (
     coulomb_series,
     cross_section,
     exact_half_csc,
-    rn_drstar_dr,
-    rn_effective_potential,
     rn_phase_shift,
     rn_series,
-    rn_tortoise,
     unit_series,
 )
 from legpade.series import eval_partial_sum, project_legendre_coefficient
-from legpade.special import legendre_eval, log_gamma_complex, spherical_bessel_j, spherical_bessel_y
+from legpade.special import legendre_eval_all, log_gamma_complex, spherical_bessel_j, spherical_bessel_y
 
 RN_REFERENCE = RNParams(mass=10.0, charge=5.0, eta=1e-4, mu=1e-6)
 
@@ -279,9 +276,6 @@ ONE_NUMBER_CALLS = {
     "RNParams charge": ("charge", lambda: RNParams(mass=10.0, charge=PAIR, eta=1e-4)),
     "RNParams eta": ("eta", lambda: RNParams(mass=10.0, charge=5.0, eta=PAIR)),
     "RNParams mu": ("mu", lambda: RNParams(mass=10.0, charge=5.0, eta=1e-4, mu=PAIR)),
-    "rn_tortoise r": ("r", lambda: rn_tortoise(100.0 * PAIR, RN_REFERENCE)),
-    "rn_drstar_dr r": ("r", lambda: rn_drstar_dr(100.0 * PAIR, RN_REFERENCE)),
-    "rn_effective_potential r": ("r", lambda: rn_effective_potential(100.0 * PAIR, 2, RN_REFERENCE)),
     "rn_series r_max": ("r_max", lambda: rn_series(3, RN_REFERENCE, r_max=1e6 * PAIR)),
     "rn_series horizon_epsilon": ("horizon_epsilon", lambda: rn_series(3, RN_REFERENCE, horizon_epsilon=1e-8 * PAIR)),
     "spherical_bessel_j x": ("argument x", lambda: spherical_bessel_j(2, PAIR)),
@@ -308,8 +302,7 @@ def test_overflowing_born_shift_names_the_coupling(method, alpha):
 @pytest.mark.parametrize("name, call", [
     ("mass = 1e+200", lambda: RNParams(mass=1e200, charge=5e199, eta=1e-4)),
     ("particle mass mu = 1e+200", lambda: rn_series(4, RNParams(10.0, 5.0, 1e-4, mu=1e200))),
-    ("r = 1e+200", lambda: rn_effective_potential(1e200, 2, RN_REFERENCE)),
-], ids=["mass", "mu", "r"])
+], ids=["mass", "mu"])
 def test_rn_value_whose_square_overflows_is_named(name, call):
     # unchecked, Python's float power raises a bare OverflowError for each square
     with pytest.raises(DomainError, match=re.escape(f"{name} is too large: its square overflows")):
@@ -339,7 +332,7 @@ class TestPartialWaveIdentity:
         q = 2.0 * k * math.sin(0.5 * theta)
         x = math.cos(theta)
         total = sum(
-            (2 * l + 1) * spherical_bessel_j(l, k * r) ** 2 * legendre_eval(l, x)
+            (2 * l + 1) * spherical_bessel_j(l, k * r) ** 2 * legendre_eval_all(l, x)[l]
             for l in range(41)
         )
         assert abs(total - math.sin(q * r) / (q * r)) < 1e-8
@@ -384,43 +377,45 @@ class TestRNParams:
             RNParams(mass=text, charge=5.0, eta=1e-4)
 
 
+def _tortoise(r, p):
+    return _rn_radial(r, p)[0]
+
+
+def _effective_potential(r, l, p):
+    """V_eff of order l as the RN quadrature forms it: the horizon factor times l(l+1)/r^2 + w0."""
+    _, horizon_factor, w0 = _rn_radial(r, p)
+    return horizon_factor * (l * (l + 1) / r**2 + w0)
+
+
 class TestTortoise:
     def test_asymptotically_flat(self):
         p = RN_REFERENCE
         r = 1e9 * p.r_plus
-        assert rn_tortoise(r, p) / r == pytest.approx(1.0, rel=1e-6)
+        assert _tortoise(r, p) / r == pytest.approx(1.0, rel=1e-6)
 
     def test_schwarzschild_reduction(self):
         p = RNParams(mass=10.0, charge=0.0, eta=1e-4, mu=0.0)
         for r in (25.0, 60.0, 300.0):
             expected = r + 2 * p.mass * math.log(r / (2 * p.mass) - 1.0)
-            assert rn_tortoise(r, p) == pytest.approx(expected, rel=1e-14)
+            assert _tortoise(r, p) == pytest.approx(expected, rel=1e-14)
 
     def test_jacobian_matches_finite_difference(self):
+        # the horizon factor is (dr*/dr)^-1
         p = RN_REFERENCE
         for r in np.linspace(1.05 * p.r_plus, 50 * p.r_plus, 20):
             h = 1e-6 * r
-            numerical = (rn_tortoise(r + h, p) - rn_tortoise(r - h, p)) / (2 * h)
-            assert rn_drstar_dr(r, p) == pytest.approx(numerical, rel=1e-6)
-
-    def test_domain(self):
-        p = RN_REFERENCE
-        with pytest.raises(DomainError):
-            rn_tortoise(p.r_plus, p)
-        with pytest.raises(DomainError):
-            rn_drstar_dr(0.5 * p.r_plus, p)
-        with pytest.raises(DomainError, match="must lie outside the outer horizon"):
-            rn_tortoise(math.nan, p)
+            numerical = (_tortoise(r + h, p) - _tortoise(r - h, p)) / (2 * h)
+            assert 1.0 / _rn_radial(r, p)[1] == pytest.approx(numerical, rel=1e-6)
 
 
 class TestEffectivePotential:
     def test_decays_at_infinity(self):
         p = RN_REFERENCE
-        assert abs(rn_effective_potential(1e9, 2, p)) < 1e-16
+        assert abs(_effective_potential(1e9, 2, p)) < 1e-16
 
     def test_vanishes_at_horizon_for_massless(self):
         p = RNParams(mass=10.0, charge=5.0, eta=1e-4, mu=0.0)
-        assert abs(rn_effective_potential(p.r_plus * (1 + 1e-12), 3, p)) < 1e-9
+        assert abs(_effective_potential(p.r_plus * (1 + 1e-12), 3, p)) < 1e-9
 
     def test_mass_and_charge_form(self):
         # V = f (l(l+1)/r^2 + 2M/r^3 - 2Q^2/r^4) + mu^2 (Q^2/r^2 - 2M/r), f = 1 - 2M/r + Q^2/r^2
@@ -432,14 +427,14 @@ class TestEffectivePotential:
                 for l in (0, 3, 20):
                     expected = f * (l * (l + 1) / r**2 + 2.0 * m / r**3 - 2.0 * q2 / r**4)
                     expected += p.mu**2 * (q2 / r**2 - 2.0 * m / r)
-                    assert rn_effective_potential(r, l, p) == pytest.approx(expected, rel=1e-11)
+                    assert _effective_potential(r, l, p) == pytest.approx(expected, rel=1e-11)
 
     def test_l_dependence(self):
         p = RN_REFERENCE
         for r in (30.0, 100.0):
             factor = (1 - p.r_plus / r) * (1 - p.r_minus / r)
             for l in range(5):
-                difference = rn_effective_potential(r, l + 1, p) - rn_effective_potential(r, l, p)
+                difference = _effective_potential(r, l + 1, p) - _effective_potential(r, l, p)
                 assert difference == pytest.approx(factor * (2 * l + 2) / r**2, rel=1e-12)
 
 
@@ -448,13 +443,12 @@ class TestRNArrayForm:
         for q_over_m in (1e-4, 0.5, 0.99):
             p = RNParams(mass=10.0, charge=q_over_m * 10.0, eta=1e-4, mu=1e-6)
             r = p.r_plus * (1.0 + np.geomspace(1e-8, 1e5, 41))
-            rstar, _, w0 = _rn_radial(r, p)
-            for l in (0, 3, 20):
-                weight = l * (l + 1) / r**2 + w0
-                for ri, rs, wi in zip(r, rstar, weight):
-                    assert rs == pytest.approx(rn_tortoise(ri, p), rel=1e-13, abs=1e-12)
-                    expected = rn_drstar_dr(ri, p) * rn_effective_potential(ri, l, p)
-                    assert wi == pytest.approx(expected, rel=1e-12)
+            rstar, horizon_factor, w0 = _rn_radial(r, p)
+            for i, ri in enumerate(r):
+                rs, hf, wi = _rn_radial(float(ri), p)
+                assert rstar[i] == pytest.approx(rs, rel=1e-13, abs=1e-12)
+                assert horizon_factor[i] == pytest.approx(hf, rel=1e-12)
+                assert w0[i] == pytest.approx(wi, rel=1e-12)
 
 
 class TestRNPhaseShift:
@@ -611,13 +605,10 @@ class TestRNSeries:
         ours = rn_series(20, p).coefficients
         assert np.max(np.abs(ours - reference) / np.abs(reference)) < 1e-11
 
-    def test_subtract_one_flag(self):
-        base = rn_series(2, RN_REFERENCE)
-        shifted = rn_series(2, RN_REFERENCE, subtract_one=True)
-        pref = 1.0 / (2j * RN_REFERENCE.omega)
-        for l in range(3):
-            delta = base.coefficients[l] - shifted.coefficients[l]
-            assert delta == pytest.approx((-1) ** l * pref * (2 * l + 1), rel=1e-12)
+    def test_cutoffs_are_keyword_only(self):
+        # keyword-only, so a stray positional flag cannot become a cutoff
+        with pytest.raises(TypeError):
+            rn_series(2, RN_REFERENCE, True)
 
 
 class TestCrossSection:

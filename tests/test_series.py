@@ -6,7 +6,7 @@ import pytest
 from legpade.errors import DomainError, QuadratureConvergenceError
 from legpade.scattering import exact_half_csc
 from legpade.series import ComplexSeries, eval_partial_sum, project_legendre_coefficient
-from legpade.special import legendre_eval
+from legpade.special import legendre_eval_all
 
 
 class TestComplexSeries:
@@ -72,7 +72,7 @@ class TestEvalPartialSum:
 
 class TestProjection:
     def test_orthonormal_projection(self):
-        f = lambda theta: legendre_eval(3, np.cos(theta))
+        f = lambda theta: legendre_eval_all(3, np.cos(theta))[3]
         assert project_legendre_coefficient(f, 3) == pytest.approx(1.0, abs=1e-12)
         assert project_legendre_coefficient(f, 2) == pytest.approx(0.0, abs=1e-12)
 

@@ -11,7 +11,6 @@ from legpade.special import (
     _finite,
     _hankel_envelopes,
     _in_range,
-    legendre_eval,
     legendre_eval_all,
     log_gamma_complex,
     spherical_bessel_j,
@@ -25,18 +24,18 @@ from legpade.special import (
 def quad_triple_product(l, m, n, nodes=64):
     """Independent oracle: Gauss-Legendre quadrature of P_l P_m P_n on [-1, 1]."""
     x, w = leggauss(nodes)
-    pl = np.array([legendre_eval(l, xi) for xi in x])
-    pm = np.array([legendre_eval(m, xi) for xi in x])
-    pn = np.array([legendre_eval(n, xi) for xi in x])
+    pl = np.array([legendre_eval_all(l, xi)[l] for xi in x])
+    pm = np.array([legendre_eval_all(m, xi)[m] for xi in x])
+    pn = np.array([legendre_eval_all(n, xi)[n] for xi in x])
     return float(np.dot(w, pl * pm * pn))
 
 
 class TestLegendre:
     def test_low_order_values(self):
-        assert legendre_eval(0, 0.3) == 1.0
-        assert legendre_eval(1, 0.3) == 0.3
+        assert legendre_eval_all(0, 0.3)[0] == 1.0
+        assert legendre_eval_all(1, 0.3)[1] == 0.3
         # closed form (3x^2 - 1)/2 at x = 0.5
-        assert legendre_eval(2, 0.5) == pytest.approx(-0.125, abs=1e-15)
+        assert legendre_eval_all(2, 0.5)[2] == pytest.approx(-0.125, abs=1e-15)
 
     def test_eval_all_endpoints(self):
         assert np.allclose(legendre_eval_all(2, 1.0), [1, 1, 1])
@@ -47,21 +46,21 @@ class TestLegendre:
         x = 0.37
         table = legendre_eval_all(12, x)
         for l in range(13):
-            assert table[l] == pytest.approx(legendre_eval(l, x), abs=1e-15)
+            assert table[l] == pytest.approx(legendre_eval_all(l, x)[l], abs=1e-15)
 
     def test_bounded_on_domain(self):
         rng = np.random.default_rng(7)
         for x in rng.uniform(-1, 1, 200):
             for l in (1, 5, 17):
-                assert abs(legendre_eval(l, x)) <= 1.0 + 1e-12
+                assert abs(legendre_eval_all(l, x)[l]) <= 1.0 + 1e-12
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            legendre_eval(3, 1.1)
+            legendre_eval_all(3, 1.1)
         with pytest.raises(DomainError):
             legendre_eval_all(3, -1.0001)
         # arguments within a few ulps of 1 are accepted
-        legendre_eval(3, 1.0 + 1e-16)
+        legendre_eval_all(3, 1.0 + 1e-16)
 
     def test_recurrence_consistency(self):
         # (l+1) P_{l+1} - (2l+1) x P_l + l P_{l-1} = 0
@@ -74,7 +73,7 @@ class TestLegendre:
 
     def test_orthogonality_by_quadrature(self):
         x, w = leggauss(64)
-        table = np.array([[legendre_eval(l, xi) for xi in x] for l in range(21)])
+        table = np.array([[legendre_eval_all(l, xi)[l] for xi in x] for l in range(21)])
         for l in range(21):
             for m in range(21):
                 integral = float(np.dot(w, table[l] * table[m]))
@@ -100,7 +99,7 @@ class TestThreeJ:
 
     def test_quadrature_agreement(self):
         x, w = leggauss(64)
-        table = np.array([[legendre_eval(l, xi) for xi in x] for l in range(13)])
+        table = np.array([[legendre_eval_all(l, xi)[l] for xi in x] for l in range(13)])
         for l in range(13):
             for m in range(13):
                 for n in range(13):
