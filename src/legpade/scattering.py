@@ -22,8 +22,9 @@ single-order call integrates orders 0..l. The Reissner-Nordstrom first-order
 integrands are linear in l(l+1), so one four-component integral gives the shifts of every
 order, in one quadrature over u = ln(r/r_+ - 1), where the log endpoint at the
 horizon is smooth; weights that overflow raise a DomainError naming mass and mu.
-Each quadrature logs its interval, error estimate and integrand points at
-DEBUG on the ``legpade.scattering`` logger.
+Each quadrature calls the module global ``quad`` (``perfbench/tracer.py`` rebinds it),
+which logs its interval, error estimate and integrand points at DEBUG on the
+``legpade.quadrature`` logger and names the interval in its failure.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, QuadratureConvergenceError
+from .errors import DomainError
 from .quadrature import quad
 from .series import ComplexSeries, _check_theta
 from .special import _check_order, _finite, _hankel_envelopes, _in_range, log_gamma_complex
@@ -178,22 +179,6 @@ def coulomb_exact(theta, k: float):
                         lambda s: -1.0 / (2.0 * k * k * s * s) * ratio * np.exp(-2j / k * np.log(s)))
 
 
-def _checked_quad(f, a, b, *, epsabs, epsrel, limit=400):
-    """``quad`` through the module global (tracers rebind it), logged at DEBUG.
-
-    ``logging`` is imported here because only the quadrature paths log and
-    the import adds ~6 ms to every start-up.
-    """
-    import logging
-
-    try:
-        value, abserr, neval = quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit)
-    except QuadratureConvergenceError as exc:
-        raise QuadratureConvergenceError(f"quadrature on [{a:g}, {b:g}] did not converge: {exc}") from exc
-    logging.getLogger(__name__).debug("quadrature on [%g, %g]: abserr %.3g, neval %d", a, b, abserr, neval)
-    return value, abserr, neval
-
-
 def _bessel_sq_moments(n: int) -> np.ndarray:
     """integrals of j_l(x)^2 over [0, inf) for l = 0..n, two quadratures.
 
@@ -217,8 +202,8 @@ def _bessel_sq_moments(n: int) -> np.ndarray:
         u, rotated = np.split(_hankel_envelopes(n, np.concatenate([x0 + t, x0 + 1j * t])), 2, axis=1)
         return 0.5 * (np.abs(u) ** 2 + (phase * rotated**2).real * np.exp(-2.0 * t)).T
 
-    body_value, _, _ = _checked_quad(body, 0.0, x0, epsabs=1e-14, epsrel=1e-12, limit=600)
-    tail_value, _, _ = _checked_quad(tail, 0.0, np.inf, epsabs=1e-13, epsrel=1e-12)
+    body_value, _, _ = quad(body, 0.0, x0, epsabs=1e-14, epsrel=1e-12, limit=600)
+    tail_value, _, _ = quad(tail, 0.0, np.inf, epsabs=1e-13, epsrel=1e-12, limit=400)
     return body_value + tail_value
 
 
@@ -306,7 +291,7 @@ def _rn_first_order(ls: np.ndarray, params: RNParams, horizon_epsilon: float,
         return _finite(lambda: block(u), lambda bad: DomainError(
             f"mass = {params.mass} and particle mass mu = {params.mu} make the first-order weights overflow"))
 
-    (a_sin2, b_sin2, a_sin2e, b_sin2e), _, _ = _checked_quad(
+    (a_sin2, b_sin2, a_sin2e, b_sin2e), _, _ = quad(
         weights, math.log(horizon_epsilon), math.log(r_max / rp - 1.0), epsabs=1e-13, epsrel=1e-9, limit=1500)
     ll = ls * (ls + 1.0)
     i_sin2, i_sin2e = ll * a_sin2 + b_sin2, ll * a_sin2e + b_sin2e

@@ -1,5 +1,7 @@
 """Truncated Legendre-basis series: the partial sums whose endpoint
-oscillation the rational resummation removes."""
+oscillation the rational resummation removes, and the projection of a
+function onto one Legendre order, one ``legpade.quadrature.quad`` call on
+[0, pi] that logs at DEBUG and names [0, pi] in its failure."""
 
 from __future__ import annotations
 
@@ -9,7 +11,6 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import QuadratureConvergenceError
 from .quadrature import NODES, quad
 from .special import _check_order, _in_range, legendre_eval_all
 
@@ -87,9 +88,9 @@ def project_legendre_coefficient(f: Callable[[np.ndarray], np.ndarray], n: int) 
     carry; the panel nodes never touch the endpoints. ``f`` is called once
     per distinct panel (the first panel's values, which set the tolerance,
     are reused) with the array of its 21 node angles and returns the values
-    there (or one value for all of them), like the closed-form oracles. Raises
-    QuadratureConvergenceError, with the quadrature's reason, when the
-    integral does not reach the tolerance.
+    there (or one value for all of them), like the closed-form oracles. ``quad``
+    logs the integral at DEBUG and raises QuadratureConvergenceError, naming
+    [0, pi] and its reason, when the integral does not reach the tolerance.
     """
     n = _check_order(n, "projection order")
 
@@ -107,8 +108,5 @@ def project_legendre_coefficient(f: Callable[[np.ndarray], np.ndarray], n: int) 
         values = first_panel if np.array_equal(theta, first_nodes) else weighted(theta)
         return values.view(float).reshape(-1, 2)  # columns Re, Im
 
-    try:
-        re, im = quad(parts, 0.0, math.pi, epsabs=epsabs, epsrel=1e-12, limit=200)[0]
-    except QuadratureConvergenceError as exc:
-        raise QuadratureConvergenceError(f"projection of order {n} did not converge: {exc}") from exc
+    re, im = quad(parts, 0.0, math.pi, epsabs=epsabs, epsrel=1e-12, limit=200)[0]
     return 0.5 * (2 * n + 1) * complex(re, im)

@@ -406,9 +406,9 @@ class TestConfigFile:
 def test_rn_csv_unchanged_by_debug_logging(tmp_path, caplog):
     quiet, verbose = tmp_path / "quiet.csv", tmp_path / "verbose.csv"
     assert run_cli(["compare", "--demo", "rn", "-o", str(quiet)]) == 0
-    caplog.set_level(logging.DEBUG, logger="legpade.scattering")
+    caplog.set_level(logging.DEBUG, logger="legpade.quadrature")
     assert run_cli(["compare", "--demo", "rn", "-o", str(verbose)]) == 0
-    assert any(record.name == "legpade.scattering" for record in caplog.records)
+    assert any(record.name == "legpade.quadrature" for record in caplog.records)
     assert verbose.read_bytes() == quiet.read_bytes()
 
 

@@ -8,6 +8,7 @@ import pytest
 
 import legpade.scattering as scattering
 from legpade.errors import QuadratureConvergenceError
+from legpade.quadrature import quad
 from legpade.scattering import PotentialSpec, born_phase_shift
 
 # tests/test_scattering.py imports scipy into this process, so the import
@@ -49,9 +50,10 @@ def test_compare_leaves_scipy_out(tmp_path, demo):
 
 
 def test_start_up_leaves_fractions_and_polynomial_out(tmp_path):
-    # only the exact 3j oracle needs fractions; nothing in legpade needs numpy.polynomial
+    # only the exact 3j oracle needs fractions; nothing in legpade needs numpy.polynomial;
+    # only a quadrature logs, so quad imports logging when it is called
     body = _compare_body("unit", tmp_path / "unit.csv")
-    assert _modules_loaded(body, ("fractions", "numpy.polynomial")) == []
+    assert _modules_loaded(body, ("fractions", "numpy.polynomial", "logging")) == []
 
 
 def test_projection_leaves_polynomial_out():
@@ -125,10 +127,11 @@ def test_quadrature_goes_through_module_quad(monkeypatch):
 
 
 def test_quad_failure_raises_convergence_error(monkeypatch):
-    def failing_quad(f, a, b, **kwargs):
-        raise QuadratureConvergenceError("subdivision limit of 600 intervals reached")
+    # the real quad, held to one interval, cannot integrate the Born body on [0, 100]
+    def one_interval_quad(f, a, b, **kwargs):
+        return quad(f, a, b, **{**kwargs, "limit": 1})
 
-    monkeypatch.setattr(scattering, "quad", failing_quad)
+    monkeypatch.setattr(scattering, "quad", one_interval_quad)
     with pytest.raises(QuadratureConvergenceError,
                        match=r"quadrature on \[0, 100\] did not converge: subdivision limit"):
         born_phase_shift(PotentialSpec("inverse_r2", 1.0), 2, 1.0, method="quadrature")

@@ -80,6 +80,12 @@ class TestIntegrals:
             quad(np.exp, -np.inf, 0.0)
         with pytest.raises(ValueError):
             quad(np.exp, 0.0, np.nan)
+        # b - a overflows: the half-width is inf and the centre node NaN
+        with pytest.raises(ValueError, match=r"\[-1e\+308, 1e\+308\]"):
+            quad(lambda x: np.exp(-x * x), -1e308, 1e308)
+        # a + b overflows: every node is inf, where 1/x integrates to 0, not ln 1.5
+        with pytest.raises(ValueError, match=r"\[1e\+308, 1\.5e\+308\]"):
+            quad(lambda x: 1.0 / x, 1e308, 1.5e308)
 
 
 @settings(max_examples=60, deadline=None)

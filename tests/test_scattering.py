@@ -583,19 +583,28 @@ class TestRNSeries:
             assert cmath.phase(ratio) == pytest.approx(expected, abs=1e-9)
 
     def test_quadratures_logged_at_debug(self, caplog):
-        caplog.set_level(logging.DEBUG, logger="legpade.scattering")
-        for n in (0, 2, 20, 40):
+        caplog.set_level(logging.DEBUG, logger="legpade.quadrature")
+
+        def intervals_logged(call):
             caplog.clear()
-            rn_series(n, RN_REFERENCE)
-            records = [r for r in caplog.records if r.name == "legpade.scattering"]
-            # for all orders and weights together, over [ln eps, ln(r_max/r_+ - 1)]
-            assert len(records) == 1
-            assert records[0].args[:2] == (math.log(1e-8), math.log(5e5 / RN_REFERENCE.r_plus - 1.0))
+            call()
+            records = [r for r in caplog.records if r.name == "legpade.quadrature"]
             for record in records:
                 assert record.levelno == logging.DEBUG
                 lo, hi, abserr, neval = record.args
                 assert lo < hi and 0.0 <= abserr < 1e-6 and neval > 0 and neval % 21 == 0
                 assert record.getMessage().startswith(f"quadrature on [{lo:g}, {hi:g}]: abserr ")
+            return [record.args[:2] for record in records]
+
+        for n in (0, 2, 20, 40):
+            # for all orders and weights together, over [ln eps, ln(r_max/r_+ - 1)]
+            assert intervals_logged(lambda: rn_series(n, RN_REFERENCE)) == [
+                (math.log(1e-8), math.log(5e5 / RN_REFERENCE.r_plus - 1.0))]
+        # the Born body up to x0 = 100 and its tail, for all orders together
+        born = PotentialSpec("inverse_r2", 1.0)
+        assert intervals_logged(lambda: born_series(born, 4, 1.0, method="quadrature")) == [
+            (0.0, 100.0), (0.0, math.inf)]
+        assert intervals_logged(lambda: project_legendre_coefficient(exact_half_csc, 3)) == [(0.0, math.pi)]
 
     @pytest.mark.parametrize("q_over_m", [1e-4, 0.5, 0.99])
     def test_matches_per_order_quadpack(self, q_over_m):

@@ -110,7 +110,8 @@ class TestProjection:
     def test_divergent_projection_raises(self):
         # int 1/theta^2 d(cos theta) diverges at theta = 0; bisection toward it
         # runs into the subdivision limit
-        with pytest.raises(QuadratureConvergenceError, match="did not converge"):
+        with pytest.raises(QuadratureConvergenceError,
+                           match=r"quadrature on \[0, 3\.14159\] did not converge: subdivision limit"):
             project_legendre_coefficient(lambda theta: 1.0 / theta**2, 0)
 
     def test_each_angle_evaluated_once(self):
