@@ -27,7 +27,7 @@ class PoleError(LegpadeError, ArithmeticError):
     """Evaluation requested at (or numerically indistinguishable from) a pole.
 
     ``theta`` holds the angle, or the array of angles, at which an
-    approximant's denominator vanished; it is None for other poles.
+    approximant's denominator vanished.
     """
 
     def __init__(self, message, theta=None):

@@ -83,9 +83,6 @@ class PadeApproximant:
     def M(self) -> int:
         return self.denominator.size - 1
 
-    def __call__(self, theta):
-        return evaluate(self, theta)
-
 
 @dataclass(frozen=True)
 class ConstructionReport:

@@ -152,15 +152,15 @@ def _series_at(k: float, coefficients, alpha: float | None = None) -> ComplexSer
 
 def _gamma_ratio(k: float) -> complex:
     """Gamma(1 + i/k) / Gamma(1 - i/k), the l = 0 Coulomb phase factor; DomainError names k
-    where its log-gamma difference overflows."""
-    ik = 1j / k
-    return cmath.exp(_finite(lambda: log_gamma_complex(1 + ik) - log_gamma_complex(1 - ik),
-                             lambda bad: _overflow_at(k)))
+    where its phase overflows. Gamma(1 - i/k) is the conjugate of Gamma(1 + i/k), so the
+    ratio is exp(2i Im log Gamma(1 + i/k))."""
+    phase = _finite(lambda: 2.0 * log_gamma_complex(1 + 1j / k).imag, lambda bad: _overflow_at(k))
+    return cmath.exp(complex(0.0, phase))
 
 
 def coulomb_series(n: int, k: float) -> ComplexSeries:
     """Coulomb partial-wave coefficients c_l = (2l+1)/(2ik) * Gamma(l+1+i/k) / Gamma(l+1-i/k),
-    the gamma ratio stepped up from l = 0 by (l+i/k)/(l-i/k): two log-gamma calls for any n."""
+    the gamma ratio stepped up from l = 0 by (l+i/k)/(l-i/k): one log-gamma call for any n."""
     n = _check_order(n, "series order")
     ik = 1j / _check_wavenumber(k)
     l = np.arange(n + 1)

@@ -37,16 +37,10 @@ class ComplexSeries:
         c.flags.writeable = False
         object.__setattr__(self, "coefficients", c)
 
-    def __len__(self) -> int:
-        return self.coefficients.size
-
     @property
     def order(self) -> int:
         """Highest retained Legendre order N; the series carries N+1 terms."""
         return self.coefficients.size - 1
-
-    def scaled(self, factor: complex) -> "ComplexSeries":
-        return ComplexSeries(self.coefficients * factor)
 
 
 def _check_theta(theta):

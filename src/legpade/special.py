@@ -3,7 +3,8 @@
 Legendre polynomials by the Bonnet three-term recurrence (one evaluator,
 ``legendre_eval_all``, for a scalar argument or an array of them), squared
 zero-projection Wigner 3j symbols in exact rational arithmetic, the
-principal branch of the complex log-gamma function, and spherical Bessel
+principal branch of log-gamma on the half plane Re z >= 1/2, where the
+Coulomb phase Gamma(1 + i/k) lies (DomainError elsewhere), spherical Bessel
 functions of both kinds, every order up to n in one call
 (``spherical_bessel_jy_all``), with thin scalar wrappers, and the envelopes
 h_l^(1)(z) e^(-iz) of the spherical Hankel functions at complex z.
@@ -18,7 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DomainError, PoleError
+from .errors import DomainError
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -143,7 +144,7 @@ def threej_zero_sq_float(l: int, m: int, n: int) -> float:
 
 
 # Lanczos approximation, g = 607/128, 15 terms (Godfrey's coefficient set).
-# Gives ~15 significant digits on the right half plane.
+# Gives ~15 significant digits on the half plane Re z >= 1/2.
 _LANCZOS_G = 607.0 / 128.0
 _LANCZOS_C = (
     0.99999999999999709182,
@@ -165,46 +166,19 @@ _LANCZOS_C = (
 _LOG_SQRT_2PI = 0.9189385332046727417803297
 
 
-def _log_gamma_lanczos(z: complex) -> complex:
-    # valid for Re z >= 0.5
+def log_gamma_complex(z: complex) -> complex:
+    """Principal branch of log Gamma(z) for Re z >= 1/2, by the Lanczos sum.
+
+    DomainError names z where Re z < 1/2 or z is NaN.
+    """
+    z = complex(z)
+    if not z.real >= 0.5:
+        raise DomainError(f"log-gamma needs Re z >= 1/2, got z = {z}")
     s = _LANCZOS_C[0]
     for k in range(1, len(_LANCZOS_C)):
         s += _LANCZOS_C[k] / (z - 1.0 + k)
     t = z + _LANCZOS_G - 0.5
     return _LOG_SQRT_2PI + (z - 0.5) * cmath.log(t) - t + cmath.log(s)
-
-
-def _log_sin_pi(z: complex) -> complex:
-    # principal log of sin(pi z); safe for |Im z| small enough that cosh fits
-    x, y = z.real, z.imag
-    s = complex(
-        math.sin(math.pi * x) * math.cosh(math.pi * y),
-        math.cos(math.pi * x) * math.sinh(math.pi * y),
-    )
-    return cmath.log(s)
-
-
-def log_gamma_complex(z: complex) -> complex:
-    """Principal branch of log Gamma(z).
-
-    Lanczos sum on Re z >= 0.5, reflection with Hare's branch correction
-    otherwise. Poles at non-positive integers raise PoleError.
-    """
-    z = complex(z)
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
-        raise PoleError(f"log-gamma pole at z = {z.real:g}")
-    if z.imag < 0.0:
-        return log_gamma_complex(z.conjugate()).conjugate()
-    if z.real >= 0.5:
-        return _log_gamma_lanczos(z)
-    # reflection; the 2*pi*i multiple keeps the principal branch
-    winding = complex(0.0, math.copysign(2.0 * math.pi, z.imag) * math.floor(0.5 * z.real + 0.25))
-    return (
-        math.log(math.pi)
-        + winding
-        - _log_sin_pi(z)
-        - log_gamma_complex(1.0 - z)
-    )
 
 
 def spherical_bessel_jy_all(n: int, x) -> tuple[np.ndarray, np.ndarray]:

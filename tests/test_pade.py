@@ -39,7 +39,7 @@ def check_matching_property(scale):
     # orders 0..L of c*Q match the numerator, orders L+1..L+M vanish
     rng = np.random.default_rng(21)
     for L, M in [(3, 3), (2, 1), (1, 4)]:
-        series = random_series(rng, L + M + 1).scaled(scale)
+        series = ComplexSeries(random_series(rng, L + M + 1).coefficients * scale)
         approx, _ = construct(series, L, M)
         den = ComplexSeries(approx.denominator)
 
@@ -163,6 +163,29 @@ class TestExactOracle:
                 scale = (2 * n + 1) * sum(abs(c[m]) * float(x) for m, x in zip(orders, w))
                 assert abs(G[n, k] - exact) <= 1e-14 * scale
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_unit_construct_within_condition_of_exact(self, n):
+        # [n/n] of the unit series on N = 2n+2, solved exactly: S[j][k] = sum_m W(k, m, j) over m = 0..N
+        L = M = n
+        S = [[sum(threej_zero_sq(k, m, j) for m in range(2 * n + 3)) for k in range(M + 1)]
+             for j in range(L + M + 1)]
+        # Gauss-Jordan on rows L+1..L+M for b_1..b_M with b_0 = 1
+        rows = [S[j][1:] + [-S[j][0]] for j in range(L + 1, L + M + 1)]
+        for col in range(M):
+            pivot = next(r for r in range(col, M) if rows[r][col] != 0)
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            for r in range(M):
+                if r != col and rows[r][col] != 0:
+                    f = rows[r][col] / rows[col][col]
+                    rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+        b = [Fraction(1)] + [row[M] / row[i] for i, row in enumerate(rows)]
+        a = [(2 * j + 1) * sum(bk * s for bk, s in zip(b, S[j])) for j in range(L + 1)]
+        approx, report = construct(unit_series(2 * n + 2), L, M)
+        bound = 4.0 * report.condition_estimate * np.finfo(float).eps
+        for got, exact in [(approx.numerator, a), (approx.denominator, b)]:
+            exact = np.array([float(x) for x in exact])
+            assert np.max(np.abs(got - exact)) <= bound * np.max(np.abs(exact))
+
 
 class TestProductMatrix:
     @pytest.mark.parametrize("series", [unit_series(122), coulomb_series(122, 0.7)], ids=["unit", "coulomb"])
@@ -251,7 +274,7 @@ class TestConstruct:
         series = random_series(rng, 9)
         alpha = 2.5 - 1.25j
         base, _ = construct(series, 3, 3)
-        scaled, _ = construct(series.scaled(alpha), 3, 3)
+        scaled, _ = construct(ComplexSeries(series.coefficients * alpha), 3, 3)
         assert np.allclose(scaled.denominator, base.denominator, rtol=1e-10)
         assert np.allclose(scaled.numerator, alpha * base.numerator, rtol=1e-10)
 
@@ -328,10 +351,6 @@ class TestEvaluate:
                                if np.ndim(at) else "the approximant overflows at theta = 3.14"):
                 evaluate(approx, at)
         assert abs(evaluate(approx, 0.0)) == pytest.approx(1e308 / 1.9, rel=1e-15)
-
-    def test_callable_form(self):
-        approx, _ = construct(unit_series(8), 3, 3)
-        assert approx(1.0) == evaluate(approx, 1.0)
 
     @settings(max_examples=60, deadline=None)
     @given(family=st.sampled_from(["unit", "coulomb", "invr2"]), L=st.integers(0, 20), M=st.integers(0, 20),

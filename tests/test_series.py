@@ -25,12 +25,7 @@ class TestComplexSeries:
 
     def test_order_and_len(self):
         s = ComplexSeries(np.arange(5, dtype=complex))
-        assert len(s) == 5
         assert s.order == 4
-
-    def test_scaled(self):
-        s = ComplexSeries(np.array([1.0, 2.0]))
-        assert np.allclose(s.scaled(2j).coefficients, [2j, 4j])
 
 
 class TestEvalPartialSum:
