@@ -10,11 +10,11 @@ Springer 1983):
   the summed estimate is at most ``max(epsabs, epsrel * |I|)``;
 * ``[a, inf)``: the same on ``t in (0, 1]`` after ``x = a + (1 - t) / t``.
 
-Integrands take a numpy array of the 21 nodes of one panel and return the
-values there, one per node or a (21, m) block of m components. A block
-shares one panel sequence: its error estimate and ``|I|`` are max-norms
-over the components. Failure to reach the tolerance raises
-``QuadratureConvergenceError``, naming the interval and the reason; no
+An integrand maps the array of the 21 nodes of one panel to a real (21, m)
+block, its m >= 1 components there; any other shape or a complex dtype
+raises ValueError. The components share one panel sequence: the error
+estimate and ``|I|`` are their max-norms. Failure to reach the tolerance
+raises ``QuadratureConvergenceError``, naming the interval and the reason; no
 partial result is returned. That includes roundoff, detected as in QUADPACK
 dqage: six bisections that change the value by at most 1e-5 relative while
 keeping 99% of the error. Every call logs its interval, error estimate and
@@ -150,14 +150,14 @@ def _adaptive(f, a: float, b: float, epsabs: float, epsrel: float, limit: int) -
 
 
 def quad(f, a: float, b: float, *, epsabs: float = 1.49e-8, epsrel: float = 1.49e-8,
-         limit: int = 50) -> tuple[float | np.ndarray, float, int]:
+         limit: int = 50) -> tuple[np.ndarray, float, int]:
     """Integral of the vectorized ``f`` over ``[a, b]``; ``b`` may be ``inf``.
 
-    Returns ``(value, error estimate, integrand points)``; the value is an
-    array of m when ``f`` returns a (nodes, m) block (see the module notes).
-    ``limit`` caps the subintervals. Raises ``QuadratureConvergenceError``
-    when the tolerance is not reached, and ``ValueError`` when ``a`` is not
-    finite, or ``|a| + |b|`` is not finite and ``b`` is not ``inf``.
+    ``f`` maps the nodes to a real (nodes, m) block (see the module notes);
+    returns ``(m values, error estimate, integrand points)``. ``limit`` caps
+    the subintervals. Raises ``QuadratureConvergenceError`` when the
+    tolerance is not reached, and ``ValueError`` for any other return of
+    ``f``, a non-finite ``a``, or a non-finite ``|a| + |b|`` unless b = inf.
     """
     # imported here: nothing on the start-up path loads logging, and it costs ~5 ms
     import logging
@@ -166,13 +166,12 @@ def quad(f, a: float, b: float, *, epsabs: float = 1.49e-8, epsrel: float = 1.49
     # |a| + |b| bounds every panel's b - a and a + b, so the nodes stay finite
     if not math.isfinite(a) or not (b == math.inf or math.isfinite(abs(a) + abs(b))):
         raise ValueError(f"need a finite lower limit and b = +inf or |a| + |b| finite, got [{a}, {b}]")
-    scalar = True
 
     def block(x):
-        nonlocal scalar
-        fx = np.asarray(f(x), dtype=float)
-        scalar = fx.ndim == 1
-        return fx.reshape(x.size, -1)
+        fx = np.asarray(f(x))
+        if fx.ndim != 2 or len(fx) != len(x) or not fx.size or fx.dtype.kind not in "iuf":
+            raise ValueError(f"f must return a real (21, m >= 1) block, got shape {fx.shape}, dtype {fx.dtype}")
+        return fx
 
     # numpy's overflow warnings are silenced once per call; each panel checks its sums instead
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -188,4 +187,4 @@ def quad(f, a: float, b: float, *, epsabs: float = 1.49e-8, epsrel: float = 1.49
             raise QuadratureConvergenceError(f"quadrature on [{a:g}, {b:g}] did not converge: {exc}") from exc
     neval = 21 * panels
     logging.getLogger(__name__).debug("quadrature on [%g, %g]: abserr %.3g, neval %d", a, b, err, neval)
-    return (float(value[0]) if scalar else value), err, neval
+    return value, err, neval

@@ -167,13 +167,13 @@ _LOG_SQRT_2PI = 0.9189385332046727417803297
 
 
 def log_gamma_complex(z: complex) -> complex:
-    """Principal branch of log Gamma(z) for Re z >= 1/2, by the Lanczos sum.
+    """Principal branch of log Gamma(z) for finite z with Re z >= 1/2, by the Lanczos sum.
 
-    DomainError names z where Re z < 1/2 or z is NaN.
+    DomainError names any other z: Re z < 1/2, or a NaN or infinite part.
     """
     z = complex(z)
-    if not z.real >= 0.5:
-        raise DomainError(f"log-gamma needs Re z >= 1/2, got z = {z}")
+    if not (z.real >= 0.5 and cmath.isfinite(z)):
+        raise DomainError(f"log-gamma needs a finite z with Re z >= 1/2, got z = {z}")
     s = _LANCZOS_C[0]
     for k in range(1, len(_LANCZOS_C)):
         s += _LANCZOS_C[k] / (z - 1.0 + k)
@@ -200,7 +200,7 @@ def spherical_bessel_jy_all(n: int, x) -> tuple[np.ndarray, np.ndarray]:
         j = [np.where(x == 0.0, 1.0, s / x)]
         j.append(j[0] / x - c / x)
         ratio = {}
-        if n >= 1 and np.min(x) < n:  # some order lies above some x
+        if n >= 1 and np.min(x, initial=math.inf) < n:  # some order lies above some x
             r = 0.0
             for k in range(n + 20 + int(4.8 * math.sqrt(n)), 0, -1):
                 r = x / (2 * k + 1 - x * r)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import legroots
 
 import legpade.pade as pade
 from legpade.errors import (
@@ -418,3 +419,32 @@ def test_default_split():
     assert default_split(1) == (1, 0)
     with pytest.raises(DomainError):
         default_split(-1)
+
+
+class TestRealDenominatorRoots:
+    """The oracle for a Froissart-doublet detector: the default [n/n] on N = 2n + 2, and its
+    denominator roots on the real segment [-1, 1] (|Im x| < 1e-8, |Re x| <= 1)."""
+
+    SERIES = {"unit": unit_series, "coulomb k=1": lambda n: coulomb_series(n, 1.0)}
+
+    def roots(self, kind, n):
+        approx, _ = construct(self.SERIES[kind](2 * n + 2), n, n)
+        roots = legroots(approx.denominator)
+        inside = roots[np.abs(roots.real) <= 1.0]
+        return approx, inside, inside[np.abs(inside.imag) < 1e-8]
+
+    def test_unit_20_has_one_doublet(self):
+        approx, _, real = self.roots("unit", 20)
+        (x,) = real
+        assert x.real == pytest.approx(0.824455, abs=1e-6)
+        assert math.acos(x.real) == pytest.approx(0.6016, abs=1e-4)
+        # its numerator partner, 1.28e-5 away, nearly cancels it
+        assert 1e-5 < np.min(np.abs(legroots(approx.numerator) - x)) < 2e-5
+
+    @pytest.mark.parametrize("kind, n", [("unit", n) for n in (10, 30, 40, 50, 100)]
+                             + [("coulomb k=1", n) for n in (10, 20, 30, 40, 50, 100)])
+    def test_controls_have_none(self, kind, n):
+        _, inside, real = self.roots(kind, n)
+        assert real.size == 0
+        # no root with |Re x| <= 1 comes within 1e-5 of the axis: the smallest, 1.8e-5, is Coulomb n = 100
+        assert np.min(np.abs(inside.imag)) > 1e-5

@@ -32,18 +32,19 @@ class TestRule:
 
 class TestIntegrals:
     def test_exponential_on_half_line(self):
-        value, abserr, neval = quad(lambda x: np.exp(-x), 0.0, np.inf, epsabs=1e-13, epsrel=1e-12, limit=400)
-        assert value == pytest.approx(1.0, rel=1e-13)
+        value, abserr, neval = quad(lambda x: np.exp(-x)[:, None], 0.0, np.inf, epsabs=1e-13, epsrel=1e-12,
+                                    limit=400)
+        assert value[0] == pytest.approx(1.0, rel=1e-13)
         assert abserr < 1e-12
         assert neval % 21 == 0
 
     def test_divergent_integral_raises(self):
         with pytest.raises(QuadratureConvergenceError, match="subdivision limit of 400"):
-            quad(lambda x: 1.0 / x, 1.0, np.inf, epsabs=1e-13, epsrel=1e-12, limit=400)
+            quad(lambda x: 1.0 / x[:, None], 1.0, np.inf, epsabs=1e-13, epsrel=1e-12, limit=400)
 
     def test_exhausted_budget_raises(self):
         with pytest.raises(QuadratureConvergenceError, match="subdivision limit of 2"):
-            quad(lambda x: np.cos(200.0 * x), 0.0, 10.0, limit=2)
+            quad(lambda x: np.cos(200.0 * x)[:, None], 0.0, 10.0, limit=2)
 
     def test_roundoff_raises_early(self):
         # the integral cancels to ~1e-16, so epsrel=1e-12 lies under the 50 eps floor
@@ -52,7 +53,7 @@ class TestIntegrals:
 
         def f(x):
             calls.append(x.size)
-            return np.cos(x)
+            return np.cos(x)[:, None]
 
         with pytest.raises(QuadratureConvergenceError, match="roundoff"):
             quad(f, 0.0, 2 * np.pi, epsabs=0.0, epsrel=1e-12, limit=400)
@@ -62,9 +63,9 @@ class TestIntegrals:
         # quad silences numpy's warnings (errors under pytest's filter) and each panel checks its
         # rule sums instead: "invalid value" from the matmul on an inf, and "overflow" from
         # finite values whose rule sum overflows, in a one-component or a two-component block
-        for f in (lambda x: np.full(x.shape, np.nan),
-                  lambda x: np.where(x > 0.9, np.inf, 1.0),
-                  lambda x: np.full(x.shape, 1e308),
+        for f in (lambda x: np.full((x.size, 1), np.nan),
+                  lambda x: np.where(x > 0.9, np.inf, 1.0)[:, None],
+                  lambda x: np.full((x.size, 1), 1e308),
                   lambda x: np.stack([np.ones_like(x), np.full(x.shape, 1e308)], axis=1)):
             with pytest.raises(QuadratureConvergenceError, match=r"non-finite integrand on \[0, 1\]"):
                 quad(f, 0.0, 1.0)
@@ -73,19 +74,19 @@ class TestIntegrals:
         # the step's panel keeps the largest error down to a few ulps of 1/3; no tolerance is reachable
         with pytest.raises(QuadratureConvergenceError, match=r"interval \[0\.3333333333333\d*, "
                                                              r"0\.3333333333333\d*\] too short to bisect"):
-            quad(lambda x: np.sign(x - 1.0 / 3.0), 0.0, 1.0, epsabs=0.0, epsrel=0.0, limit=200)
+            quad(lambda x: np.sign(x - 1.0 / 3.0)[:, None], 0.0, 1.0, epsabs=0.0, epsrel=0.0, limit=200)
 
     def test_unsupported_limits_rejected(self):
         with pytest.raises(ValueError):
-            quad(np.exp, -np.inf, 0.0)
+            quad(lambda x: np.exp(x)[:, None], -np.inf, 0.0)
         with pytest.raises(ValueError):
-            quad(np.exp, 0.0, np.nan)
+            quad(lambda x: np.exp(x)[:, None], 0.0, np.nan)
         # b - a overflows: the half-width is inf and the centre node NaN
         with pytest.raises(ValueError, match=r"\[-1e\+308, 1e\+308\]"):
-            quad(lambda x: np.exp(-x * x), -1e308, 1e308)
+            quad(lambda x: np.exp(-x * x)[:, None], -1e308, 1e308)
         # a + b overflows: every node is inf, where 1/x integrates to 0, not ln 1.5
         with pytest.raises(ValueError, match=r"\[1e\+308, 1\.5e\+308\]"):
-            quad(lambda x: 1.0 / x, 1e308, 1.5e308)
+            quad(lambda x: 1.0 / x[:, None], 1e308, 1.5e308)
 
 
 @settings(max_examples=60, deadline=None)
@@ -119,7 +120,7 @@ def test_finite_result_within_own_error_of_mpmath(amplitude, sign, growth, frequ
 
     def f(x):
         values = [sign * amplitude * mp.exp(growth * t) * mp.cos(frequency * t + phase) for t in map(mp.mpf, x)]
-        return np.array(values, dtype=float)
+        return np.array(values, dtype=float)[:, None]
 
     try:
         value, abserr, _ = quad(f, lo, hi, epsabs=1e-12, epsrel=epsrel, limit=400)
@@ -134,7 +135,7 @@ def test_finite_result_within_own_error_of_mpmath(amplitude, sign, growth, frequ
             abs_area = mp.quad(lambda x: amplitude * mp.exp(growth * x) * abs(mp.cos(frequency * x + phase)), cuts)
         assert max(1e-12, epsrel * abs(exact)) <= 10.0 * 50.0 * np.finfo(float).eps * float(abs_area)
         return
-    assert abs(value - exact) <= abserr
+    assert abs(value[0] - exact) <= abserr
 
 
 def _exp_cos_exact(amplitude, growth, frequency, phase, lo, width):
@@ -176,20 +177,18 @@ def test_stacked_finite_components_within_own_error_of_mpmath(components, lo, wi
         assert abs(got - want) <= abserr
 
 
-@pytest.mark.parametrize("limits, kwargs", [
-    ((0.0, 3.0), {}),
-    ((0.0, np.inf), {}),
-    ((1.0, np.inf), {}),
-])
-def test_one_component_block_matches_scalar_integrand(limits, kwargs):
-    def f(x):
-        return np.exp(-0.5 * x) / (1.0 + x * x)
-
-    scalar = quad(f, *limits, epsabs=1e-13, epsrel=1e-12, limit=400, **kwargs)
-    block = quad(lambda x: f(x)[:, None], *limits, epsabs=1e-13, epsrel=1e-12, limit=400, **kwargs)
-    assert isinstance(scalar[0], float)
-    assert block[0].shape == (1,)
-    assert (block[0][0], *block[1:]) == scalar
+@pytest.mark.parametrize("b", [1.0, np.inf])
+@pytest.mark.parametrize("f, got", [
+    # one value per node: on [0, inf) it would broadcast against the (21, 1) Jacobian into 21 columns
+    (lambda x: np.exp(-x), "shape (21,), dtype float64"),
+    (lambda x: (np.exp(-x) + 1j * x)[:, None], "shape (21, 1), dtype complex128"),
+    (lambda x: np.exp(-x)[1:, None], "shape (20, 1), dtype float64"),
+    (lambda x: np.empty((x.size, 0)), "shape (21, 0), dtype float64"),
+], ids=["one-dimensional", "complex", "wrong-length", "no-components"])
+def test_integrand_that_is_not_a_real_block_raises(f, got, b):
+    with pytest.raises(ValueError) as info:
+        quad(f, 0.0, b)
+    assert str(info.value) == f"f must return a real (21, m >= 1) block, got {got}"
 
 
 def _scipy_quad(f, a, b, **kwargs):

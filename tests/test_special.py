@@ -149,10 +149,12 @@ class TestLogGamma:
             log_gamma_complex(z.conjugate()).conjugate(), rel=1e-14
         )
 
-    @pytest.mark.parametrize("z", [0.0, -1.0, -7.0, 0.49, -3.5 + 2j, complex(math.nan, 0.0)])
+    @pytest.mark.parametrize("z", [0.0, -1.0, -7.0, 0.49, -3.5 + 2j, complex(math.nan, 0.0),
+                                   complex(1.0, math.nan), complex(1.0, math.inf), complex(math.inf, 0.0)])
     def test_left_of_half_plane_is_domain_error(self, z):
-        # the Lanczos sum holds on Re z >= 1/2 only; NaN fails the comparison too
-        with pytest.raises(DomainError, match=re.escape(f"log-gamma needs Re z >= 1/2, got z = {complex(z)}")):
+        # the Lanczos sum holds on finite z with Re z >= 1/2 only; at a NaN or infinite part it gives nan+nanj
+        message = f"log-gamma needs a finite z with Re z >= 1/2, got z = {complex(z)}"
+        with pytest.raises(DomainError, match=re.escape(message)):
             log_gamma_complex(z)
 
 
@@ -250,6 +252,11 @@ class TestSphericalBesselAllOrders:
         j, _ = spherical_bessel_jy_all(5, np.array([0.0, 1e-300]))
         assert j[:, 0].tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
         assert j[0, 1] == 1.0 and j[1, 1] == pytest.approx(1e-300 / 3, rel=1e-15)
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_empty_x(self, n):
+        j, y = spherical_bessel_jy_all(n, np.array([]))
+        assert j.shape == y.shape == (n + 1, 0)
 
 
 class TestHankelEnvelopes:
