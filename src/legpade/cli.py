@@ -184,7 +184,10 @@ def cmd_compare(args) -> int:
     partial_series, full, exact = _build_series(args)
     L, M = _resolve_split(args, partial_series.order)
     approx, _ = construct(full, L, M)
-    thetas = np.linspace(args.theta_min, args.theta_max, args.steps)
+    try:  # numpy wraps sizes within about 1e3 of 2^63 to an empty array, which linspace then indexes
+        thetas = np.linspace(args.theta_min, args.theta_max, args.steps)
+    except IndexError:
+        raise DomainError(f"--steps {args.steps} is too large for an array") from None
     partials = eval_partial_sum(partial_series, thetas)
     try:
         pades = evaluate(approx, thetas)

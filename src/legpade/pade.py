@@ -183,12 +183,10 @@ def solve_denominator(series: ComplexSeries, L: int, M: int) -> tuple[np.ndarray
     return _denominator(_product_matrix(c, L, M), L)
 
 
-def compute_numerator(series: ComplexSeries, denominator: np.ndarray, L: int, M: int) -> np.ndarray:
-    """Numerator coefficients a_0..a_L for a given denominator."""
-    c, L, M = _checked_coefficients(series, L, M)
-    b = np.asarray(denominator, dtype=complex)
-    if b.size != M + 1:
-        raise ValueError(f"denominator must carry M+1 = {M + 1} coefficients, got {b.size}")
+def compute_numerator(series: ComplexSeries, denominator: np.ndarray, L: int) -> np.ndarray:
+    """Numerator a_0..a_L for a denominator b_0..b_M, checked as a ComplexSeries; its length sets M."""
+    b = ComplexSeries(denominator).coefficients
+    c, L, M = _checked_coefficients(series, L, b.size - 1)
     return _product_matrix(c, L, M)[: L + 1] @ b
 
 

@@ -38,7 +38,7 @@ import numpy as np
 from .errors import DomainError
 from .quadrature import quad
 from .series import ComplexSeries, _check_theta
-from .special import _check_order, _finite, _hankel_envelopes, _in_range, log_gamma_complex
+from .special import _BIG, _check_order, _finite, _hankel_envelopes, _in_range, log_gamma_complex
 # spherical_bessel_j/_y are unused here; perfbench/tracer.py rebinds them on this module
 from .special import spherical_bessel_j, spherical_bessel_jy_all, spherical_bessel_y  # noqa: F401
 
@@ -58,7 +58,6 @@ __all__ = [
 ]
 
 POTENTIAL_KINDS = ("inverse_r2",)
-_BIG = float(np.finfo(float).max)
 _SQRT_BIG = math.sqrt(_BIG)  # the largest float whose square is finite
 _K_MIN = math.nextafter(1.0 / _BIG, 1.0)  # the least wavenumber whose 1/k is finite
 
@@ -107,10 +106,8 @@ class RNParams:
         _in_range(self.mass, 1.0 / _SQRT_BIG, _BIG, "mass = {} is too small: its square underflows")
         _in_range(self.mu, 0.0, _SQRT_BIG, "particle mass mu = {} is too large: its square overflows")
         if abs(self.charge) >= self.mass:
-            raise ValueError(
-                f"|Q| = {abs(self.charge)} must be strictly below M = {self.mass} "
-                "(extremal configurations are rejected)"
-            )
+            raise DomainError(f"|Q| = {abs(self.charge)} must be strictly below M = {self.mass} "
+                              "(extremal configurations are rejected)")
         disc = math.sqrt(self.mass**2 - self.charge**2)
         object.__setattr__(self, "r_plus", self.mass + disc)
         object.__setattr__(self, "r_minus", self.mass - disc)

@@ -35,14 +35,15 @@ __all__ = [
 ]
 
 _X_TOL = 1.0 + 4.0 * np.finfo(float).eps
+_BIG = float(np.finfo(float).max)
 
 
 def _in_range(x, lo: float, hi: float, message: str, name: str | None = None):
     """x as a float, or an array-like as a float array, after checking that every
     entry lies in [lo, hi] (NaN does not); ``message`` formats the first that does not.
     Given the ``name`` of a parameter that must be one number, an array raises DomainError naming it.
-    Text (a str, bytes, or an array-like of them) is rejected, though numpy would parse it."""
-    if not isinstance(x, float) and np.asarray(x).dtype.kind in "SU":
+    Text or a complex (1+0j too, or an array-like of either) is rejected: numpy would parse or truncate it."""
+    if not isinstance(x, float) and np.asarray(x).dtype.kind in "SUc":
         raise DomainError(message.format(repr(x)))
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
@@ -228,13 +229,13 @@ def _hankel_envelopes(n: int, z) -> np.ndarray:
 
 
 def spherical_bessel_j(l: int, x: float) -> float:
-    """Spherical Bessel function j_l(x) for x >= 0: entry l of ``spherical_bessel_jy_all(l, x)``."""
-    x = _in_range(x, 0.0, math.inf, "argument must be non-negative, got {}", "argument x")
+    """Spherical Bessel function j_l(x) for a finite x >= 0: entry l of ``spherical_bessel_jy_all(l, x)``."""
+    x = _in_range(x, 0.0, _BIG, "argument must be finite and non-negative, got {}", "argument x")
     return float(spherical_bessel_jy_all(l, np.array([x]))[0][-1, 0])
 
 
 def spherical_bessel_y(l: int, x: float) -> float:
-    """Spherical Bessel function of the second kind, y_l(x), x > 0: entry l of
+    """Spherical Bessel function of the second kind, y_l(x), for a finite x > 0: entry l of
     ``spherical_bessel_jy_all(l, x)``."""
-    x = _in_range(x, math.ulp(0.0), math.inf, "argument must be positive, got {}", "argument x")
+    x = _in_range(x, math.ulp(0.0), _BIG, "argument must be finite and positive, got {}", "argument x")
     return float(spherical_bessel_jy_all(l, np.array([x]))[1][-1, 0])

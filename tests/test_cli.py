@@ -270,6 +270,16 @@ class TestCompareCommand:
     def test_bad_steps(self):
         assert run_cli(["compare", "--demo", "unit", "--steps", "1"]) == 4
 
+    @pytest.mark.parametrize("steps", [2**62, 2**63 - 1, 2**63, 2**64 - 1])
+    def test_steps_beyond_any_array_is_bad_args(self, capsys, steps):
+        # numpy rejects 2^62 and 2^64 - 1 by size; within about 1e3 of 2^63 it wraps the size to an
+        # empty array, and linspace's IndexError was a traceback with exit 1
+        assert run_cli(["compare", "--demo", "unit", "--steps", str(steps)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("legpade: bad arguments: ") and err.count("\n") == 1
+        if steps in (2**63 - 1, 2**63):
+            assert err == f"legpade: bad arguments: --steps {steps} is too large for an array\n"
+
     def test_unknown_demo_is_bad_args(self):
         assert run_cli(["compare", "--demo", "nonsense"]) == 4
 

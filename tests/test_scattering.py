@@ -371,6 +371,11 @@ class TestRNParams:
             with pytest.raises(ValueError, match=f"{field} must be finite"):
                 RNParams(**fields)
 
+    @pytest.mark.parametrize("charge", [10.0, -10.0, 12.0])
+    def test_extremal_charge_is_domain_error(self, charge):
+        with pytest.raises(DomainError, match=re.escape(f"|Q| = {abs(charge)} must be strictly below M = 10.0")):
+            RNParams(mass=10.0, charge=charge, eta=1e-4)
+
     @pytest.mark.parametrize("text", ["10", b"10"])
     def test_numeric_text_is_rejected(self, text):
         with pytest.raises(DomainError, match=re.escape(f"mass must be finite and positive, got {text!r}")):
@@ -613,6 +618,13 @@ class TestRNSeries:
         reference = _per_order_rn_series(20, p)
         ours = rn_series(20, p).coefficients
         assert np.max(np.abs(ours - reference) / np.abs(reference)) < 1e-11
+
+    def test_upper_cutoff_converges_like_one_over_r_max(self):
+        # the tail beyond r_max falls like 1/r_max: the default 50/eta moves the coefficients by
+        # 1.6e-3 against 1e4/eta, while 3e3/eta and 1e4/eta agree to 1.9e-5
+        eta = RN_REFERENCE.eta
+        near, far = (rn_series(8, RN_REFERENCE, r_max=r / eta).coefficients for r in (3e3, 1e4))
+        assert np.max(np.abs(near - far) / np.abs(far)) < 1e-4
 
     def test_cutoffs_are_keyword_only(self):
         # keyword-only, so a stray positional flag cannot become a cutoff

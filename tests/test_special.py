@@ -189,12 +189,17 @@ class TestSphericalBessel:
         with pytest.raises(DomainError):
             spherical_bessel_j(-1, 1.0)
         # NaN lies in no range
-        with pytest.raises(DomainError, match="argument must be non-negative, got nan"):
+        with pytest.raises(DomainError, match="argument must be finite and non-negative, got nan"):
             spherical_bessel_j(2, math.nan)
-        with pytest.raises(DomainError, match="argument must be positive, got nan"):
+        with pytest.raises(DomainError, match="argument must be finite and positive, got nan"):
             spherical_bessel_y(2, math.nan)
-        with pytest.raises(DomainError, match="argument must be positive, got 0.0"):
+        with pytest.raises(DomainError, match="argument must be finite and positive, got 0.0"):
             spherical_bessel_y(2, 0.0)
+        # scipy gives 0 at infinity; the recurrences gave NaN
+        with pytest.raises(DomainError, match="argument must be finite and non-negative, got inf"):
+            spherical_bessel_j(2, math.inf)
+        with pytest.raises(DomainError, match="argument must be finite and positive, got inf"):
+            spherical_bessel_y(2, math.inf)
 
     def test_neumann_wronskian(self):
         # j_l' y_l - j_l y_l' = 1/x^2 checked through the recurrence form:
