@@ -96,30 +96,24 @@ class ConstructionReport:
 def default_split(n: int) -> tuple[int, int]:
     """Default (L, M) with L + M = n: equal halves, numerator gets the odd one."""
     n = _check_order(n, "series order")
-    if n % 2 == 0:
-        return n // 2, n // 2
-    return (n + 1) // 2, (n - 1) // 2
+    return (n + 1) // 2, n // 2
 
 
-def _checked_coefficients(series: ComplexSeries, L: int, M: int) -> tuple[np.ndarray, int, int]:
-    """Series coefficients and the degrees as ints, after checking the degrees against them."""
-    L, M = _check_order(L, "numerator degree L"), _check_order(M, "denominator degree M")
-    c = series.coefficients
-    if c.size < L + M + 1:
-        raise InsufficientCoefficientsError(
-            f"need at least {L + M + 1} coefficients for L={L}, M={M}; series has {c.size}"
-        )
-    return c, L, M
-
-
-def _product_matrix(c: np.ndarray, L: int, M: int) -> np.ndarray:
-    """G[n, k] for n = 0..L+M, k = 0..M: order-n coefficient of P_k * sum_m c_m P_m.
+def _product_matrix(series: ComplexSeries, L: int, M: int) -> tuple[np.ndarray, int, int]:
+    """G[n, k] for n = 0..L+M, k = 0..M, the order-n coefficient of P_k * sum_m c_m P_m,
+    and the degrees as ints, after checking them against the series' coefficient count.
 
     P_k P_m = sum_n (2n+1) W(k, m, n) P_n, W the squared zero-projection 3j symbol.
     Only the band m = n-k+2j, j = 0..k, n+j >= k, is nonzero; there, with g = n+j and
     A(p) = (2p)!/(2^p p!)^2, W = A(g-k) A(k-j) A(j) / ((2g+1) A(g)). Each entry sums
     its band in a fixed order, so G of a smaller L, M is a bit-identical slice.
     """
+    L, M = _check_order(L, "numerator degree L"), _check_order(M, "denominator degree M")
+    c = series.coefficients
+    if c.size < L + M + 1:
+        raise InsufficientCoefficientsError(
+            f"need at least {L + M + 1} coefficients for L={L}, M={M}; series has {c.size}"
+        )
     n = np.arange(L + M + 1)[:, None]
     p = np.arange(1, L + 2 * M + 1)
     A = np.concatenate([[1.0], np.cumprod((2 * p - 1) / (2 * p))])
@@ -131,7 +125,7 @@ def _product_matrix(c: np.ndarray, L: int, M: int) -> np.ndarray:
         # entries off the band index A[0] and c[0] and are then zeroed
         w = A[(g - k) * on] * A[k - j] * A[j] / ((2 * g + 1) * A[g])
         G[:, k] = np.where(on, w * c[m * on], 0.0).sum(axis=1)
-    return (2 * n + 1) * G
+    return (2 * n + 1) * G, L, M
 
 
 def _system(G: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
@@ -170,24 +164,24 @@ def build_denominator_system(series: ComplexSeries, L: int, M: int) -> tuple[np.
     with W the squared zero-projection 3j symbol, rhs[j-1] the negated b_0
     column. Sums run over all coefficients the series carries.
     """
-    c, L, M = _checked_coefficients(series, L, M)
+    G, L, M = _product_matrix(series, L, M)
     if M < 1:
         raise DomainError("the denominator system needs M >= 1")
-    return _system(_product_matrix(c, L, M), L)
+    return _system(G, L)
 
 
 def solve_denominator(series: ComplexSeries, L: int, M: int) -> tuple[np.ndarray, float]:
     """Denominator coefficients b_0..b_M (b_0 = 1) and the 1-norm condition
     number of the system (1.0 when M = 0)."""
-    c, L, M = _checked_coefficients(series, L, M)
-    return _denominator(_product_matrix(c, L, M), L)
+    G, L, _ = _product_matrix(series, L, M)
+    return _denominator(G, L)
 
 
 def compute_numerator(series: ComplexSeries, denominator: np.ndarray, L: int) -> np.ndarray:
     """Numerator a_0..a_L for a denominator b_0..b_M, checked as a ComplexSeries; its length sets M."""
     b = ComplexSeries(denominator).coefficients
-    c, L, M = _checked_coefficients(series, L, b.size - 1)
-    return _product_matrix(c, L, M)[: L + 1] @ b
+    G, L, _ = _product_matrix(series, L, b.size - 1)
+    return G[: L + 1] @ b
 
 
 def construct(series: ComplexSeries, L: int, M: int) -> tuple[PadeApproximant, ConstructionReport]:
@@ -197,12 +191,11 @@ def construct(series: ComplexSeries, L: int, M: int) -> tuple[PadeApproximant, C
     recomputed magnitude among the enforced-zero orders L+1 .. L+M; the
     construction fails if that residual exceeds 1e-8 * max|c|.
     """
-    c, L, M = _checked_coefficients(series, L, M)
-    G = _product_matrix(c, L, M)
+    G, L, _ = _product_matrix(series, L, M)
     b, cond = _denominator(G, L)
     a = G[: L + 1] @ b
     residual = float(np.max(np.abs(G[L + 1:] @ b), initial=0.0))
-    scale = float(np.max(np.abs(c)))
+    scale = float(np.max(np.abs(series.coefficients)))
     if residual > _RESIDUAL_FLOOR * scale:
         raise ResidualTooLargeError(
             f"enforced-zero orders leave residual {residual:.3e} > {_RESIDUAL_FLOOR:g} * max|c| = "

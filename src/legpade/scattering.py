@@ -265,15 +265,18 @@ def _rn_first_order(ls: np.ndarray, params: RNParams, horizon_epsilon: float,
     and sin(2 eta r*), the integral against l(l+1)/r^2 + w0 is l(l+1) A + B, with A
     against 1/r^2 and B against w0, so one four-component integral serves every order,
     one quadrature over u = ln(r/r_+ - 1) from ln(horizon_epsilon) to ln(r_max/r_+ - 1).
-    r_max must be beyond r_+(1 + horizon_epsilon), with r_max^2 finite, else DomainError."""
+    The lower cutoff r_+(1 + horizon_epsilon) must be finite and beyond r_+, and r_max
+    beyond it, with r_max^2 finite, else a DomainError names the cutoff at fault."""
     rp, rm, eta = params.r_plus, params.r_minus, params.eta
     if r_max is None:
         r_max = 50.0 / eta
-    cutoff = "horizon_epsilon = {} puts the lower cutoff on r_+"
-    if not rp * (1.0 + _in_range(horizon_epsilon, -math.inf, math.inf, cutoff, "horizon_epsilon")) > rp:
+    cutoff = "horizon_epsilon = {} must put the lower cutoff r_+(1 + horizon_epsilon) at a finite r beyond r_+"
+    lower = rp * (1.0 + _in_range(horizon_epsilon, -math.inf, math.inf, cutoff, "horizon_epsilon"))
+    if not rp < lower < math.inf:
         raise DomainError(cutoff.format(horizon_epsilon))
-    _in_range(r_max, math.nextafter(rp * (1.0 + horizon_epsilon), math.inf), _SQRT_BIG,
-              "r_max = {} must be finite, with a finite square, and lie beyond the lower quadrature cutoff", "r_max")
+    _in_range(r_max, math.nextafter(lower, math.inf), _SQRT_BIG, "r_max = {} must be finite, with a finite square, "
+              f"and lie beyond the lower quadrature cutoff r_+(1 + horizon_epsilon) = {lower}, "
+              f"horizon_epsilon = {horizon_epsilon}", "r_max")
 
     def block(u):
         # (nodes, 4) at r = r_+(1 + e^u), times dr/du = r_+ e^u: sin^2(eta r*)

@@ -230,6 +230,10 @@ class TestCompareCommand:
         assert run_cli(["compare", "--demo", "rn", "--rn-rmax", r_max, "--steps", "3"]) == 4
         assert f"r_max = {r_max} must be finite" in capsys.readouterr().err
 
+    def test_infinite_rn_epsilon_is_bad_args(self, capsys):
+        assert run_cli(["compare", "--demo", "rn", "--rn-epsilon", "inf", "--steps", "3"]) == 4
+        assert "horizon_epsilon = inf must put the lower cutoff" in capsys.readouterr().err
+
     def test_rn_cutoff_with_overflowing_square_is_bad_args(self, capsys):
         # the default r_max = 50/eta = 5e301 is finite, but r_max^2 in the radial weights is not;
         # pytest turns the overflow warning into an error, so the guard must come first

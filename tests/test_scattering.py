@@ -533,6 +533,21 @@ class TestRNPhaseShift:
             with pytest.raises(DomainError):
                 rn_series(3, RN_REFERENCE, horizon_epsilon=epsilon)
 
+    @pytest.mark.parametrize("epsilon, message", [
+        (math.inf, "horizon_epsilon = inf must put the lower cutoff r_+(1 + horizon_epsilon) at a finite r"),
+        # r_+(1 + eps) is finite but lies beyond the default r_max = 50/eta = 5e5: both are named
+        (1e300, "r_max = 500000.0 must be finite, with a finite square, and lie beyond the lower quadrature "
+                "cutoff r_+(1 + horizon_epsilon) = 1.866025403784439e+301, horizon_epsilon = 1e+300"),
+        (1e6, "r_max = 500000.0 must be finite, with a finite square, and lie beyond the lower quadrature "
+              "cutoff r_+(1 + horizon_epsilon) = 18660272.69809843, horizon_epsilon = 1000000.0"),
+    ], ids=["inf", "1e300", "1e6"])
+    def test_cutoff_too_far_out_names_horizon_epsilon(self, epsilon, message):
+        params = RNParams(10.0, 5.0, 1e-4)
+        with pytest.raises(DomainError, match=re.escape(message)):
+            rn_series(3, params, horizon_epsilon=epsilon)
+        with pytest.raises(DomainError, match=re.escape(message)):
+            rn_phase_shift(2, params, 1, horizon_epsilon=epsilon)
+
 
 def _per_order_rn_series(n, p):
     """rn_series(n, p) with two scipy quadratures per order over osc(r*) (dr*/dr) V_eff.
