@@ -33,7 +33,7 @@ for q_over_m in (0.5, 0.99, 1e-4):
     # shift plus the first-order one
     ls = np.arange(4)
     ratio = series.coefficients[:4] * (2j * params.omega) / (2 * ls + 1)
-    first_order = 0.5 * np.angle(ratio) - rn_phase_shift(0, params, 0)
+    first_order = 0.5 * np.angle(ratio) - rn_phase_shift(0, params)
     print("first-order phase shifts:")
     for l, delta in zip(ls, first_order):
         print(f"  delta^1_{l} = {delta:+.6e}")

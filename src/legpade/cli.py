@@ -114,7 +114,7 @@ def _build_series(args) -> tuple[ComplexSeries, ComplexSeries, Optional[Callable
 
 def _read_coefficients(path: str) -> ComplexSeries:
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:  # "-sig": a leading byte-order mark is skipped
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise CliError(f"cannot read coefficient file: {exc}", EXIT_BAD_ARGS)
@@ -272,7 +272,7 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
     known = set(vars(parser.parse_args(["construct"]))) | set(vars(parser.parse_args(["compare"])))
     known -= {"command", "func", "config"}  # not flags, and a config file names no other one
     try:
-        with open(args.config, encoding="utf-8") as fh:
+        with open(args.config, encoding="utf-8-sig") as fh:
             lines = [raw.strip() for raw in fh]
     except OSError as exc:
         raise CliError(f"cannot read config file: {exc}", EXIT_BAD_ARGS)

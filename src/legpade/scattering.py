@@ -18,9 +18,10 @@ Phase-shift quadratures use the numpy Gauss-Kronrod integrator of
 block, so two quadratures give every Born shift up to N: the body of j_l^2,
 and its tail as one integrand, the tail's mean plus its oscillating part on a
 contour rotated into the upper half plane, where it decays like e^(-2t). A
-single-order call integrates orders 0..l. The Reissner-Nordstrom first-order
-integrands are linear in l(l+1), so one four-component integral gives the shifts of every
-order, in one quadrature over u = ln(r/r_+ - 1), where the log endpoint at the
+single-order call integrates orders 0..l. The Reissner-Nordstrom zeroth-order shift
+is a closed form (``rn_phase_shift``); the first-order integrands are linear in l(l+1),
+so ``rn_series`` gets the first-order shifts of every order from one four-component
+integral, in one quadrature over u = ln(r/r_+ - 1), where the log endpoint at the
 horizon is smooth; weights that overflow raise a DomainError naming mass and mu.
 Each quadrature calls the module global ``quad`` (``perfbench/tracer.py`` rebinds it),
 which logs its interval, error estimate and integrand points at DEBUG on the
@@ -259,14 +260,44 @@ def _rn_radial(r, params: RNParams):
     return rstar, horizon_factor, w0
 
 
-def _rn_first_order(ls: np.ndarray, params: RNParams, horizon_epsilon: float,
-                    r_max: float | None) -> np.ndarray:
-    """First-order phase shifts of the orders ``ls``: for each oscillator, sin^2(eta r*)
-    and sin(2 eta r*), the integral against l(l+1)/r^2 + w0 is l(l+1) A + B, with A
-    against 1/r^2 and B against w0, so one four-component integral serves every order,
-    one quadrature over u = ln(r/r_+ - 1) from ln(horizon_epsilon) to ln(r_max/r_+ - 1).
-    The lower cutoff r_+(1 + horizon_epsilon) must be finite and beyond r_+, and r_max
-    beyond it, with r_max^2 finite, else a DomainError names the cutoff at fault."""
+def rn_phase_shift(l: int, params: RNParams) -> float:
+    """Zeroth-order scattering phase shift, the closed form l*pi/2 + M*eta*(1 - 2 ln 2) +
+    2*M*eta*ln(sqrt(M^2-Q^2)/M). The first-order shifts come from ``rn_series``."""
+    l = _check_order(l, "partial-wave order")
+    mm, q, eta = params.mass, params.charge, params.eta
+    return (
+        l * math.pi / 2.0
+        + mm * eta
+        - 2.0 * mm * eta * math.log(2.0)
+        + 2.0 * mm * eta * math.log(math.sqrt(mm * mm - q * q) / mm)
+    )
+
+
+def rn_series(
+    n: int,
+    params: RNParams,
+    *,
+    horizon_epsilon: float = 1e-8,
+    r_max: float | None = None,
+) -> ComplexSeries:
+    """Partial-wave series c_l = (2l+1)/(2i omega) * exp(2i delta_l) terms.
+
+    delta_l is the zeroth-order shift (``rn_phase_shift``) plus the first-order one. For
+    each oscillator, sin^2(eta r*) and sin(2 eta r*), the first-order integral against
+    l(l+1)/r^2 + w0 is l(l+1) A + B, with A against 1/r^2 and B against w0, so one
+    four-component integral serves every order, one quadrature over u = ln(r/r_+ - 1)
+    from ln(horizon_epsilon) to ln(r_max/r_+ - 1); r_max defaults to 50/eta, several
+    oscillation wavelengths. The lower cutoff r_+(1 + horizon_epsilon) must be finite
+    and beyond r_+, and r_max beyond it, with r_max^2 finite, else a DomainError names
+    the cutoff at fault.
+
+    The l*pi/2 part of the zeroth-order shift only contributes a factor
+    (-1)^l to the exponential, which mirrors the amplitude through
+    theta -> pi - theta; the series is built in the orientation with the
+    forward divergence at theta = 0, matching the reference cross-section
+    data, so every order takes the zeroth-order shift of l = 0.
+    """
+    ls = np.arange(_check_order(n, "series order") + 1)
     rp, rm, eta = params.r_plus, params.r_minus, params.eta
     if r_max is None:
         r_max = 50.0 / eta
@@ -296,56 +327,7 @@ def _rn_first_order(ls: np.ndarray, params: RNParams, horizon_epsilon: float,
     ll = ls * (ls + 1.0)
     i_sin2, i_sin2e = ll * a_sin2 + b_sin2, ll * a_sin2e + b_sin2e
     phase = -np.arctan((i_sin2 / eta) / (1.0 + i_sin2e / eta))
-    return phase + (rp + rm) * eta * math.log((rp - rm) / (rp + rm))
-
-
-def rn_phase_shift(
-    l: int,
-    params: RNParams,
-    order: int,
-    horizon_epsilon: float = 1e-8,
-    r_max: float | None = None,
-) -> float:
-    """Zeroth- or first-order scattering phase shift.
-
-    Order 0 is the closed form l*pi/2 + M*eta*(1 - 2 ln 2) +
-    2*M*eta*ln(sqrt(M^2-Q^2)/M). Order 1 is linear in l(l+1) over four improper
-    integrals of the effective potential, cut off at r_+(1 + horizon_epsilon)
-    below and r_max (default 50/eta, several oscillation wavelengths) above, in
-    one quadrature that serves every l; build many orders with ``rn_series``.
-    """
-    l = _check_order(l, "partial-wave order")
-    if order not in (0, 1):
-        raise ValueError(f"phase-shift order must be 0 or 1, got {order}")
-    mm, q, eta = params.mass, params.charge, params.eta
-    if order == 0:
-        return (
-            l * math.pi / 2.0
-            + mm * eta
-            - 2.0 * mm * eta * math.log(2.0)
-            + 2.0 * mm * eta * math.log(math.sqrt(mm * mm - q * q) / mm)
-        )
-    return float(_rn_first_order(np.array([l]), params, horizon_epsilon, r_max)[0])
-
-
-def rn_series(
-    n: int,
-    params: RNParams,
-    *,
-    horizon_epsilon: float = 1e-8,
-    r_max: float | None = None,
-) -> ComplexSeries:
-    """Partial-wave series c_l = (2l+1)/(2i omega) * exp(2i delta_l) terms.
-
-    All first-order shifts share one quadrature (see ``rn_phase_shift``).
-    The l*pi/2 part of the zeroth-order shift only contributes a factor
-    (-1)^l to the exponential, which mirrors the amplitude through
-    theta -> pi - theta; the series is built in the orientation with the
-    forward divergence at theta = 0, matching the reference cross-section
-    data, so every order takes the zeroth-order shift of l = 0.
-    """
-    ls = np.arange(_check_order(n, "series order") + 1)
-    delta = rn_phase_shift(0, params, 0) + _rn_first_order(ls, params, horizon_epsilon, r_max)
+    delta = rn_phase_shift(0, params) + (phase + (rp + rm) * eta * math.log((rp - rm) / (rp + rm)))
     return ComplexSeries((2 * ls + 1) / (2j * params.omega) * np.exp(2j * delta))
 
 

@@ -1,4 +1,5 @@
 import argparse
+import codecs
 import logging
 import math
 
@@ -83,6 +84,16 @@ class TestConstructCommand:
         infile = tmp_path / "bad.csv"
         infile.write_text("0,1.0,0.0\n")
         assert run_cli(["construct", "--coeffs", str(infile), "--L", "0", "--M", "0"]) == 4
+
+    def test_byte_order_mark_read(self, tmp_path):
+        # Excel's "CSV UTF-8" export starts the file with a UTF-8 byte-order mark
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_coeffs(plain, np.array([1.0, 0.5, 0.25]))
+        marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        outputs = [tmp_path / "plain.txt", tmp_path / "marked.txt"]
+        for infile, outfile in zip([plain, marked], outputs):
+            assert run_cli(["construct", "--coeffs", str(infile), "--L", "1", "--M", "1", "-o", str(outfile)]) == 0
+        assert outputs[0].read_text() == outputs[1].read_text()
 
     def test_non_contiguous_orders_rejected(self, tmp_path):
         infile = tmp_path / "gap.csv"
@@ -363,6 +374,14 @@ class TestConfigFile:
         config.write_text("# a sweep\n\ndemo = unit\n   \n  # steps = 9\nsteps = 4\n")
         assert run_cli(["compare", "--config", str(config), "-o", str(outfile)]) == 0
         assert len(read_rows(outfile)) == 4
+
+    def test_byte_order_mark_read(self, tmp_path):
+        # the mark sits on the first key, which is then read as 'steps'
+        config = tmp_path / "marked.cfg"
+        outfile = tmp_path / "out.csv"
+        config.write_bytes(codecs.BOM_UTF8 + b"steps = 3\ndemo = unit\n")
+        assert run_cli(["compare", "--config", str(config), "-o", str(outfile)]) == 0
+        assert len(read_rows(outfile)) == 3
 
     def test_unreadable_config_is_bad_args(self, tmp_path, capsys):
         assert run_cli(["compare", "--demo", "unit", "--config", str(tmp_path / "missing.cfg")]) == 4

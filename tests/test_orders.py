@@ -45,8 +45,7 @@ ORDER_CALLS = {
     "born_series": lambda n: born_series(INVR2, n, 1.0),
     "born_phase_shift": lambda n: born_phase_shift(INVR2, n, 1.0),
     "rn_series": lambda n: rn_series(n, RN),
-    "rn_phase_shift_0": lambda n: rn_phase_shift(n, RN, 0),
-    "rn_phase_shift_1": lambda n: rn_phase_shift(n, RN, 1),
+    "rn_phase_shift_0": lambda n: rn_phase_shift(n, RN),
     "default_split": default_split,
     "construct_L": lambda n: construct(SERIES, n, 3),
     "construct_M": lambda n: construct(SERIES, 3, n),

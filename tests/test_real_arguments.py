@@ -22,7 +22,6 @@ from legpade.scattering import (
     coulomb_exact,
     coulomb_series,
     exact_half_csc,
-    rn_phase_shift,
     rn_series,
 )
 from legpade.series import eval_partial_sum
@@ -56,9 +55,6 @@ REAL_CALLS = {
     "RNParams mu": lambda x: RNParams(mass=10.0, charge=5.0, eta=1e-4, mu=x),
     "rn_series r_max": lambda x: rn_series(3, RN, r_max=x),
     "rn_series horizon_epsilon": lambda x: rn_series(3, RN, horizon_epsilon=x),
-    # order 1: order 0 is a closed form that reads neither cutoff
-    "rn_phase_shift r_max": lambda x: rn_phase_shift(2, RN, 1, r_max=x),
-    "rn_phase_shift horizon_epsilon": lambda x: rn_phase_shift(2, RN, 1, horizon_epsilon=x),
     "legendre_eval_all x": lambda x: legendre_eval_all(3, x),
     "spherical_bessel_j x": lambda x: spherical_bessel_j(2, x),
     "spherical_bessel_y x": lambda x: spherical_bessel_y(2, x),

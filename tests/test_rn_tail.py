@@ -54,7 +54,7 @@ def _series_to_infinity(p, R):
     l = np.arange(N + 1)
     ll = l * (l + 1.0)
     first = -np.arctan(((ll * a_sin2 + b_sin2) / eta) / (1.0 + (ll * a_sin2e + b_sin2e) / eta))
-    delta = rn_phase_shift(0, p, 0) + first + (rp + rm) * eta * math.log((rp - rm) / (rp + rm))
+    delta = rn_phase_shift(0, p) + first + (rp + rm) * eta * math.log((rp - rm) / (rp + rm))
     return (2 * l + 1) / (2j * p.omega) * np.exp(2j * delta)
 
 

@@ -456,39 +456,38 @@ class TestRNArrayForm:
                 assert w0[i] == pytest.approx(wi, rel=1e-12)
 
 
+def _first_order_shifts(series, p):
+    """The first-order shifts read back from c_l = (2l+1)/(2i omega) exp(2i delta_l), where delta_l is
+    the l = 0 zeroth-order shift plus the first-order one; |delta_l| < pi/2 here, so the angle does not wrap."""
+    ls = np.arange(series.coefficients.size)
+    return 0.5 * np.angle(series.coefficients * (2j * p.omega) / (2 * ls + 1)) - rn_phase_shift(0, p)
+
+
 class TestRNPhaseShift:
     def test_order0_spacing_is_exact(self):
         # exactly pi/2 in exact arithmetic; float subtraction leaves ulps
         p = RN_REFERENCE
-        shifts = [rn_phase_shift(l, p, 0) for l in range(8)]
+        shifts = [rn_phase_shift(l, p) for l in range(8)]
         for l in range(7):
             assert shifts[l + 1] - shifts[l] == pytest.approx(math.pi / 2, abs=1e-13)
 
     def test_order0_schwarzschild_limit(self):
         p = RNParams(mass=10.0, charge=1e-7, eta=1e-4, mu=0.0)
         expected = 10.0 * 1e-4 * (1.0 - 2.0 * math.log(2.0))
-        assert rn_phase_shift(0, p, 0) == pytest.approx(expected, rel=1e-9)
+        assert rn_phase_shift(0, p) == pytest.approx(expected, rel=1e-9)
 
     def test_order1_finite_for_reference_cases(self):
         for q_over_m in (0.5, 0.99, 1e-4):
             p = RNParams(mass=10.0, charge=q_over_m * 10.0, eta=1e-4, mu=1e-6)
-            value = rn_phase_shift(2, p, 1)
+            value = _first_order_shifts(rn_series(2, p), p)[2]
             assert math.isfinite(value)
 
-    def test_order_validation(self):
-        with pytest.raises(ValueError):
-            rn_phase_shift(0, RN_REFERENCE, 2)
-
     def test_rmax_validation(self):
-        with pytest.raises(ValueError):
-            rn_phase_shift(0, RN_REFERENCE, 1, r_max=RN_REFERENCE.r_plus)
         with pytest.raises(ValueError):
             rn_series(3, RN_REFERENCE, r_max=RN_REFERENCE.r_plus)
         # a non-finite upper cutoff, or one whose square (in the radial weights) overflows,
         # is a domain error, not a quadrature failure
         for r_max in (math.inf, math.nan, 1e200):
-            with pytest.raises(DomainError, match="must be finite"):
-                rn_phase_shift(0, RN_REFERENCE, 1, r_max=r_max)
             with pytest.raises(DomainError, match="must be finite"):
                 rn_series(3, RN_REFERENCE, r_max=r_max)
 
@@ -504,15 +503,14 @@ class TestRNPhaseShift:
         monkeypatch.setattr(scattering, "quad", counting_quad)
         rn_series(20, RN_REFERENCE)
         series_calls, calls[:] = calls[:], []
-        value = rn_phase_shift(7, RN_REFERENCE, 1)
+        rn_series(0, RN_REFERENCE)
         assert calls == series_calls == [(math.log(1e-8), math.log(5e5 / RN_REFERENCE.r_plus - 1.0))]
-        assert value == scattering._rn_first_order(np.arange(21), RN_REFERENCE, 1e-8, None)[7]
 
     def test_cutoff_beyond_twice_the_horizon_moves_the_integral(self):
         # eps >= 1 puts the lower cutoff at r_+(1 + eps) >= 2 r_+, checked against QUADPACK in r
         p = RN_REFERENCE
         rp, eta = p.r_plus, p.eta
-        values = [rn_phase_shift(1, p, 1, horizon_epsilon=eps) for eps in (1.0, 2.0, 10.0)]
+        values = [_first_order_shifts(rn_series(1, p, horizon_epsilon=eps), p)[1] for eps in (1.0, 2.0, 10.0)]
         assert len(set(values)) == 3
 
         def integral(osc):
@@ -529,8 +527,6 @@ class TestRNPhaseShift:
     def test_cutoff_on_horizon_rejected(self):
         for epsilon in (1e-17, 0.0, -1e-3):
             with pytest.raises(DomainError):
-                rn_phase_shift(0, RN_REFERENCE, 1, horizon_epsilon=epsilon)
-            with pytest.raises(DomainError):
                 rn_series(3, RN_REFERENCE, horizon_epsilon=epsilon)
 
     @pytest.mark.parametrize("epsilon, message", [
@@ -545,8 +541,6 @@ class TestRNPhaseShift:
         params = RNParams(10.0, 5.0, 1e-4)
         with pytest.raises(DomainError, match=re.escape(message)):
             rn_series(3, params, horizon_epsilon=epsilon)
-        with pytest.raises(DomainError, match=re.escape(message)):
-            rn_phase_shift(2, params, 1, horizon_epsilon=epsilon)
 
 
 def _per_order_rn_series(n, p):
@@ -580,7 +574,7 @@ def _per_order_rn_series(n, p):
         i_sin2 = integral(lambda r: math.sin(eta * tortoise(r)) ** 2 * weight(r, l))
         i_sin2e = integral(lambda r: math.sin(2.0 * eta * tortoise(r)) * weight(r, l))
         delta = -math.atan((i_sin2 / eta) / (1.0 + i_sin2e / eta)) + 2.0 * m * eta * math.log((rp - rm) / (2.0 * m))
-        delta += rn_phase_shift(l, p, 0)
+        delta += rn_phase_shift(l, p)
         c.append((-1) ** l * (2 * l + 1) / (2j * p.omega) * cmath.exp(2j * delta))
     return np.array(c)
 
@@ -590,17 +584,6 @@ class TestRNSeries:
         series = rn_series(4, RN_REFERENCE)
         for l, c in enumerate(series.coefficients):
             assert abs(c) == pytest.approx((2 * l + 1) / (2 * RN_REFERENCE.omega), rel=1e-10)
-
-    def test_phase_increments_track_first_order_shifts(self):
-        # after the parity reduction, successive coefficients differ by the
-        # first-order phase step only
-        series = rn_series(3, RN_REFERENCE)
-        d1 = [rn_phase_shift(l, RN_REFERENCE, 1) for l in range(4)]
-        for l in range(3):
-            ratio = series.coefficients[l + 1] / series.coefficients[l]
-            ratio *= (2 * l + 1) / (2 * l + 3)
-            expected = 2.0 * (d1[l + 1] - d1[l])
-            assert cmath.phase(ratio) == pytest.approx(expected, abs=1e-9)
 
     def test_quadratures_logged_at_debug(self, caplog):
         caplog.set_level(logging.DEBUG, logger="legpade.quadrature")
