@@ -296,7 +296,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         if getattr(args, "coeffs", None) is None and getattr(args, "demo", None) is None:
-            raise CliError("choose a --demo or supply --coeffs", EXIT_BAD_ARGS)
+            raise CliError("choose a --demo" + (" or supply --coeffs" if hasattr(args, "coeffs") else ""), EXIT_BAD_ARGS)
         return args.func(args)
     except SystemExit as exc:  # argparse: --help, --version and usage errors
         return int(exc.code or 0)

@@ -59,9 +59,9 @@ _RESIDUAL_FLOOR = 1e-8
 _POLE_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PadeApproximant:
-    """Numerator a_0..a_L and denominator b_0..b_M in the Legendre basis."""
+    """Numerator a_0..a_L and denominator b_0..b_M in the Legendre basis, compared by identity."""
 
     numerator: np.ndarray
     denominator: np.ndarray

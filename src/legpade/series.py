@@ -17,23 +17,22 @@ from .special import _check_order, _in_range, legendre_eval_all
 __all__ = ["ComplexSeries", "eval_partial_sum", "project_legendre_coefficient"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComplexSeries:
     """Ordered Legendre coefficients c_0 .. c_N of a truncated expansion.
 
-    Immutable after construction; entries must be finite and there must be
-    at least one.
+    Immutable after construction and compared by identity; entries must be
+    finite and there must be at least one.
     """
 
     coefficients: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=complex)
+        c = np.array(self.coefficients, dtype=complex)
         if c.ndim != 1 or c.size < 1:
             raise ValueError("a series needs a one-dimensional, non-empty coefficient list")
         if not np.all(np.isfinite(c)):
             raise ValueError("series coefficients must be finite")
-        c = c.copy()
         c.flags.writeable = False
         object.__setattr__(self, "coefficients", c)
 

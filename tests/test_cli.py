@@ -69,8 +69,9 @@ class TestConstructCommand:
             assert float(row[2]) == pytest.approx(reference[m], rel=1e-9)
             assert float(row[3]) == pytest.approx(0.0, abs=1e-15)
 
-    def test_missing_source_is_bad_args(self):
+    def test_missing_source_is_bad_args(self, capsys):
         assert run_cli(["construct", "--L", "3", "--M", "3"]) == 4
+        assert capsys.readouterr().err == "legpade: choose a --demo or supply --coeffs\n"
 
     def test_singular_input_is_construction_failure(self, tmp_path, capsys):
         infile = tmp_path / "zeros.csv"
@@ -297,6 +298,11 @@ class TestCompareCommand:
 
     def test_unknown_demo_is_bad_args(self):
         assert run_cli(["compare", "--demo", "nonsense"]) == 4
+
+    def test_missing_demo_names_no_coeffs(self, capsys):
+        # compare takes no --coeffs, so its message names none
+        assert run_cli(["compare"]) == 4
+        assert capsys.readouterr().err == "legpade: choose a --demo\n"
 
     def test_overflowing_born_coefficients_name_the_coupling(self, capsys):
         assert run_cli(["compare", "--demo", "invr2", "--alpha", "1e308"]) == 4

@@ -408,6 +408,13 @@ class TestPadeApproximant:
         assert evaluate(approx, 1.0) == before
         assert not (approx.numerator.flags.writeable or approx.denominator.flags.writeable)
 
+    @pytest.mark.parametrize("L, M", [(0, 0), (2, 1)])
+    def test_compares_and_hashes_by_identity(self, L, M):
+        sides = np.ones(L + 1, dtype=complex), np.ones(M + 1, dtype=complex)
+        a, b = PadeApproximant(*sides), PadeApproximant(*sides)
+        assert a == a and a != b
+        assert a not in [b] and len({a, b}) == 2 and hash(a) == hash(a)
+
     def test_degrees(self):
         approx = PadeApproximant(np.zeros(4, dtype=complex), np.array([1.0, 0, 0], dtype=complex))
         assert approx.L == 3 and approx.M == 2

@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 import legpade.scattering as scattering
-from legpade.errors import DomainError
+from legpade.errors import DomainError, QuadratureConvergenceError
 from legpade.pade import construct, evaluate
 from legpade.scattering import (
     _rn_radial,
@@ -356,6 +356,11 @@ class TestRNParams:
         assert p.r_minus == pytest.approx(10.0 - math.sqrt(75.0), rel=1e-15)
         assert p.omega == pytest.approx(math.hypot(1e-4, 1e-6), rel=1e-15)
 
+    def test_equal_values_compare_equal(self):
+        # RNParams holds only scalars, so it keeps the generated value == and hash
+        assert RNParams(10.0, 5.0, 1e-4) == RNParams(10.0, 5.0, 1e-4) != RNParams(10.0, 5.0, 2e-4)
+        assert len({RNParams(10.0, 5.0, 1e-4), RNParams(10.0, 5.0, 1e-4)}) == 1
+
     def test_validation(self):
         with pytest.raises(ValueError):
             RNParams(mass=10.0, charge=10.0, eta=1e-4, mu=0.0)  # extremal
@@ -623,6 +628,21 @@ class TestRNSeries:
         eta = RN_REFERENCE.eta
         near, far = (rn_series(8, RN_REFERENCE, r_max=r / eta).coefficients for r in (3e3, 1e4))
         assert np.max(np.abs(near - far) / np.abs(far)) < 1e-4
+
+    def test_near_extremal_massive_field_needs_a_larger_horizon_epsilon(self):
+        # README's near-extremal failure row. With mu > 0 the mass part of w0 grows like
+        # 1/(r - r_+) at the horizon, so the integral depends on ln(eps) with a weight that
+        # grows as Q/M -> 1: the default eps = 1e-8 meets roundoff, and the workaround eps = 1e-6
+        # moves the coefficients by 7.2e-2 against 1e-7 (measured). With mu = 0 the default works.
+        charge = 0.999999999999 * 10.0  # as compare --demo rn --QoverM 0.999999999999 forms it
+        near = RNParams(mass=10.0, charge=charge, eta=1e-4, mu=1e-6)
+        with pytest.raises(QuadratureConvergenceError, match="roundoff prevents the tolerance"):
+            rn_series(3, near)
+        coarse, fine = (rn_series(3, near, horizon_epsilon=eps).coefficients for eps in (1e-6, 1e-7))
+        assert np.all(np.isfinite(coarse))
+        assert np.max(np.abs(coarse - fine) / np.abs(fine)) > 1e-2
+        massless = RNParams(mass=10.0, charge=charge, eta=1e-4, mu=0.0)
+        assert np.all(np.isfinite(rn_series(3, massless).coefficients))
 
     def test_cutoffs_are_keyword_only(self):
         # keyword-only, so a stray positional flag cannot become a cutoff

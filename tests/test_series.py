@@ -23,6 +23,22 @@ class TestComplexSeries:
         with pytest.raises(ValueError):
             s.coefficients[0] = 5.0
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_compares_and_hashes_by_identity(self, n):
+        # an ndarray field has no usable value == or hash; values compare with np.array_equal
+        a, b = ComplexSeries(np.ones(n)), ComplexSeries(np.ones(n))
+        assert a == a and a != b
+        assert a not in [b] and len({a, b}) == 2 and {a: 1}[a] == 1
+        assert np.array_equal(a.coefficients, b.coefficients)
+
+    def test_stores_one_complex_copy(self):
+        c = np.array([1.0, 2.0])
+        s = ComplexSeries(c)
+        c[0] = 5.0
+        assert s.coefficients.dtype == complex and s.coefficients[0] == 1.0
+        z = np.array([1.0, 2.0], dtype=complex)
+        assert not np.shares_memory(ComplexSeries(z).coefficients, z)
+
     def test_order_and_len(self):
         s = ComplexSeries(np.arange(5, dtype=complex))
         assert s.order == 4
