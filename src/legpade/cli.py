@@ -10,7 +10,8 @@ Two subcommands:
 
 Exit codes: 0 success, 1 output file cannot be written, 2 construction failure, 3
 quadrature failure, 4 bad arguments (also when their arrays exceed memory). All angles are
-radians. A ``key = value`` config file can pre-load any long flag; explicit flags win.
+radians. A ``key = value`` config file can pre-load any long flag; explicit flags win, and
+``construct`` takes its series from one source, ``--demo`` or ``--coeffs`` (see ``parse_args``).
 """
 
 from __future__ import annotations
@@ -261,12 +262,22 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _one_source(args, where: str) -> bool:
+    """Whether ``args`` names a series source; CliError (exit 4) where it names both."""
+    named = [getattr(args, key, None) is not None for key in ("demo", "coeffs")]
+    if all(named):
+        raise CliError(f"give --demo or --coeffs, not both ({where} names both)", EXIT_BAD_ARGS)
+    return any(named)
+
+
 def parse_args(argv: Sequence[str]) -> argparse.Namespace:
     """Parse ``argv``, reading each ``key = value`` line of a ``--config`` file as the flag
     ``--key=value`` right after the subcommand name: argparse types and checks it, and a
-    flag given in ``argv`` comes later and wins."""
+    flag given in ``argv`` comes later and wins. The config file's ``demo`` and ``coeffs`` are
+    read only where ``argv`` names neither; both in ``argv``, or both in the file, exit 4."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    source_on_line = _one_source(args, "the command line")
     if args.config is None:
         return args
     known = set(vars(parser.parse_args(["construct"]))) | set(vars(parser.parse_args(["compare"])))
@@ -286,10 +297,13 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
         key = key.strip().replace("-", "_")
         if key not in known:
             raise CliError(f"unknown config key {key!r}", EXIT_BAD_ARGS)
-        if hasattr(args, key):  # keys that only the other subcommand takes are ignored
+        # keys that only the other subcommand takes are ignored, as is a source the command line overrides
+        if hasattr(args, key) and not (source_on_line and key in ("demo", "coeffs")):
             flags.append(f"--{key.replace('_', '-')}={value.strip()}")
     at = list(argv).index(args.command) + 1
-    return parser.parse_args([*argv[:at], *flags, *argv[at:]])
+    args = parser.parse_args([*argv[:at], *flags, *argv[at:]])
+    _one_source(args, f"the config file {args.config}")
+    return args
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -78,7 +78,7 @@ class PotentialSpec:
     def __post_init__(self):
         if self.kind not in POTENTIAL_KINDS:
             raise ValueError(f"kind must be one of {POTENTIAL_KINDS}, got {self.kind!r}")
-        _check_coupling(self.alpha)
+        object.__setattr__(self, "alpha", _check_coupling(self.alpha))
 
 
 @dataclass(frozen=True)
@@ -99,10 +99,12 @@ class RNParams:
     omega: float = field(init=False)
 
     def __post_init__(self):
-        _in_range(self.mass, math.ulp(0.0), _BIG, "mass must be finite and positive, got {}", "mass")
-        _in_range(self.charge, -_BIG, _BIG, "charge must be finite, got {}", "charge")
-        _in_range(self.eta, math.ulp(0.0), _BIG, "wavenumber eta must be finite and positive, got {}", "eta")
-        _in_range(self.mu, 0.0, _BIG, "particle mass mu must be finite and non-negative, got {}", "mu")
+        # each field keeps the float its guard returns, so a numpy scalar computes and hashes as a float
+        for name, lo, what in (("mass", math.ulp(0.0), "mass must be finite and positive"),
+                               ("charge", -_BIG, "charge must be finite"),
+                               ("eta", math.ulp(0.0), "wavenumber eta must be finite and positive"),
+                               ("mu", 0.0, "particle mass mu must be finite and non-negative")):
+            object.__setattr__(self, name, _in_range(getattr(self, name), lo, _BIG, what + ", got {}", name))
         _in_range(self.mass, 0.0, _SQRT_BIG, "mass = {} is too large: its square overflows")
         _in_range(self.mass, 1.0 / _SQRT_BIG, _BIG, "mass = {} is too small: its square underflows")
         _in_range(self.mu, 0.0, _SQRT_BIG, "particle mass mu = {} is too large: its square overflows")
@@ -159,8 +161,8 @@ def _gamma_ratio(k: float) -> complex:
 def coulomb_series(n: int, k: float) -> ComplexSeries:
     """Coulomb partial-wave coefficients c_l = (2l+1)/(2ik) * Gamma(l+1+i/k) / Gamma(l+1-i/k),
     the gamma ratio stepped up from l = 0 by (l+i/k)/(l-i/k): one log-gamma call for any n."""
-    n = _check_order(n, "series order")
-    ik = 1j / _check_wavenumber(k)
+    n, k = _check_order(n, "series order"), _check_wavenumber(k)
+    ik = 1j / k
     l = np.arange(n + 1)
 
     def coefficients():
@@ -172,7 +174,8 @@ def coulomb_series(n: int, k: float) -> ComplexSeries:
 
 def coulomb_exact(theta, k: float):
     """Closed-form Coulomb amplitude (attractive unit coupling) at an angle (a complex) or an array."""
-    ratio = _gamma_ratio(_check_wavenumber(k))
+    k = _check_wavenumber(k)
+    ratio = _gamma_ratio(k)
     return _closed_form(theta, "the Coulomb amplitude",
                         lambda s: -1.0 / (2.0 * k * k * s * s) * ratio * np.exp(-2j / k * np.log(s)))
 
@@ -302,12 +305,13 @@ def rn_series(
     if r_max is None:
         r_max = 50.0 / eta
     cutoff = "horizon_epsilon = {} must put the lower cutoff r_+(1 + horizon_epsilon) at a finite r beyond r_+"
-    lower = rp * (1.0 + _in_range(horizon_epsilon, -math.inf, math.inf, cutoff, "horizon_epsilon"))
+    horizon_epsilon = _in_range(horizon_epsilon, -math.inf, math.inf, cutoff, "horizon_epsilon")
+    lower = rp * (1.0 + horizon_epsilon)
     if not rp < lower < math.inf:
         raise DomainError(cutoff.format(horizon_epsilon))
-    _in_range(r_max, math.nextafter(lower, math.inf), _SQRT_BIG, "r_max = {} must be finite, with a finite square, "
-              f"and lie beyond the lower quadrature cutoff r_+(1 + horizon_epsilon) = {lower}, "
-              f"horizon_epsilon = {horizon_epsilon}", "r_max")
+    r_max = _in_range(r_max, math.nextafter(lower, math.inf), _SQRT_BIG, "r_max = {} must be finite, with a finite "
+                      f"square, and lie beyond the lower quadrature cutoff r_+(1 + horizon_epsilon) = {lower}, "
+                      f"horizon_epsilon = {horizon_epsilon}", "r_max")
 
     def block(u):
         # (nodes, 4) at r = r_+(1 + e^u), times dr/du = r_+ e^u: sin^2(eta r*)

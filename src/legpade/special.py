@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -97,14 +96,17 @@ def legendre_eval_all(l_max: int, x) -> np.ndarray:
     return np.array(p[: l_max + 1])
 
 
-@lru_cache(maxsize=None)
-def _threej_sq_canonical(l: int, m: int, n: int) -> Fraction:
+def threej_zero_sq(l: int, m: int, n: int) -> Fraction:
+    """Exact square of the Wigner 3j symbol (l m n; 0 0 0), computed on every call.
+
+    Returns Fraction(0) when l+m+n is odd or the triangle inequality fails;
+    selection-rule zeros are exact, never raised as errors.
+    """
     from fractions import Fraction  # only the exact oracle needs it
 
+    l, m, n = (_check_order(v, "3j index") for v in (l, m, n))
     J = l + m + n
-    if J % 2 == 1:
-        return Fraction(0)
-    if not abs(l - m) <= n <= l + m:
+    if J % 2 == 1 or not abs(l - m) <= n <= l + m:
         return Fraction(0)
     g = J // 2
     # Racah closed form for all-zero projections, kept in big-integer rationals
@@ -119,16 +121,6 @@ def _threej_sq_canonical(l: int, m: int, n: int) -> Fraction:
         math.factorial(g - l) * math.factorial(g - m) * math.factorial(g - n),
     )
     return Fraction(num, den) * w * w
-
-
-def threej_zero_sq(l: int, m: int, n: int) -> Fraction:
-    """Exact square of the Wigner 3j symbol (l m n; 0 0 0).
-
-    Returns Fraction(0) when l+m+n is odd or the triangle inequality fails;
-    selection-rule zeros are exact, never raised as errors.
-    """
-    # the square is invariant under permutations, so the cache keys on the sorted triple
-    return _threej_sq_canonical(*sorted(_check_order(v, "3j index") for v in (l, m, n)))
 
 
 def triple_product_integral(l: int, m: int, n: int) -> Fraction:

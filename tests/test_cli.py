@@ -337,6 +337,46 @@ class TestCompareCommand:
         assert rc == 3
 
 
+class TestSeriesSource:
+    """construct reads one series source: --demo or --coeffs, and a config file's only where the
+    command line names neither."""
+
+    @pytest.fixture
+    def coeffs(self, tmp_path):
+        path = tmp_path / "coeffs.csv"
+        write_coeffs(path, np.array([1.0, 0.5, 0.25, 0.125, 0.0625]))
+        return path
+
+    def construct(self, tmp_path, config_text, *flags):
+        config = tmp_path / "source.cfg"
+        config.write_text(config_text)
+        outfile = tmp_path / "out.txt"
+        rc = run_cli(["construct", "--config", str(config), *flags, "--L", "1", "--M", "1", "-o", str(outfile)])
+        return rc, outfile.read_text() if rc == 0 else None
+
+    def test_both_on_the_command_line_is_bad_args(self, tmp_path, coeffs, capsys):
+        rc, _ = self.construct(tmp_path, "", "--demo", "unit", "--coeffs", str(coeffs))
+        assert rc == 4
+        assert "give --demo or --coeffs, not both (the command line names both)" in capsys.readouterr().err
+
+    def test_both_in_the_config_file_is_bad_args(self, tmp_path, coeffs, capsys):
+        rc, _ = self.construct(tmp_path, f"demo = unit\ncoeffs = {coeffs}\n")
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "give --demo or --coeffs, not both (the config file " in err and "names both)" in err
+
+    def test_config_demo_yields_to_command_line_coeffs(self, tmp_path, coeffs):
+        flags = ["--coeffs", str(coeffs)]
+        want = self.construct(tmp_path, "", *flags)
+        assert self.construct(tmp_path, "demo = unit\n", *flags) == want
+        assert parse_args(["construct", "--config", str(tmp_path / "source.cfg"), *flags]).demo is None
+
+    def test_config_coeffs_yield_to_command_line_demo(self, tmp_path, coeffs):
+        rc, text = self.construct(tmp_path, f"coeffs = {coeffs}\n", "--demo", "unit")
+        assert rc == 0 and (rc, text) == self.construct(tmp_path, "", "--demo", "unit")
+        assert text != self.construct(tmp_path, "", "--coeffs", str(coeffs))[1]
+
+
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path):
         config = tmp_path / "sweep.cfg"

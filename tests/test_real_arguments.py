@@ -3,10 +3,13 @@
 range guard of ``legpade.special``: text or a complex value (``1+0j`` too, and a complex
 array) is a DomainError naming the value, as is infinity. Unchecked, numpy cuts a numpy
 complex to its real part with only a ComplexWarning, and a Python complex fails in
-``float()`` with a TypeError."""
+``float()`` with a TypeError. A numpy float32 or a 0-d array computes as the Python float the
+guard returns: unconverted, float32 arithmetic moves the result and a 0-d array field breaks
+``hash``."""
 
 import math
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -24,7 +27,7 @@ from legpade.scattering import (
     exact_half_csc,
     rn_series,
 )
-from legpade.series import eval_partial_sum
+from legpade.series import ComplexSeries, eval_partial_sum
 from legpade.special import legendre_eval_all, spherical_bessel_j, spherical_bessel_y
 
 pytestmark = pytest.mark.filterwarnings("error")
@@ -88,3 +91,29 @@ def test_infinity_is_domain_error(name):
 def test_real_part_is_accepted(name, value):
     # the control of the table above: there only the type or the infinity fails
     REAL_CALLS[name](value)
+
+
+def _same_result(got, want) -> bool:
+    """Equal hashes and float fields for a parameter record, equal bytes and types otherwise."""
+    if isinstance(want, (PotentialSpec, RNParams)):
+        values = [getattr(got, f.name) for f in fields(got) if f.name != "kind"]
+        return got == want and hash(got) == hash(want) and all(type(v) is float for v in values)
+    if isinstance(want, ComplexSeries):
+        got, want = got.coefficients, want.coefficients
+    return type(got) is type(want) and np.asarray(got).dtype == np.asarray(want).dtype \
+        and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("make", [np.float32, np.array], ids=["float32", "0-d array"])
+@pytest.mark.parametrize("name", sorted(REAL_CALLS))
+def test_numpy_scalar_gives_the_float_result(name, make):
+    # 0.7 is inexact in float32, so float32 arithmetic would show in the last bits
+    value = make(0.7)
+    assert _same_result(REAL_CALLS[name](value), REAL_CALLS[name](float(value)))
+
+
+def test_float32_mass_keeps_the_default_horizon_cutoff():
+    # r_+ in float32 absorbs the cutoff r_+(1 + 1e-8), which was rejected as not beyond r_+
+    params = RNParams(mass=np.float32(10.0), charge=5.0, eta=1e-4)
+    want = rn_series(8, RNParams(mass=10.0, charge=5.0, eta=1e-4)).coefficients
+    assert rn_series(8, params).coefficients.tobytes() == want.tobytes()
