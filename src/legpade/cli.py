@@ -60,7 +60,13 @@ EXIT_BAD_ARGS = 4
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems with exit code 4."""
+    """argparse that reports usage problems with exit code 4 and reads -1e-3 as a value; on Python
+    3.10 and 3.11 argparse reads it as an unknown flag, and only -1 and -.5 as negative numbers."""
+
+    def __init__(self, *args, **kwargs):
+        import re  # argparse has loaded it
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -292,7 +292,7 @@ def rn_series(
     from ln(horizon_epsilon) to ln(r_max/r_+ - 1); r_max defaults to 50/eta, several
     oscillation wavelengths. The lower cutoff r_+(1 + horizon_epsilon) must be finite
     and beyond r_+, and r_max beyond it, with r_max^2 finite, else a DomainError names
-    the cutoff at fault.
+    the cutoff at fault, and eta where r_max is the default.
 
     The l*pi/2 part of the zeroth-order shift only contributes a factor
     (-1)^l to the exponential, which mirrors the amplitude through
@@ -302,16 +302,17 @@ def rn_series(
     """
     ls = np.arange(_check_order(n, "series order") + 1)
     rp, rm, eta = params.r_plus, params.r_minus, params.eta
-    if r_max is None:
-        r_max = 50.0 / eta
     cutoff = "horizon_epsilon = {} must put the lower cutoff r_+(1 + horizon_epsilon) at a finite r beyond r_+"
     horizon_epsilon = _in_range(horizon_epsilon, -math.inf, math.inf, cutoff, "horizon_epsilon")
     lower = rp * (1.0 + horizon_epsilon)
     if not rp < lower < math.inf:
         raise DomainError(cutoff.format(horizon_epsilon))
-    r_max = _in_range(r_max, math.nextafter(lower, math.inf), _SQRT_BIG, "r_max = {} must be finite, with a finite "
-                      f"square, and lie beyond the lower quadrature cutoff r_+(1 + horizon_epsilon) = {lower}, "
-                      f"horizon_epsilon = {horizon_epsilon}", "r_max")
+    beyond = ("r_max = {} must be finite, with a finite square, and lie beyond the lower quadrature cutoff "
+              f"r_+(1 + horizon_epsilon) = {lower}, horizon_epsilon = {horizon_epsilon}")
+    if r_max is None:  # the caller gave none, so the message names the eta that set the default
+        r_max = 50.0 / eta
+        beyond = f"the default r_max = 50/eta at eta = {eta} is out of range, give r_max (--rn-rmax): {beyond}"
+    r_max = _in_range(r_max, math.nextafter(lower, math.inf), _SQRT_BIG, beyond, "r_max")
 
     def block(u):
         # (nodes, 4) at r = r_+(1 + e^u), times dr/du = r_+ e^u: sin^2(eta r*)

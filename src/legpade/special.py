@@ -99,8 +99,9 @@ def legendre_eval_all(l_max: int, x) -> np.ndarray:
 def threej_zero_sq(l: int, m: int, n: int) -> Fraction:
     """Exact square of the Wigner 3j symbol (l m n; 0 0 0), computed on every call.
 
-    Returns Fraction(0) when l+m+n is odd or the triangle inequality fails;
-    selection-rule zeros are exact, never raised as errors.
+    Racah's closed form C(J-2l, g-l) C(J-2m, g-m) C(J-2n, g-n) / ((J+1) C(J, g)), J = l+m+n = 2g:
+    what pade._product_matrix evaluates in floats, where the powers of 4 of A(p) = C(2p, p)/4^p cancel.
+    Exact Fraction(0), never an error, when J is odd or the triangle inequality fails.
     """
     from fractions import Fraction  # only the exact oracle needs it
 
@@ -109,18 +110,8 @@ def threej_zero_sq(l: int, m: int, n: int) -> Fraction:
     if J % 2 == 1 or not abs(l - m) <= n <= l + m:
         return Fraction(0)
     g = J // 2
-    # Racah closed form for all-zero projections, kept in big-integer rationals
-    num = (
-        math.factorial(J - 2 * l)
-        * math.factorial(J - 2 * m)
-        * math.factorial(J - 2 * n)
-    )
-    den = math.factorial(J + 1)
-    w = Fraction(
-        math.factorial(g),
-        math.factorial(g - l) * math.factorial(g - m) * math.factorial(g - n),
-    )
-    return Fraction(num, den) * w * w
+    return Fraction(math.comb(J - 2 * l, g - l) * math.comb(J - 2 * m, g - m) * math.comb(J - 2 * n, g - n),
+                    (J + 1) * math.comb(J, g))
 
 
 def triple_product_integral(l: int, m: int, n: int) -> Fraction:

@@ -252,6 +252,31 @@ class TestCompareCommand:
         assert run_cli(["compare", "--demo", "rn", "--eta", "1e-300", "--steps", "3"]) == 4
         assert f"r_max = {50.0 / 1e-300} must be finite, with a finite square" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eta, r_max", [("3", "16.666666666666668"), ("1e300", "5e-299"), ("1e-320", "inf")])
+    def test_default_rn_rmax_out_of_range_names_eta(self, capsys, eta, r_max):
+        # nobody gave r_max, so the message names the eta that set the default 50/eta, and the flag that overrides it
+        assert run_cli(["compare", "--demo", "rn", "--eta", eta, "--steps", "3"]) == 4
+        assert (f"bad arguments: the default r_max = 50/eta at eta = {float(eta)} is out of range, give r_max "
+                f"(--rn-rmax): r_max = {r_max} must be finite") in capsys.readouterr().err
+
+    def test_given_rn_rmax_is_named_alone(self, capsys):
+        assert run_cli(["compare", "--demo", "rn", "--eta", "3", "--rn-rmax", "100", "--steps", "3"]) == 0
+        assert run_cli(["compare", "--demo", "rn", "--eta", "3", "--rn-rmax", "1", "--steps", "3"]) == 4
+        assert capsys.readouterr().err.startswith("legpade: bad arguments: r_max = 1.0 must be finite")
+
+    @pytest.mark.parametrize("args, value", [
+        ("compare --demo invr2 --steps 3 --alpha", "-1e-3"),
+        ("compare --demo rn --steps 3 --QoverM", "-1e-4"),
+        ("construct --demo invr2 --alpha", "-2E+0"),
+    ])
+    def test_negative_value_in_scientific_notation(self, capsys, args, value):
+        # argparse on Python 3.10 and 3.11 took "-1e-3" for an unknown flag, so the option lacked its value
+        *head, option = args.split()
+        assert run_cli([*head, option, value]) == 0
+        spaced = capsys.readouterr().out
+        assert run_cli([*head, f"{option}={value}"]) == 0
+        assert capsys.readouterr().out == spaced
+
     @pytest.mark.parametrize("flags", [["--N", "-1"], ["--N", "-2"], ["--L", "-1", "--M", "2"], ["--L", "2", "--M", "-1"]])
     def test_negative_order_is_bad_args(self, capsys, flags):
         assert run_cli(["compare", "--demo", "unit", *flags, "--steps", "3"]) == 4

@@ -120,6 +120,12 @@ class TestThreeJ:
         with pytest.raises(DomainError):
             threej_zero_sq(-1, 1, 1)
 
+    @pytest.mark.parametrize("l, m", [(40, 80), (97, 150), (200, 3), (300, 300)])
+    def test_sum_rule_is_exact_at_high_orders(self, l, m):
+        # P_l P_m = sum_n (2n+1) W(l, m, n) P_n at x = 1, where every P is 1; exact past the
+        # orders the quadrature test reaches
+        assert sum((2 * n + 1) * threej_zero_sq(l, m, n) for n in range(l + m + 1)) == Fraction(1)
+
 
 class TestLogGamma:
     def test_integers(self):
