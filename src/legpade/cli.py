@@ -96,7 +96,7 @@ def _build_series(args) -> tuple[ComplexSeries, ComplexSeries, Optional[Callable
     convention behind the reference worked examples; the partial-sum column
     stays truncated at N. A coefficient file is used as-is for both.
     """
-    if getattr(args, "coeffs", None):
+    if args.source == "coeffs":
         series = _read_coefficients(args.coeffs)
         return series, series, None
     demo = args.demo
@@ -119,12 +119,17 @@ def _build_series(args) -> tuple[ComplexSeries, ComplexSeries, Optional[Callable
     return partial, full, exact
 
 
-def _read_coefficients(path: str) -> ComplexSeries:
+def _read_lines(path: str, what: str) -> list[str]:
+    """The lines of a user's UTF-8 file, ends kept for csv, a leading byte-order mark skipped; exit 4 if unreadable."""
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:  # "-sig": a leading byte-order mark is skipped
-            rows = list(csv.reader(fh))
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            return list(fh)
     except OSError as exc:
-        raise CliError(f"cannot read coefficient file: {exc}", EXIT_BAD_ARGS)
+        raise CliError(f"cannot read {what} file: {exc}", EXIT_BAD_ARGS)
+
+
+def _read_coefficients(path: str) -> ComplexSeries:
+    rows = list(csv.reader(_read_lines(path, "coefficient")))
     if not rows or [cell.strip() for cell in rows[0]] != ["l", "re", "im"]:
         raise CliError("coefficient file must start with the header 'l,re,im'", EXIT_BAD_ARGS)
     coeffs = {}
@@ -133,6 +138,8 @@ def _read_coefficients(path: str) -> ComplexSeries:
             continue
         try:
             l, re, im = int(row[0]), float(row[1]), float(row[2])
+            if any(cell.strip() for cell in row[3:]):  # trailing empty cells pass
+                raise ValueError
         except (ValueError, IndexError):
             raise CliError(f"malformed coefficient row: {row}", EXIT_BAD_ARGS)
         if l in coeffs:
@@ -268,33 +275,28 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _one_source(args, where: str) -> bool:
-    """Whether ``args`` names a series source; CliError (exit 4) where it names both."""
-    named = [getattr(args, key, None) is not None for key in ("demo", "coeffs")]
-    if all(named):
+def _one_source(args, where: str) -> Optional[str]:
+    """The series source ``args`` names, "demo", "coeffs" or None; CliError (exit 4) where it names both."""
+    named = [key for key in ("demo", "coeffs") if getattr(args, key, None) is not None]
+    if len(named) == 2:
         raise CliError(f"give --demo or --coeffs, not both ({where} names both)", EXIT_BAD_ARGS)
-    return any(named)
+    return named[0] if named else None
 
 
 def parse_args(argv: Sequence[str]) -> argparse.Namespace:
-    """Parse ``argv``, reading each ``key = value`` line of a ``--config`` file as the flag
-    ``--key=value`` right after the subcommand name: argparse types and checks it, and a
-    flag given in ``argv`` comes later and wins. The config file's ``demo`` and ``coeffs`` are
-    read only where ``argv`` names neither; both in ``argv``, or both in the file, exit 4."""
+    """Parse ``argv``, reading each ``key = value`` line of a ``--config`` file as the flag ``--key=value``
+    right after the subcommand name: argparse types and checks it, and a flag given in ``argv`` comes later
+    and wins. The config file's ``demo`` and ``coeffs`` are read only where ``argv`` names neither; both in
+    ``argv``, or both in the file, exit 4. ``args.source`` keeps the source found for ``_build_series``."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    source_on_line = _one_source(args, "the command line")
+    args.source = _one_source(args, "the command line")
     if args.config is None:
         return args
     known = set(vars(parser.parse_args(["construct"]))) | set(vars(parser.parse_args(["compare"])))
     known -= {"command", "func", "config"}  # not flags, and a config file names no other one
-    try:
-        with open(args.config, encoding="utf-8-sig") as fh:
-            lines = [raw.strip() for raw in fh]
-    except OSError as exc:
-        raise CliError(f"cannot read config file: {exc}", EXIT_BAD_ARGS)
     flags = []
-    for line in lines:
+    for line in map(str.strip, _read_lines(args.config, "config")):
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
@@ -304,18 +306,18 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
         if key not in known:
             raise CliError(f"unknown config key {key!r}", EXIT_BAD_ARGS)
         # keys that only the other subcommand takes are ignored, as is a source the command line overrides
-        if hasattr(args, key) and not (source_on_line and key in ("demo", "coeffs")):
+        if hasattr(args, key) and not (args.source is not None and key in ("demo", "coeffs")):
             flags.append(f"--{key.replace('_', '-')}={value.strip()}")
     at = list(argv).index(args.command) + 1
     args = parser.parse_args([*argv[:at], *flags, *argv[at:]])
-    _one_source(args, f"the config file {args.config}")
+    args.source = _one_source(args, f"the config file {args.config}")
     return args
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
-        if getattr(args, "coeffs", None) is None and getattr(args, "demo", None) is None:
+        if args.source is None:
             raise CliError("choose a --demo" + (" or supply --coeffs" if hasattr(args, "coeffs") else ""), EXIT_BAD_ARGS)
         return args.func(args)
     except SystemExit as exc:  # argparse: --help, --version and usage errors

@@ -157,7 +157,8 @@ def quad(f, a: float, b: float, *, epsabs: float = 1.49e-8, epsrel: float = 1.49
     returns ``(m values, error estimate, integrand points)``. ``limit`` caps
     the subintervals. Raises ``QuadratureConvergenceError`` when the
     tolerance is not reached, and ``ValueError`` for any other return of
-    ``f``, a non-finite ``a``, or a non-finite ``|a| + |b|`` unless b = inf.
+    ``f``, a non-finite ``a``, a non-finite ``|a| + |b|`` unless b = inf,
+    or a NaN or negative ``epsabs`` or ``epsrel``.
     """
     # imported here: nothing on the start-up path loads logging, and it costs ~5 ms
     import logging
@@ -166,6 +167,9 @@ def quad(f, a: float, b: float, *, epsabs: float = 1.49e-8, epsrel: float = 1.49
     # |a| + |b| bounds every panel's b - a and a + b, so the nodes stay finite
     if not math.isfinite(a) or not (b == math.inf or math.isfinite(abs(a) + abs(b))):
         raise ValueError(f"need a finite lower limit and b = +inf or |a| + |b| finite, got [{a}, {b}]")
+    for name, tol in (("epsabs", epsabs), ("epsrel", epsrel)):
+        if not tol >= 0.0:  # a NaN tolerance would end the bisection after one panel
+            raise ValueError(f"{name} must be a number >= 0, got {tol}")
 
     def block(x):
         fx = np.asarray(f(x))

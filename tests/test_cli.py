@@ -112,12 +112,19 @@ class TestConstructCommand:
         assert run_cli(["construct", "--coeffs", str(infile), "--L", "1", "--M", "0", "-o", str(outfile)]) == 0
         assert [line for line in outfile.read_text().splitlines() if line.startswith("a,")] == ["a,0,1,0", "a,1,2,0"]
 
-    @pytest.mark.parametrize("row", ["1,2.0", "one,2.0,0.0", "1,2.0,x"])
+    @pytest.mark.parametrize("row", ["1,2.0", "one,2.0,0.0", "1,2.0,x", "1,2.0,0.0,9"])
     def test_malformed_coefficient_row_rejected(self, tmp_path, capsys, row):
         infile = tmp_path / "bad.csv"
         infile.write_text(f"l,re,im\n0,1.0,0.0\n{row}\n")
         assert run_cli(["construct", "--coeffs", str(infile), "--L", "1", "--M", "0"]) == 4
         assert "malformed coefficient row" in capsys.readouterr().err
+
+    def test_trailing_empty_cells_accepted(self, tmp_path):
+        infile = tmp_path / "trailing.csv"
+        outfile = tmp_path / "out.txt"
+        infile.write_text("l,re,im\n0,1.0,0.0,\n1,2.0,0.0, ,\n")
+        assert run_cli(["construct", "--coeffs", str(infile), "--L", "1", "--M", "0", "-o", str(outfile)]) == 0
+        assert [line for line in outfile.read_text().splitlines() if line.startswith("a,")] == ["a,0,1,0", "a,1,2,0"]
 
     @pytest.mark.parametrize("flags", [["--L", "3"], ["--M", "3"]])
     def test_one_degree_alone_is_bad_args(self, capsys, flags):
@@ -400,6 +407,22 @@ class TestSeriesSource:
         rc, text = self.construct(tmp_path, f"coeffs = {coeffs}\n", "--demo", "unit")
         assert rc == 0 and (rc, text) == self.construct(tmp_path, "", "--demo", "unit")
         assert text != self.construct(tmp_path, "", "--coeffs", str(coeffs))[1]
+
+    @pytest.mark.parametrize("config_text, flags", [("", ["--coeffs", ""]), ("coeffs =\n", [])],
+                             ids=["command-line", "config-file"])
+    def test_empty_coefficient_path_is_bad_args(self, tmp_path, capsys, config_text, flags):
+        # an empty path names the coefficient source; it must not fall through to a demo
+        assert self.construct(tmp_path, config_text, *flags) == (4, None)
+        out, err = capsys.readouterr()
+        assert err.startswith("legpade: cannot read coefficient file: ") and err.count("\n") == 1
+        assert out == "" and not (tmp_path / "out.txt").exists()
+
+    def test_config_without_source_asks_for_one(self, tmp_path, capsys):
+        assert self.construct(tmp_path, "N = 4\n") == (4, None)
+        assert capsys.readouterr().err == "legpade: choose a --demo or supply --coeffs\n"
+        config = tmp_path / "source.cfg"
+        assert run_cli(["compare", "--config", str(config), "--steps", "3"]) == 4
+        assert capsys.readouterr().err == "legpade: choose a --demo\n"
 
 
 class TestConfigFile:

@@ -76,6 +76,14 @@ class TestIntegrals:
                                                              r"0\.3333333333333\d*\] too short to bisect"):
             quad(lambda x: np.sign(x - 1.0 / 3.0)[:, None], 0.0, 1.0, epsabs=0.0, epsrel=0.0, limit=200)
 
+    @pytest.mark.parametrize("name", ["epsabs", "epsrel"])
+    @pytest.mark.parametrize("tol", [math.nan, -1e-8])
+    def test_nan_or_negative_tolerance_rejected(self, name, tol):
+        # a NaN tolerance is never reached nor missed: the bisection would stop after one panel,
+        # returning 0.6174 against 0.50253 here; a negative one would end in a roundoff message
+        with pytest.raises(ValueError, match=rf"{name} must be a number >= 0, got {tol}"):
+            quad(lambda x: np.sin(50.0 * x)[:, None] ** 2, 0.0, 1.0, **{name: tol})
+
     def test_unsupported_limits_rejected(self):
         with pytest.raises(ValueError):
             quad(lambda x: np.exp(x)[:, None], -np.inf, 0.0)
