@@ -27,7 +27,6 @@ series two orders past L+M).
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,21 +110,30 @@ def _product_matrix(series: ComplexSeries, L: int, M: int) -> tuple[np.ndarray, 
     L, M = _check_order(L, "numerator degree L"), _check_order(M, "denominator degree M")
     c = series.coefficients
     if c.size < L + M + 1:
-        raise InsufficientCoefficientsError(
-            f"need at least {L + M + 1} coefficients for L={L}, M={M}; series has {c.size}"
-        )
+        raise InsufficientCoefficientsError(f"need at least {L + M + 1} coefficients for L={L}, M={M}; "
+                                            f"series has {c.size}")
     n = np.arange(L + M + 1)[:, None]
     p = np.arange(1, L + 2 * M + 1)
     A = np.concatenate([[1.0], np.cumprod((2 * p - 1) / (2 * p))])
-    G = np.empty((L + M + 1, M + 1), dtype=complex)
-    for k in range(M + 1):
-        j = np.arange(k + 1)
-        g, m = n + j, n - k + 2 * j
-        on = (g >= k) & (m < c.size)
-        # entries off the band index A[0] and c[0] and are then zeroed
-        w = A[(g - k) * on] * A[k - j] * A[j] / ((2 * g + 1) * A[g])
-        G[:, k] = np.where(on, w * c[m * on], 0.0).sum(axis=1)
-    return (2 * n + 1) * G, L, M
+
+    def assemble():
+        G = np.empty((L + M + 1, M + 1), dtype=complex)
+        for k in range(M + 1):
+            j = np.arange(k + 1)
+            g, m = n + j, n - k + 2 * j
+            on = (g >= k) & (m < c.size)
+            # entries off the band index A[0] and c[0] and are then zeroed
+            w = A[(g - k) * on] * A[k - j] * A[j] / ((2 * g + 1) * A[g])
+            G[:, k] = np.where(on, w * c[m * on], 0.0).sum(axis=1)
+        return (2 * n + 1) * G
+
+    return _finite(assemble, _too_large(c)), L, M
+
+
+def _too_large(c: np.ndarray):
+    """_finite's error where a product with the series c leaves the float range."""
+    return lambda bad: DomainError(
+        f"series coefficients are too large for the product kernel (max|c| = {np.max(np.abs(c)):.3e})")
 
 
 def _system(G: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
@@ -134,26 +142,20 @@ def _system(G: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
     return rows[:, 1:], -rows[:, 0]
 
 
-def _denominator(G: np.ndarray, L: int) -> tuple[np.ndarray, float]:
-    """b_0..b_M and the 1-norm condition number of the system taken from G."""
+def _denominator(G: np.ndarray, L: int, too_large) -> tuple[np.ndarray, float]:
+    """b_0..b_M and the 1-norm condition number of the system taken from G; too_large is _finite's error."""
     if G.shape[1] == 1:
         return np.array([1.0 + 0.0j]), 1.0
     a, rhs = _system(G, L)
     cond = float(np.linalg.cond(a, 1))
     if not cond < 1.0 / _RCOND_FLOOR:
-        raise SingularSystemError(
-            f"condition number {cond:.3e} is not below 1/{_RCOND_FLOOR:g}; system is numerically singular",
-            condition_estimate=cond,
-        )
+        raise SingularSystemError(f"condition number {cond:.3e} is not below 1/{_RCOND_FLOOR:g}; "
+                                  "system is numerically singular", condition_estimate=cond)
     tail = np.linalg.solve(a, rhs)
-    residual = np.max(np.abs(a @ tail - rhs))
-    norm_a = np.max(np.abs(a))
-    if residual > 1e-10 * norm_a * max(1.0, np.max(np.abs(tail))):
-        raise SingularSystemError(
-            f"solve residual {residual:.3e} exceeds 1e-10 * |A| at condition number {cond:.3e}; "
-            "system is numerically singular",
-            condition_estimate=cond,
-        )
+    residual = np.max(np.abs(_finite(lambda: a @ tail - rhs, too_large)))
+    if residual > 1e-10 * np.max(np.abs(a)) * max(1.0, np.max(np.abs(tail))):
+        raise SingularSystemError(f"solve residual {residual:.3e} exceeds 1e-10 * |A| at condition number "
+                                  f"{cond:.3e}; system is numerically singular", condition_estimate=cond)
     return np.concatenate([[1.0 + 0.0j], tail]), cond
 
 
@@ -174,14 +176,14 @@ def solve_denominator(series: ComplexSeries, L: int, M: int) -> tuple[np.ndarray
     """Denominator coefficients b_0..b_M (b_0 = 1) and the 1-norm condition
     number of the system (1.0 when M = 0)."""
     G, L, _ = _product_matrix(series, L, M)
-    return _denominator(G, L)
+    return _denominator(G, L, _too_large(series.coefficients))
 
 
 def compute_numerator(series: ComplexSeries, denominator: np.ndarray, L: int) -> np.ndarray:
     """Numerator a_0..a_L for a denominator b_0..b_M, checked as a ComplexSeries; its length sets M."""
     b = ComplexSeries(denominator).coefficients
     G, L, _ = _product_matrix(series, L, b.size - 1)
-    return G[: L + 1] @ b
+    return _finite(lambda: G[: L + 1] @ b, _too_large(series.coefficients))
 
 
 def construct(series: ComplexSeries, L: int, M: int) -> tuple[PadeApproximant, ConstructionReport]:
@@ -192,27 +194,25 @@ def construct(series: ComplexSeries, L: int, M: int) -> tuple[PadeApproximant, C
     construction fails if that residual exceeds 1e-8 * max|c|.
     """
     G, L, _ = _product_matrix(series, L, M)
-    b, cond = _denominator(G, L)
-    a = G[: L + 1] @ b
-    residual = float(np.max(np.abs(G[L + 1:] @ b), initial=0.0))
+    too_large = _too_large(series.coefficients)
+    b, cond = _denominator(G, L, too_large)
+    a = _finite(lambda: G[: L + 1] @ b, too_large)
+    residual = float(np.max(np.abs(_finite(lambda: G[L + 1:] @ b, too_large)), initial=0.0))
     scale = float(np.max(np.abs(series.coefficients)))
     if residual > _RESIDUAL_FLOOR * scale:
-        raise ResidualTooLargeError(
-            f"enforced-zero orders leave residual {residual:.3e} > {_RESIDUAL_FLOOR:g} * max|c| = "
-            f"{_RESIDUAL_FLOOR * scale:.3e}",
-            residual=residual,
-        )
+        raise ResidualTooLargeError(f"enforced-zero orders leave residual {residual:.3e} > {_RESIDUAL_FLOOR:g} "
+                                    f"* max|c| = {_RESIDUAL_FLOOR * scale:.3e}", residual=residual)
     return PadeApproximant(a, b), ConstructionReport(condition_estimate=cond, residual=residual)
 
 
 def evaluate(p: PadeApproximant, theta):
     """Value of the approximant at an angle in [0, pi] (a complex) or an array of them.
 
-    Numerator and denominator are summed by the one contraction that serves
-    ``eval_partial_sum``. Raises PoleError where the denominator is below
-    1e-12 * sum|b_m|: a spurious rational pole inside the domain. Its ``theta``
-    is the angle (a float) for a float angle and the array of pole angles otherwise.
-    Raises DomainError where the value overflows.
+    Numerator and denominator are summed as by ``eval_partial_sum``, and an angle's value has the
+    same bits in any array; Python's division at a float angle may round the last bit otherwise.
+    Raises PoleError where the denominator is below 1e-12 * sum|b_m|: a spurious rational pole
+    inside the domain. Its ``theta`` is the angle (a float) for a float angle and the array of
+    pole angles otherwise. Raises DomainError where the value overflows.
     """
     num, den = _legendre_sums(theta, p.numerator, p.denominator)
     at_pole = np.abs(den) < _POLE_FLOOR * float(np.abs(p.denominator).sum())
@@ -220,10 +220,5 @@ def evaluate(p: PadeApproximant, theta):
         poles = np.asarray(theta, dtype=float)[at_pole] if at_pole.ndim else float(theta)
         raise PoleError(f"denominator vanishes at theta = {poles} (|Q| = {np.min(np.abs(den)):.3e})",
                         theta=poles)
-    if not at_pole.ndim:
-        value = num / den  # Python complex division overflows to inf without a warning
-        if not cmath.isfinite(value):
-            raise DomainError(f"the approximant overflows at theta = {float(theta)}")
-        return value
     return _finite(lambda: num / den, lambda bad: DomainError(
         f"the approximant overflows at theta = {np.min(np.asarray(theta, dtype=float)[bad])}"))

@@ -5,14 +5,16 @@ function onto one Legendre order, one ``legpade.quadrature.quad`` call on
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .quadrature import NODES, quad
-from .special import _check_order, _in_range, legendre_eval_all
+from .special import _check_order, _in_range, _legendre_rows, legendre_eval_all
 
 __all__ = ["ComplexSeries", "eval_partial_sum", "project_legendre_coefficient"]
 
@@ -48,14 +50,11 @@ def _check_theta(theta):
 
 
 def _legendre_sums(theta, *coefficients):
-    """Sum of c_l P_l(cos theta) for each coefficient vector, after one angle check
-    and over one basis up to the longest vector: Python complex values at a float
-    angle, arrays of theta's shape for an array of angles."""
-    theta = _check_theta(theta)
-    p = legendre_eval_all(max(c.size for c in coefficients) - 1, np.cos(theta))
-    # p.T puts the order axis last, so any shape of theta contracts alike
-    sums = [p[: c.size].T.dot(c).T for c in coefficients]
-    return [complex(s) for s in sums] if isinstance(theta, float) else sums
+    """Sum of c_l P_l(cos theta) for each coefficient vector after one angle check, lowest order first and
+    by the same operations at any shape, so an angle's sum has the same bits alone and in any array: a
+    Python complex at a float angle, an array of theta's shape for an array of angles."""
+    rows = _legendre_rows(max(c.size for c in coefficients) - 1, np.cos(_check_theta(theta)))
+    return [functools.reduce(operator.add, map(operator.mul, rows, c.tolist())) for c in coefficients]
 
 
 def eval_partial_sum(series: ComplexSeries, theta):

@@ -81,6 +81,16 @@ def _check_order(n, what: str) -> int:
     raise DomainError(f"{what} must be a non-negative integer, got {n}")
 
 
+def _legendre_rows(l_max: int, x) -> list:
+    """[P_0(x) .. P_{l_max}(x)] at a numpy float or array x, unchecked: Python floats for a numpy
+    float, whose arithmetic is twice as slow and rounds alike, arrays for an array, by the same steps."""
+    x = x if x.ndim else x.tolist()
+    p = [1.0 + 0.0 * x, x]
+    for k in range(1, l_max):
+        p.append(((2 * k + 1) * x * p[k] - k * p[k - 1]) / (k + 1))
+    return p[: l_max + 1]
+
+
 def legendre_eval_all(l_max: int, x) -> np.ndarray:
     """P_0(x) .. P_{l_max}(x) for a float or an array x, shape (l_max+1,) + shape(x).
 
@@ -88,12 +98,7 @@ def legendre_eval_all(l_max: int, x) -> np.ndarray:
     """
     l_max = _check_order(l_max, "Legendre degree")
     x = _in_range(x, -_X_TOL, _X_TOL, "Legendre argument x = {} outside [-1, 1]")
-    x = min(1.0, max(-1.0, x)) if isinstance(x, float) else np.clip(x, -1.0, 1.0)
-    # the same arithmetic on a float and on an array, so a scalar stays a float
-    p = [1.0 + 0.0 * x, x]
-    for k in range(1, l_max):
-        p.append(((2 * k + 1) * x * p[k] - k * p[k - 1]) / (k + 1))
-    return np.array(p[: l_max + 1])
+    return np.array(_legendre_rows(l_max, np.clip(x, -1.0, 1.0)))
 
 
 def threej_zero_sq(l: int, m: int, n: int) -> Fraction:

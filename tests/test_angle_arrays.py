@@ -34,8 +34,8 @@ ORACLES = {
 }
 # a real root of the [20/20] unit denominator, the Froissart doublet
 DOUBLET = 0.60155733029562397
-# sums over the Legendre orders run in another order for an array, so the two
-# agree to a few eps of the terms' magnitude, not of a sum that cancels
+# Python's complex division at a float angle and numpy's in an array may round
+# differently, so the quotients agree to a few eps of the terms' magnitude
 TOL = 1e-13
 
 angle_arrays = st.lists(st.floats(0.0, math.pi), max_size=30).map(
@@ -77,6 +77,35 @@ def test_array_matches_per_angle(family, L, M, thetas):
     bound = TOL * (_magnitude(approx.numerator, basis)
                    + np.abs(values) * _magnitude(approx.denominator, basis)) / den
     assert np.all(np.abs(evaluate(approx, thetas) - values) <= bound)
+
+
+@settings(max_examples=80, deadline=None)
+@given(family=st.sampled_from(sorted(FAMILIES)), L=st.integers(0, 20), M=st.integers(0, 20),
+       thetas=angle_arrays, cuts=st.lists(st.integers(0, 40), max_size=6))
+def test_every_shape_sums_to_the_same_bits(family, L, M, thetas, cuts):
+    # an angle alone, in an array and in any part of one has its orders added in the same order
+    full = FAMILIES[family](L + M + 2)
+    approx, _ = construct(full, L, M)
+    partial = ComplexSeries(full.coefficients[: L + M + 1])
+
+    def split(angles):
+        return np.split(angles, sorted(c % (angles.size + 1) for c in cuts))
+
+    def same(values, array):
+        return np.asarray(values).tobytes() == np.asarray(array).tobytes()
+
+    whole = eval_partial_sum(partial, thetas)
+    assert same([eval_partial_sum(partial, t) for t in thetas], whole)
+    assert same(np.concatenate([eval_partial_sum(partial, part) for part in split(thetas)]), whole)
+
+    num, den = (eval_partial_sum(ComplexSeries(side), thetas) for side in (approx.numerator, approx.denominator))
+    kept = np.abs(den) >= 1e-12 * np.sum(np.abs(approx.denominator))  # off the poles
+    whole = evaluate(approx, thetas[kept])
+    assert same(np.concatenate([evaluate(approx, part) for part in split(thetas[kept])]), whole)
+    assert same(whole, num[kept] / den[kept])
+    # a float angle divides the same sums by Python's complex division
+    assert same([evaluate(approx, t) for t in thetas[kept]],
+                [n / d for n, d in zip(num[kept].tolist(), den[kept].tolist())])
 
 
 @settings(max_examples=50, deadline=None)

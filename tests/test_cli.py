@@ -137,6 +137,19 @@ class TestConstructCommand:
         assert run_cli(["construct", "--coeffs", str(infile), "--L", "2", "--M", "2"]) == 4
         assert "duplicate coefficient row for l = 1" in capsys.readouterr().err
 
+    def test_coefficients_too_large_for_the_products_are_bad_args(self, tmp_path, capsys):
+        # finite rows at 1e308: the [1/1] numerator leaves the float range, [0/2] stays inside it
+        infile, outfile = tmp_path / "big.csv", tmp_path / "out.txt"
+        write_coeffs(infile, 1e308 * np.array([1, 1, 1, -1, 1]))
+        assert run_cli(["construct", "--coeffs", str(infile), "--L", "1", "--M", "1"]) == 4
+        assert ("legpade: bad arguments: series coefficients are too large for the product kernel "
+                "(max|c| = 1.000e+308)") in capsys.readouterr().err
+        assert run_cli(["construct", "--coeffs", str(infile), "--L", "0", "--M", "2", "-o", str(outfile)]) == 0
+        assert outfile.read_text() == (
+            "# legpade approximant\n# L = 0\n# M = 2\n# condition_estimate = 1.8316582914572856\n"
+            "# residual = 9.9792015476735991e+291\nkind,index,re,im\na,0,6.7286432160804022e+307,0\n"
+            "b,0,1,0\nb,1,-0.65954773869346739,0\nb,2,-0.53643216080402001,0\n")
+
 
 class TestCompareCommand:
     def test_csv_shape_and_monotonicity(self, tmp_path):
@@ -161,6 +174,16 @@ class TestCompareCommand:
         assert run_cli(args + ["-o", str(out1)]) == 0
         assert run_cli(args + ["-o", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_a_row_does_not_depend_on_the_steps(self, tmp_path):
+        # theta = 1.5 is a grid angle at 3 steps and at 401; its row is summed alike in both
+        rows = []
+        for steps in ("3", "401"):
+            outfile = tmp_path / f"{steps}.csv"
+            assert run_cli(["compare", "--demo", "coulomb", "--theta-min", "0.5", "--theta-max", "2.5",
+                            "--steps", steps, "-o", str(outfile)]) == 0
+            rows.append([line for line in outfile.read_text().splitlines() if line.startswith("1.5,")])
+        assert len(rows[0]) == 1 and rows[0] == rows[1]
 
     def test_degenerate_pade_equals_partial(self, tmp_path):
         outfile = tmp_path / "cmp.csv"

@@ -331,6 +331,31 @@ class TestConstruct:
             construct(unit_series(8), 3, 3)
         assert exc_info.value.residual == report.residual
 
+    # finite coefficients at 1e308 whose products leave the float range, named by the product that does
+    @pytest.mark.parametrize("signs, L, M", [
+        ((1, 1, 1, -1, 1), 1, 1),  # the numerator
+        ((1, 1, 1, -1, 1), 2, 2),
+        ((1, 1, 1, -1, 1), 3, 1),
+        ((1, 1, -1, -1), 0, 3),  # the enforced-zero residual
+        ((1, 1, -1, 1, 1), 0, 2),  # the solve's residual
+    ])
+    def test_products_past_the_float_maximum_are_domain_error(self, signs, L, M):
+        with pytest.raises(DomainError, match=r"too large for the product kernel \(max\|c\| = 1\.000e\+308\)"):
+            construct(ComplexSeries(1e308 * np.array(signs)), L, M)
+
+    def test_assembly_past_the_float_maximum_is_domain_error(self):
+        series = ComplexSeries(np.full(3, 1.5e308))
+        for stage in (lambda: construct(series, 0, 1), lambda: solve_denominator(series, 1, 1),
+                      lambda: compute_numerator(series, np.array([1.0, 0.5]), 1)):
+            with pytest.raises(DomainError, match=r"product kernel \(max\|c\| = 1\.500e\+308\)"):
+                stage()
+
+    def test_near_the_float_maximum_a_finite_construction_still_passes(self):
+        # the same coefficients as the numerator case above, at [0/2], stay inside the float range
+        approx, report = construct(ComplexSeries(1e308 * np.array([1, 1, 1, -1, 1])), 0, 2)
+        assert approx.numerator[0] == pytest.approx(6.7286432160804022e307, rel=1e-15)
+        assert report.residual == pytest.approx(9.9792015476735991e291, rel=1e-15)
+
 
 class TestEvaluate:
     def test_pole_detection(self):
