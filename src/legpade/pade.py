@@ -212,13 +212,18 @@ def evaluate(p: PadeApproximant, theta):
     same bits in any array; Python's division at a float angle may round the last bit otherwise.
     Raises PoleError where the denominator is below 1e-12 * sum|b_m|: a spurious rational pole
     inside the domain. Its ``theta`` is the angle (a float) for a float angle and the array of
-    pole angles otherwise. Raises DomainError where the value overflows.
+    pole angles otherwise. Raises DomainError where a sum or the value overflows, at every angle shape.
     """
-    num, den = _legendre_sums(theta, p.numerator, p.denominator)
-    at_pole = np.abs(den) < _POLE_FLOOR * float(np.abs(p.denominator).sum())
-    if at_pole.any():
-        poles = np.asarray(theta, dtype=float)[at_pole] if at_pole.ndim else float(theta)
-        raise PoleError(f"denominator vanishes at theta = {poles} (|Q| = {np.min(np.abs(den)):.3e})",
-                        theta=poles)
-    return _finite(lambda: num / den, lambda bad: DomainError(
+    floor = _POLE_FLOOR * float(np.abs(p.denominator).sum())
+
+    def quotient():
+        num, den = _legendre_sums(theta, p.numerator, p.denominator)
+        at_pole = np.abs(den) < floor
+        if at_pole.any():
+            poles = np.asarray(theta, dtype=float)[at_pole] if at_pole.ndim else float(theta)
+            raise PoleError(f"denominator vanishes at theta = {poles} (|Q| = {np.min(np.abs(den)):.3e})",
+                            theta=poles)
+        return num / den
+
+    return _finite(quotient, lambda bad: DomainError(
         f"the approximant overflows at theta = {np.min(np.asarray(theta, dtype=float)[bad])}"))

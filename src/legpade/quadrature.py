@@ -158,7 +158,7 @@ def quad(f, a: float, b: float, *, epsabs: float = 1.49e-8, epsrel: float = 1.49
     the subintervals. Raises ``QuadratureConvergenceError`` when the
     tolerance is not reached, and ``ValueError`` for any other return of
     ``f``, a non-finite ``a``, a non-finite ``|a| + |b|`` unless b = inf,
-    or a NaN or negative ``epsabs`` or ``epsrel``.
+    a NaN or negative ``epsabs`` or ``epsrel``, or a ``limit`` that is not an integer >= 1.
     """
     # imported here: nothing on the start-up path loads logging, and it costs ~5 ms
     import logging
@@ -170,6 +170,8 @@ def quad(f, a: float, b: float, *, epsabs: float = 1.49e-8, epsrel: float = 1.49
     for name, tol in (("epsabs", epsabs), ("epsrel", epsrel)):
         if not tol >= 0.0:  # a NaN tolerance would end the bisection after one panel
             raise ValueError(f"{name} must be a number >= 0, got {tol}")
+    if not (isinstance(limit, (int, np.integer)) and limit >= 1):  # a NaN limit would never stop the bisection
+        raise ValueError(f"limit must be an integer >= 1, got {limit}")
 
     def block(x):
         fx = np.asarray(f(x))

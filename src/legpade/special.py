@@ -5,8 +5,9 @@ Legendre polynomials by the Bonnet three-term recurrence (one evaluator,
 zero-projection Wigner 3j symbols in exact rational arithmetic, the
 principal branch of log-gamma on the half plane Re z >= 1/2, where the
 Coulomb phase Gamma(1 + i/k) lies (DomainError elsewhere), spherical Bessel
-functions of both kinds, every order up to n in one call
-(``spherical_bessel_jy_all``), with thin scalar wrappers, and the envelopes
+functions of both kinds, every order up to n in one call (``spherical_bessel_jy_all``:
+one stacked recurrence for j and y, then Miller's ratios for j; a NaN entry of x
+leaves the others alone), with thin scalar wrappers, and the envelopes
 h_l^(1)(z) e^(-iz) of the spherical Hankel functions at complex z.
 """
 
@@ -173,35 +174,30 @@ def log_gamma_complex(z: complex) -> complex:
 def spherical_bessel_jy_all(n: int, x) -> tuple[np.ndarray, np.ndarray]:
     """j_0 .. j_n and y_0 .. y_n at a float or an array x, each of shape (n+1,) + shape(x).
 
-    y by upward recurrence, stable at every order (x > 0; near 0 it overflows to
-    -inf and stays there). j by the same recurrence through the orders l <= x,
-    where it is stable, so wholly upward once x >= n; above order x, j_l = r_l
-    j_(l-1) with the ratios r_l = j_l/j_(l-1) of Miller's downward recurrence,
-    started at order n + 20 + 4.8 sqrt(n) (Gillman and Fiebig, Comput. Phys. 2,
-    62 (1988)). j_0(0) = 1 and j_l(0) = 0 for l >= 1. The caller checks x.
+    The pair [j_l, y_l] goes through one upward recurrence, f_l = (2l-1)/x f_(l-1) - f_(l-2), stable
+    for y at every order (x > 0; near 0 it overflows to -inf and stays there) and for j through the
+    orders l <= x, so j is wholly upward once x >= n. Above order x, j_l = r_l j_(l-1), in increasing l,
+    with the ratios r_l = j_l/j_(l-1) of Miller's downward recurrence, started at order n + 20 + 4.8 sqrt(n)
+    (Gillman and Fiebig, Comput. Phys. 2, 62 (1988)). j_0(0) = 1 and j_l(0) = 0 for l >= 1. A NaN entry
+    of x gives NaN there and leaves the other entries alone. The caller checks x.
     """
     n = _check_order(n, "Bessel order")
     x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         s, c = np.sin(x), np.cos(x)
-        y = [-c / x]
-        y.append(y[0] / x - s / x)
-        j = [np.where(x == 0.0, 1.0, s / x)]
-        j.append(j[0] / x - c / x)
-        ratio = {}
-        if n >= 1 and np.min(x, initial=math.inf) < n:  # some order lies above some x
-            r = 0.0
+        f = [np.array([s / x, -c / x])]
+        f.append(f[0] / x - np.array([c / x, s / x]))
+        for k in range(2, n + 1):  # j meets -inf only above order x, where Miller's ratios replace it
+            f.append(np.where(f[k - 1] == -np.inf, -np.inf, (2 * k - 1) / x * f[k - 1] - f[k - 2]))
+        j, y = np.array(f[: n + 1]).swapaxes(0, 1)
+        j[0] = np.where(x == 0.0, 1.0, j[0])
+        if n >= 1 and not np.all(x >= n):  # some order lies above some x, or an x is NaN
+            r = [0.0]  # then r_K .. r_1, so r[-l] = r_l
             for k in range(n + 20 + int(4.8 * math.sqrt(n)), 0, -1):
-                r = x / (2 * k + 1 - x * r)
-                if k <= n:
-                    ratio[k] = r
-        for k in range(1, n + 1):
-            if k > 1:
-                y.append(np.where(y[k - 1] == -np.inf, -np.inf, (2 * k - 1) / x * y[k - 1] - y[k - 2]))
-                j.append((2 * k - 1) / x * j[k - 1] - j[k - 2])
-            if ratio:
-                j[k] = np.where(x >= k, j[k], ratio[k] * j[k - 1])
-    return np.array(j[: n + 1]), np.array(y[: n + 1])
+                r.append(x / (2 * k + 1 - x * r[-1]))
+            for k in range(1, n + 1):
+                j[k] = np.where(x >= k, j[k], r[-k] * j[k - 1])
+    return j, y
 
 
 def _hankel_envelopes(n: int, z) -> np.ndarray:

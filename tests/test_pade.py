@@ -378,6 +378,11 @@ class TestEvaluate:
                                if np.ndim(at) else "the approximant overflows at theta = 3.14"):
                 evaluate(approx, at)
         assert abs(evaluate(approx, 0.0)) == pytest.approx(1e308 / 1.9, rel=1e-15)
+        # the numerator's sum overflows at theta = 0: the same DomainError at a float angle and in an array
+        approx = PadeApproximant(np.full(5, 1e308), np.array([1.0, 0.1]))
+        for at in (0.0, np.array([0.0, 1.0])):
+            with pytest.raises(DomainError, match=r"the approximant overflows at theta = 0\.0"):
+                evaluate(approx, at)
 
     @settings(max_examples=60, deadline=None)
     @given(family=st.sampled_from(["unit", "coulomb", "invr2"]), L=st.integers(0, 20), M=st.integers(0, 20),

@@ -76,12 +76,14 @@ class TestIntegrals:
                                                              r"0\.3333333333333\d*\] too short to bisect"):
             quad(lambda x: np.sign(x - 1.0 / 3.0)[:, None], 0.0, 1.0, epsabs=0.0, epsrel=0.0, limit=200)
 
-    @pytest.mark.parametrize("name", ["epsabs", "epsrel"])
-    @pytest.mark.parametrize("tol", [math.nan, -1e-8])
+    @pytest.mark.parametrize("tol, name", [(tol, name) for name in ("epsabs", "epsrel") for tol in (math.nan, -1e-8)]
+                             + [(limit, "limit") for limit in (math.nan, -5, 0, 2.5)])
     def test_nan_or_negative_tolerance_rejected(self, name, tol):
         # a NaN tolerance is never reached nor missed: the bisection would stop after one panel,
-        # returning 0.6174 against 0.50253 here; a negative one would end in a roundoff message
-        with pytest.raises(ValueError, match=rf"{name} must be a number >= 0, got {tol}"):
+        # returning 0.6174 against 0.50253 here; a negative one would end in a roundoff message.
+        # A NaN limit would remove the cap, a negative one end in "limit of -5 intervals reached".
+        message = "an integer >= 1" if name == "limit" else "a number >= 0"
+        with pytest.raises(ValueError, match=rf"{name} must be {message}, got {tol}"):
             quad(lambda x: np.sin(50.0 * x)[:, None] ** 2, 0.0, 1.0, **{name: tol})
 
     def test_unsupported_limits_rejected(self):

@@ -259,6 +259,16 @@ class TestSphericalBesselAllOrders:
         # a NaN argument still gives NaN
         assert np.isnan(spherical_bessel_jy_all(5, [math.nan])[1]).all()
 
+    @pytest.mark.parametrize("n", [1, 8, 40])
+    def test_nan_entry_leaves_the_others_alone(self, n):
+        # a NaN once made the Miller test false for every entry, so j_8(0.1) came out 2.89e-3, not 2.90e-16
+        x = _BESSEL_X
+        with_nan = np.insert(x, [0, 3, x.size], math.nan)
+        nan_at = np.isnan(with_nan)
+        for alone, among in zip(spherical_bessel_jy_all(n, x), spherical_bessel_jy_all(n, with_nan)):
+            assert among[:, ~nan_at].tobytes() == alone.tobytes()
+            assert np.isnan(among[:, nan_at]).all()
+
     def test_origin(self):
         j, _ = spherical_bessel_jy_all(5, np.array([0.0, 1e-300]))
         assert j[:, 0].tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
