@@ -20,7 +20,7 @@ import argparse
 import csv
 import math
 import sys
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -89,34 +89,35 @@ def _cells(values: np.ndarray, keep=True) -> list:
     return np.where(keep, [_fmt(x) for x in values.tolist()], "").tolist()
 
 
-def _build_series(args) -> tuple[ComplexSeries, ComplexSeries, Optional[Callable[[np.ndarray], np.ndarray]]]:
-    """(partial-sum series, construction series, exact oracle of an angle array or None).
+def _approximant(args) -> tuple:
+    """(partial-sum series, approximant, construction report, exact oracle of an angle array or None).
 
     Demo series carry two orders beyond --N for the matching sums, the
     convention behind the reference worked examples; the partial-sum column
-    stays truncated at N. A coefficient file is used as-is for both.
+    stays truncated at N. A coefficient file is used as-is for both. The split
+    is --L and --M, or ``default_split`` of the partial sum's order.
     """
+    exact = None
     if args.source == "coeffs":
-        series = _read_coefficients(args.coeffs)
-        return series, series, None
-    demo = args.demo
-    n_build = _check_order(args.N, "--N") + 2
-    if demo == "unit":
-        full = unit_series(n_build)
-        exact = exact_half_csc
-    elif demo == "coulomb":
-        full = coulomb_series(n_build, args.k)
-        exact = lambda th: coulomb_exact(th, args.k)
-    elif demo == "invr2":
-        pot = PotentialSpec("inverse_r2", args.alpha)
-        full = born_series(pot, n_build, args.k)
-        exact = lambda th: born_exact_invr2(th, args.alpha, args.k)
-    else:  # rn; argparse's choices admit no other demo
-        params = RNParams(mass=args.mass, charge=args.QoverM * args.mass, eta=args.eta, mu=args.mu)
-        full = rn_series(n_build, params, horizon_epsilon=args.rn_epsilon, r_max=args.rn_rmax)
-        exact = None
-    partial = ComplexSeries(full.coefficients[: args.N + 1])
-    return partial, full, exact
+        partial = full = _read_coefficients(args.coeffs)
+    else:
+        n_build = _check_order(args.N, "--N") + 2
+        if args.demo == "unit":
+            full, exact = unit_series(n_build), exact_half_csc
+        elif args.demo == "coulomb":
+            full, exact = coulomb_series(n_build, args.k), lambda th: coulomb_exact(th, args.k)
+        elif args.demo == "invr2":
+            full = born_series(PotentialSpec("inverse_r2", args.alpha), n_build, args.k)
+            exact = lambda th: born_exact_invr2(th, args.alpha, args.k)
+        else:  # rn; argparse's choices admit no other demo
+            params = RNParams(mass=args.mass, charge=args.QoverM * args.mass, eta=args.eta, mu=args.mu)
+            full = rn_series(n_build, params, horizon_epsilon=args.rn_epsilon, r_max=args.rn_rmax)
+        partial = ComplexSeries(full.coefficients[: args.N + 1])
+    if (args.L is None) != (args.M is None):
+        raise CliError("give both --L and --M, or neither", EXIT_BAD_ARGS)
+    L, M = default_split(partial.order) if args.L is None else (args.L, args.M)  # construct checks the degrees
+    approx, report = construct(full, L, M)
+    return partial, approx, report, exact
 
 
 def _read_lines(path: str, what: str) -> list[str]:
@@ -150,15 +151,6 @@ def _read_coefficients(path: str) -> ComplexSeries:
     return ComplexSeries(np.array([coeffs[l] for l in range(len(coeffs))]))
 
 
-def _resolve_split(args, series_order: int) -> tuple[int, int]:
-    L, M = args.L, args.M
-    if L is None and M is None:
-        return default_split(series_order)
-    if L is None or M is None:
-        raise CliError("give both --L and --M, or neither", EXIT_BAD_ARGS)
-    return L, M  # construct checks the degrees
-
-
 def _write_text(path: Optional[str], text: str):
     if path is None:
         sys.stdout.write(text)
@@ -170,14 +162,12 @@ def _write_text(path: Optional[str], text: str):
         raise CliError(f"cannot write output: {exc}", EXIT_WRITE)
 
 
-def cmd_construct(args) -> int:
-    partial, full, _ = _build_series(args)
-    L, M = _resolve_split(args, partial.order)
-    approx, report = construct(full, L, M)
+def cmd_construct(args) -> list[str]:
+    _, approx, report, _ = _approximant(args)
     lines = [
         "# legpade approximant",
-        f"# L = {L}",
-        f"# M = {M}",
+        f"# L = {approx.L}",
+        f"# M = {approx.M}",
         f"# condition_estimate = {_fmt(report.condition_estimate)}",
         f"# residual = {_fmt(report.residual)}",
         "kind,index,re,im",
@@ -186,18 +176,15 @@ def cmd_construct(args) -> int:
         lines.append(f"a,{n},{_fmt(a.real)},{_fmt(a.imag)}")
     for m, b in enumerate(approx.denominator):
         lines.append(f"b,{m},{_fmt(b.real)},{_fmt(b.imag)}")
-    _write_text(args.output, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return lines
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> list[str]:
     if args.steps < 2:
         raise CliError("--steps must be at least 2", EXIT_BAD_ARGS)
     if not (0.0 <= args.theta_min < args.theta_max <= math.pi):
         raise CliError("need 0 <= theta-min < theta-max <= pi (radians)", EXIT_BAD_ARGS)
-    partial_series, full, exact = _build_series(args)
-    L, M = _resolve_split(args, partial_series.order)
-    approx, _ = construct(full, L, M)
+    partial_series, approx, _, exact = _approximant(args)
     try:  # numpy wraps sizes within about 1e3 of 2^63 to an empty array, which linspace then indexes
         thetas = np.linspace(args.theta_min, args.theta_max, args.steps)
     except IndexError:
@@ -220,9 +207,7 @@ def cmd_compare(args) -> int:
         _cells(exacts.real, has_exact), _cells(exacts.imag, has_exact),
         _cells(cross_section(pades), ~poles), np.where(poles, "1", "0").tolist(),
     ]
-    lines = [CSV_HEADER, *map(",".join, zip(*columns))]
-    _write_text(args.output, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return [CSV_HEADER, *map(",".join, zip(*columns))]
 
 
 def _add_series_options(sub):
@@ -287,7 +272,7 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
     """Parse ``argv``, reading each ``key = value`` line of a ``--config`` file as the flag ``--key=value``
     right after the subcommand name: argparse types and checks it, and a flag given in ``argv`` comes later
     and wins. The config file's ``demo`` and ``coeffs`` are read only where ``argv`` names neither; both in
-    ``argv``, or both in the file, exit 4. ``args.source`` keeps the source found for ``_build_series``."""
+    ``argv``, or both in the file, exit 4. ``args.source`` keeps the source found for ``_approximant``."""
     parser = build_parser()
     args = parser.parse_args(argv)
     args.source = _one_source(args, "the command line")
@@ -319,7 +304,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         if args.source is None:
             raise CliError("choose a --demo" + (" or supply --coeffs" if hasattr(args, "coeffs") else ""), EXIT_BAD_ARGS)
-        return args.func(args)
+        _write_text(args.output, "\n".join(args.func(args)) + "\n")
+        return EXIT_OK
     except SystemExit as exc:  # argparse: --help, --version and usage errors
         return int(exc.code or 0)
     except CliError as exc:
@@ -331,11 +317,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except QuadratureConvergenceError as exc:
         print(f"legpade: quadrature failed: {exc}", file=sys.stderr)
         return EXIT_QUADRATURE
-    except (DomainError, ValueError, MemoryError) as exc:  # MemoryError: an array too large for the arguments
+    except (ValueError, MemoryError, OverflowError) as exc:  # MemoryError: an array too large for the arguments
         print(f"legpade: bad arguments: {exc}", file=sys.stderr)
-        return EXIT_BAD_ARGS
-    except OverflowError as exc:
-        print(f"legpade: bad arguments: a value overflows the float range: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
 
 

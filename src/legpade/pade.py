@@ -71,6 +71,8 @@ class PadeApproximant:
         b = ComplexSeries(self.denominator).coefficients
         if b[0] != 1.0:
             raise ValueError(f"denominator must be normalized to b_0 = 1, got {b[0]}")
+        # evaluate's pole floor scales with sum|b|
+        _finite(lambda: np.abs(b).sum(), lambda bad: DomainError("the denominator is too large: sum|b| overflows"))
         object.__setattr__(self, "numerator", a)
         object.__setattr__(self, "denominator", b)
 

@@ -5,6 +5,7 @@ function onto one Legendre order, one ``legpade.quadrature.quad`` call on
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import operator
@@ -13,8 +14,9 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import DomainError
 from .quadrature import NODES, quad
-from .special import _check_order, _in_range, _legendre_rows, legendre_eval_all
+from .special import _check_order, _finite, _in_range, _legendre_rows, legendre_eval_all
 
 __all__ = ["ComplexSeries", "eval_partial_sum", "project_legendre_coefficient"]
 
@@ -59,13 +61,22 @@ def _legendre_sums(theta, *coefficients):
 
 def eval_partial_sum(series: ComplexSeries, theta):
     """Sum of c_l P_l(cos theta) over the retained orders, at an angle (a
-    complex) or an array of them.
+    complex) or an array of them; DomainError where the sum overflows.
 
     theta = 0 is allowed (the sum is finite everywhere); callers comparing
     against oracles that diverge in the forward direction must exclude it
     themselves.
     """
-    return _legendre_sums(theta, series.coefficients)[0]
+    def overflow(bad):
+        return DomainError(f"the partial sum overflows at theta = {np.min(np.asarray(theta, dtype=float)[bad])}")
+
+    if not isinstance(theta, float):
+        return _finite(lambda: _legendre_sums(theta, series.coefficients)[0], overflow)
+    # Python's arithmetic at a float angle overflows without a warning, and np.errstate costs microseconds a call
+    value = _legendre_sums(theta, series.coefficients)[0]
+    if not cmath.isfinite(value):
+        raise overflow(True)
+    return value
 
 
 def project_legendre_coefficient(f: Callable[[np.ndarray], np.ndarray], n: int) -> complex:

@@ -318,6 +318,7 @@ class TestCompareCommand:
         ["--demo", "rn", "--mu", "1e300"],  # mu squared in the radial weights
         ["--demo", "rn", "--mu", "1e151"],  # mu^2 over the horizon factor in the first-order weights
         ["--demo", "rn", "--mass", "1e-120"],  # 1/r^3 near a tiny horizon in the first-order weights
+        ["--demo", "invr2", "--alpha", "3e307"],  # the partial-sum column
     ])
     def test_overflowing_value_is_bad_args(self, capsys, flags):
         # a finite flag that overflows a value is a bad argument, not an OverflowError

@@ -378,11 +378,14 @@ class TestEvaluate:
                                if np.ndim(at) else "the approximant overflows at theta = 3.14"):
                 evaluate(approx, at)
         assert abs(evaluate(approx, 0.0)) == pytest.approx(1e308 / 1.9, rel=1e-15)
-        # the numerator's sum overflows at theta = 0: the same DomainError at a float angle and in an array
+        # the numerator's sum overflows at theta = 0: the same DomainError at a float angle and in an array,
+        # from evaluate and from the numerator's partial sum
         approx = PadeApproximant(np.full(5, 1e308), np.array([1.0, 0.1]))
         for at in (0.0, np.array([0.0, 1.0])):
             with pytest.raises(DomainError, match=r"the approximant overflows at theta = 0\.0"):
                 evaluate(approx, at)
+            with pytest.raises(DomainError, match=r"the partial sum overflows at theta = 0\.0"):
+                eval_partial_sum(ComplexSeries(approx.numerator), at)
 
     @settings(max_examples=60, deadline=None)
     @given(family=st.sampled_from(["unit", "coulomb", "invr2"]), L=st.integers(0, 20), M=st.integers(0, 20),
@@ -425,6 +428,7 @@ class TestPadeApproximant:
         ([1.0], [], "non-empty"),
         ([np.nan], [1.0], "finite"),
         ([1.0], [1.0, np.nan], "finite"),
+        ([1.0], [1.0, 1e308, 1e308], "too large"),  # sum|b|, which scales evaluate's pole floor, overflows
     ])
     def test_sides_checked_as_series(self, numerator, denominator, message):
         with pytest.raises(ValueError, match=message):
