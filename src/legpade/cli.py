@@ -92,27 +92,29 @@ def _cells(values: np.ndarray, keep=True) -> list:
 def _approximant(args) -> tuple:
     """(partial-sum series, approximant, construction report, exact oracle of an angle array or None).
 
-    Demo series carry two orders beyond --N for the matching sums, the
-    convention behind the reference worked examples; the partial-sum column
-    stays truncated at N. A coefficient file is used as-is for both. The split
-    is --L and --M, or ``default_split`` of the partial sum's order.
+    Demo series carry two orders beyond --N (default 6) for the matching sums,
+    the convention behind the reference worked examples; the partial-sum column
+    stays truncated at N. A coefficient file is used whole for both, without
+    --N. The split is --L and --M, or ``default_split`` of the partial sum's order.
     """
     exact = None
     if args.source == "coeffs":
+        if args.N is not None:
+            raise CliError("--N does not apply to --coeffs: a coefficient file is used whole", EXIT_BAD_ARGS)
         partial = full = _read_coefficients(args.coeffs)
     else:
-        n_build = _check_order(args.N, "--N") + 2
+        N = 6 if args.N is None else _check_order(args.N, "--N")
         if args.demo == "unit":
-            full, exact = unit_series(n_build), exact_half_csc
+            full, exact = unit_series(N + 2), exact_half_csc
         elif args.demo == "coulomb":
-            full, exact = coulomb_series(n_build, args.k), lambda th: coulomb_exact(th, args.k)
+            full, exact = coulomb_series(N + 2, args.k), lambda th: coulomb_exact(th, args.k)
         elif args.demo == "invr2":
-            full = born_series(PotentialSpec("inverse_r2", args.alpha), n_build, args.k)
+            full = born_series(PotentialSpec("inverse_r2", args.alpha), N + 2, args.k)
             exact = lambda th: born_exact_invr2(th, args.alpha, args.k)
         else:  # rn; argparse's choices admit no other demo
             params = RNParams(mass=args.mass, charge=args.QoverM * args.mass, eta=args.eta, mu=args.mu)
-            full = rn_series(n_build, params, horizon_epsilon=args.rn_epsilon, r_max=args.rn_rmax)
-        partial = ComplexSeries(full.coefficients[: args.N + 1])
+            full = rn_series(N + 2, params, horizon_epsilon=args.rn_epsilon, r_max=args.rn_rmax)
+        partial = ComplexSeries(full.coefficients[: N + 1])
     if (args.L is None) != (args.M is None):
         raise CliError("give both --L and --M, or neither", EXIT_BAD_ARGS)
     L, M = default_split(partial.order) if args.L is None else (args.L, args.M)  # construct checks the degrees
@@ -212,8 +214,8 @@ def cmd_compare(args) -> list[str]:
 
 def _add_series_options(sub):
     sub.add_argument("--demo", choices=DEMOS, help="built-in series family")
-    sub.add_argument("--N", type=int, default=6,
-                     help="highest partial-sum order; demo construction uses two orders beyond (default 6)")
+    sub.add_argument("--N", type=int, default=None, help="highest partial-sum order of a demo series; its "
+                     "construction uses two orders beyond (default 6; not with --coeffs, whose file is used whole)")
     sub.add_argument("--L", type=int, default=None, help="numerator degree")
     sub.add_argument("--M", type=int, default=None, help="denominator degree")
     sub.add_argument("--alpha", type=float, default=1.0, help="potential coupling (invr2 demo)")

@@ -38,7 +38,7 @@ from .errors import (
     ResidualTooLargeError,
     SingularSystemError,
 )
-from .series import ComplexSeries, _legendre_sums
+from .series import ComplexSeries, _checked, _legendre_sums
 # legendre_eval_all and threej_zero_sq_float are unused here; perfbench/tracer.py rebinds them on this module
 from .special import _check_order, _finite, legendre_eval_all, threej_zero_sq_float  # noqa: F401
 
@@ -210,8 +210,8 @@ def construct(series: ComplexSeries, L: int, M: int) -> tuple[PadeApproximant, C
 def evaluate(p: PadeApproximant, theta):
     """Value of the approximant at an angle in [0, pi] (a complex) or an array of them.
 
-    Numerator and denominator are summed as by ``eval_partial_sum``, and an angle's value has the
-    same bits in any array; Python's division at a float angle may round the last bit otherwise.
+    Numerator and denominator are summed as by ``eval_partial_sum``, and an angle's value has the same bits
+    in any array. A float angle's sums and quotient are Python's; its division may differ from numpy's in the last bit.
     Raises PoleError where the denominator is below 1e-12 * sum|b_m|: a spurious rational pole
     inside the domain. Its ``theta`` is the angle (a float) for a float angle and the array of
     pole angles otherwise. Raises DomainError where a sum or the value overflows, at every angle shape.
@@ -220,12 +220,11 @@ def evaluate(p: PadeApproximant, theta):
 
     def quotient():
         num, den = _legendre_sums(theta, p.numerator, p.denominator)
-        at_pole = np.abs(den) < floor
+        at_pole = np.abs(den) < floor  # Python's abs raises OverflowError where |den| rounds past the float maximum
         if at_pole.any():
             poles = np.asarray(theta, dtype=float)[at_pole] if at_pole.ndim else float(theta)
             raise PoleError(f"denominator vanishes at theta = {poles} (|Q| = {np.min(np.abs(den)):.3e})",
                             theta=poles)
         return num / den
 
-    return _finite(quotient, lambda bad: DomainError(
-        f"the approximant overflows at theta = {np.min(np.asarray(theta, dtype=float)[bad])}"))
+    return _checked(theta, "the approximant", quotient)

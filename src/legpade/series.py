@@ -59,6 +59,19 @@ def _legendre_sums(theta, *coefficients):
     return [functools.reduce(operator.add, map(operator.mul, rows, c.tolist())) for c in coefficients]
 
 
+def _checked(theta, what: str, compute):
+    """compute() where it is finite, else DomainError "{what} overflows at theta = ...": a float angle's Python
+    result gets a cmath.isfinite test and no np.errstate, which costs microseconds; other shapes get _finite."""
+    def overflow(bad):
+        return DomainError(f"{what} overflows at theta = {np.min(np.asarray(theta, dtype=float)[bad])}")
+    if not isinstance(theta, float):
+        return _finite(compute, overflow)
+    value = compute()
+    if not cmath.isfinite(value):
+        raise overflow(True)
+    return value
+
+
 def eval_partial_sum(series: ComplexSeries, theta):
     """Sum of c_l P_l(cos theta) over the retained orders, at an angle (a
     complex) or an array of them; DomainError where the sum overflows.
@@ -67,16 +80,7 @@ def eval_partial_sum(series: ComplexSeries, theta):
     against oracles that diverge in the forward direction must exclude it
     themselves.
     """
-    def overflow(bad):
-        return DomainError(f"the partial sum overflows at theta = {np.min(np.asarray(theta, dtype=float)[bad])}")
-
-    if not isinstance(theta, float):
-        return _finite(lambda: _legendre_sums(theta, series.coefficients)[0], overflow)
-    # Python's arithmetic at a float angle overflows without a warning, and np.errstate costs microseconds a call
-    value = _legendre_sums(theta, series.coefficients)[0]
-    if not cmath.isfinite(value):
-        raise overflow(True)
-    return value
+    return _checked(theta, "the partial sum", lambda: _legendre_sums(theta, series.coefficients)[0])
 
 
 def project_legendre_coefficient(f: Callable[[np.ndarray], np.ndarray], n: int) -> complex:

@@ -1,7 +1,10 @@
 import argparse
 import codecs
+import gzip
+import importlib.util
 import logging
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -441,6 +444,26 @@ class TestSeriesSource:
         assert err.startswith("legpade: cannot read coefficient file: ") and err.count("\n") == 1
         assert out == "" and not (tmp_path / "out.txt").exists()
 
+    @pytest.mark.parametrize("config_text, flags", [
+        ("", ["--coeffs", "{coeffs}", "--N", "2"]),
+        ("", ["--coeffs", "{coeffs}", "--N", "-5"]),
+        ("", ["--coeffs", "{coeffs}", "--N", "6"]),
+        ("N = 2\n", ["--coeffs", "{coeffs}"]),
+        ("coeffs = {coeffs}\n", ["--N", "2"]),
+        ("coeffs = {coeffs}\nN = 2\n", []),
+    ], ids=["flag-2", "flag-negative", "flag-demo-default", "config-order", "config-coeffs", "config-both"])
+    def test_order_with_a_coefficient_file_is_bad_args(self, tmp_path, coeffs, capsys, config_text, flags):
+        # a coefficient file is used whole, so an --N beside it is rejected, not silently ignored
+        flags = [flag.format(coeffs=coeffs) for flag in flags]
+        assert self.construct(tmp_path, config_text.format(coeffs=coeffs), *flags) == (4, None)
+        assert capsys.readouterr().err == "legpade: --N does not apply to --coeffs: a coefficient file is used whole\n"
+
+    def test_coefficient_file_used_whole(self, tmp_path, coeffs):
+        outfile = tmp_path / "out.txt"
+        assert run_cli(["construct", "--coeffs", str(coeffs), "-o", str(outfile)]) == 0
+        assert outfile.read_text().splitlines()[1:3] == ["# L = 2", "# M = 2"]  # default_split of order 4
+        assert parse_args(["construct", "--coeffs", str(coeffs)]).N is None
+
     def test_config_without_source_asks_for_one(self, tmp_path, capsys):
         assert self.construct(tmp_path, "N = 4\n") == (4, None)
         assert capsys.readouterr().err == "legpade: choose a --demo or supply --coeffs\n"
@@ -561,6 +584,39 @@ def test_rn_csv_unchanged_by_debug_logging(tmp_path, caplog):
     assert run_cli(["compare", "--demo", "rn", "-o", str(verbose)]) == 0
     assert any(record.name == "legpade.quadrature" for record in caplog.records)
     assert verbose.read_bytes() == quiet.read_bytes()
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+# the compare calls whose CSVs perfbench/reference records: unit, and coulomb, invr2 and rn on a parameter grid
+RECORDED = [("unit", [])] + [(demo, ["--k", k]) for demo in ("coulomb", "invr2") for k in ("0.5", "1.0", "2.0")] \
+    + [("rn", ["--QoverM", q]) for q in ("0.0001", "0.5", "0.99")]
+
+
+def _recorded_name(demo, extra):
+    return demo + (f"_{extra[0].lstrip('-')}{extra[1]}" if extra else "")
+
+
+@pytest.fixture(scope="module")
+def harness_oracles():
+    # the benchmark checks its CLI calls with perfbench/oracles.py, loaded here by path and only read
+    spec = importlib.util.spec_from_file_location("perfbench_oracles", PERFBENCH / "oracles.py")
+    oracles = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracles)
+    return oracles
+
+
+def test_every_recorded_output_is_checked():
+    recorded = sorted(path.name for path in (PERFBENCH / "reference").glob("*.csv.gz"))
+    assert recorded == sorted(f"{_recorded_name(demo, extra)}.csv.gz" for demo, extra in RECORDED)
+
+
+@pytest.mark.parametrize("demo, extra", RECORDED, ids=[_recorded_name(demo, extra) for demo, extra in RECORDED])
+def test_recorded_output_reproduced(tmp_path, harness_oracles, demo, extra):
+    # within the harness's CSV tolerance, not bit for bit: the recordings predate the one Legendre-sum path
+    reference = gzip.decompress((PERFBENCH / "reference" / f"{_recorded_name(demo, extra)}.csv.gz").read_bytes())
+    outfile = tmp_path / "out.csv"
+    assert run_cli(["compare", "--demo", demo, *extra, "-o", str(outfile)]) == 0
+    assert harness_oracles.csv_mismatch(outfile.read_bytes().decode(), reference.decode()) is None
 
 
 def test_unwritable_output_exit_code(tmp_path, capsys):

@@ -387,6 +387,44 @@ class TestEvaluate:
             with pytest.raises(DomainError, match=r"the partial sum overflows at theta = 0\.0"):
                 eval_partial_sum(ComplexSeries(approx.numerator), at)
 
+    def test_float_angle_enters_no_errstate(self, monkeypatch):
+        # one overflow rule for both evaluators: a float angle's Python result gets a cmath.isfinite test,
+        # and only the other angle shapes enter np.errstate
+        series = unit_series(8)
+        approx, _ = construct(series, 4, 4)
+        before = [eval_partial_sum(series, 1.0), evaluate(approx, 1.0)]
+        pole = PadeApproximant(np.array([1.0 + 0j]), np.array([1.0 + 0j, 1.0 + 0j]))
+        huge = PadeApproximant(np.full(5, 1e308), np.array([1.0, 0.1]))
+
+        class Entered(Exception):
+            pass
+
+        def errstate(**kwargs):
+            raise Entered
+
+        monkeypatch.setattr(np, "errstate", errstate)
+        for at in (1.0, np.float64(1.0)):
+            assert [eval_partial_sum(series, at), evaluate(approx, at)] == before
+        with pytest.raises(PoleError) as caught:
+            evaluate(pole, math.pi)
+        assert caught.value.theta == math.pi and type(caught.value.theta) is float
+        with pytest.raises(DomainError, match=r"the approximant overflows at theta = 0\.0"):
+            evaluate(huge, 0.0)
+        with pytest.raises(DomainError, match=r"the partial sum overflows at theta = 0\.0"):
+            eval_partial_sum(ComplexSeries(huge.numerator), 0.0)
+        for at in (np.array([1.0]), np.array(1.0), 1):
+            with pytest.raises(Entered):
+                eval_partial_sum(series, at)
+            with pytest.raises(Entered):
+                evaluate(approx, at)
+
+    def test_denominator_modulus_at_the_float_maximum(self):
+        # sum|b| is finite, but Python's abs of 1 + b_1 at theta = 0 rounds past the float maximum and raises
+        # OverflowError; the pole test takes numpy's, so the value is the quotient at a float angle too
+        approx = PadeApproximant(np.array([1.0 + 0j]), np.array([1.0, 8.356858109788127e307 + 1.5916437517421367e308j]))
+        for at in (0.0, 1.0, np.array([0.0, 1.0])):
+            assert np.all(np.abs(evaluate(approx, at)) < 1e-307)
+
     @settings(max_examples=60, deadline=None)
     @given(family=st.sampled_from(["unit", "coulomb", "invr2"]), L=st.integers(0, 20), M=st.integers(0, 20),
            theta=st.floats(0.0, math.pi), angles=st.lists(st.floats(0.0, math.pi), min_size=1, max_size=30))
