@@ -71,10 +71,11 @@ class PadeApproximant:
         b = ComplexSeries(self.denominator).coefficients
         if b[0] != 1.0:
             raise ValueError(f"denominator must be normalized to b_0 = 1, got {b[0]}")
-        # evaluate's pole floor scales with sum|b|
-        _finite(lambda: np.abs(b).sum(), lambda bad: DomainError("the denominator is too large: sum|b| overflows"))
+        floor = _finite(lambda: _POLE_FLOOR * float(np.abs(b).sum()),  # evaluate's pole floor, fixed once
+                        lambda bad: DomainError("the denominator is too large: sum|b| overflows"))
         object.__setattr__(self, "numerator", a)
         object.__setattr__(self, "denominator", b)
+        object.__setattr__(self, "_pole_floor", floor)
 
     @property
     def L(self) -> int:
@@ -212,15 +213,13 @@ def evaluate(p: PadeApproximant, theta):
 
     Numerator and denominator are summed as by ``eval_partial_sum``, and an angle's value has the same bits
     in any array. A float angle's sums and quotient are Python's; its division may differ from numpy's in the last bit.
-    Raises PoleError where the denominator is below 1e-12 * sum|b_m|: a spurious rational pole
-    inside the domain. Its ``theta`` is the angle (a float) for a float angle and the array of
-    pole angles otherwise. Raises DomainError where a sum or the value overflows, at every angle shape.
+    Raises PoleError where the denominator is below 1e-12 * sum|b_m|, the floor p fixed when it was built:
+    a spurious rational pole inside the domain. Its ``theta`` is the angle (a float) for a float angle and
+    the array of pole angles otherwise. Raises DomainError where a sum or the value overflows, at every angle shape.
     """
-    floor = _POLE_FLOOR * float(np.abs(p.denominator).sum())
-
     def quotient():
         num, den = _legendre_sums(theta, p.numerator, p.denominator)
-        at_pole = np.abs(den) < floor  # Python's abs raises OverflowError where |den| rounds past the float maximum
+        at_pole = np.abs(den) < p._pole_floor  # Python's abs raises OverflowError where |den| overflows
         if at_pole.any():
             poles = np.asarray(theta, dtype=float)[at_pole] if at_pole.ndim else float(theta)
             raise PoleError(f"denominator vanishes at theta = {poles} (|Q| = {np.min(np.abs(den)):.3e})",

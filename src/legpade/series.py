@@ -26,12 +26,14 @@ class ComplexSeries:
     """Ordered Legendre coefficients c_0 .. c_N of a truncated expansion.
 
     Immutable after construction and compared by identity; entries must be
-    finite and there must be at least one.
+    finite numbers, not text, and there must be at least one.
     """
 
     coefficients: np.ndarray
 
     def __post_init__(self):
+        if np.asarray(self.coefficients).dtype.kind in "SU":  # numpy would parse text as numbers
+            raise ValueError("series coefficients must be numbers, not text")
         c = np.array(self.coefficients, dtype=complex)
         if c.ndim != 1 or c.size < 1:
             raise ValueError("a series needs a one-dimensional, non-empty coefficient list")

@@ -425,6 +425,16 @@ class TestEvaluate:
         for at in (0.0, 1.0, np.array([0.0, 1.0])):
             assert np.all(np.abs(evaluate(approx, at)) < 1e-307)
 
+    @pytest.mark.parametrize("at", [0.0, np.array([0.0, 1.0])])
+    def test_pole_floor_boundary(self, at):
+        # Q = 1 + (d - 1) P_1 is d at theta = 0, against a floor of 1e-12 * sum|b| = 2.0e-12
+        below = PadeApproximant([1.0], [1.0, 1.9e-12 - 1.0])
+        with pytest.raises(PoleError, match=r"\(\|Q\| = 1\.900e-12\)") as caught:
+            evaluate(below, at)
+        assert np.array_equal(caught.value.theta, [0.0] if np.ndim(at) else 0.0)
+        b = np.array([1.0, 2.1e-12 - 1.0])
+        assert evaluate(PadeApproximant([1.0], b), at) == pytest.approx(1 / (b[0] + b[1] * np.cos(at)), rel=1e-12)
+
     @settings(max_examples=60, deadline=None)
     @given(family=st.sampled_from(["unit", "coulomb", "invr2"]), L=st.integers(0, 20), M=st.integers(0, 20),
            theta=st.floats(0.0, math.pi), angles=st.lists(st.floats(0.0, math.pi), min_size=1, max_size=30))
@@ -471,6 +481,16 @@ class TestPadeApproximant:
     def test_sides_checked_as_series(self, numerator, denominator, message):
         with pytest.raises(ValueError, match=message):
             PadeApproximant(np.array(numerator, dtype=complex), np.array(denominator, dtype=complex))
+
+    @pytest.mark.parametrize("numerator, denominator", [
+        (["1", "2"], ["1", "0.5"]),
+        ([1.0], [b"1", b"0.5"]),
+        (np.array(["1"]), [1.0]),
+    ])
+    def test_sides_reject_text(self, numerator, denominator):
+        # unconverted sides: each is checked as a ComplexSeries, which rejects text numpy would parse
+        with pytest.raises(ValueError, match="numbers, not text"):
+            PadeApproximant(numerator, denominator)
 
     def test_stores_read_only_copies(self):
         a, b = np.array([1.0, 0.5], dtype=complex), np.array([1.0, 0.25], dtype=complex)

@@ -17,6 +17,10 @@ class TestComplexSeries:
             ComplexSeries(np.array([1.0, np.nan]))
         with pytest.raises(ValueError):
             ComplexSeries(np.array([1.0, np.inf * 1j]))
+        # numpy would parse text as numbers: str, bytes, mixed and a text array are all rejected
+        for text in (["1", "0.5"], [b"1", b"2"], [1.0, "2"], np.array(["1", "2"]), "12"):
+            with pytest.raises(ValueError, match="numbers, not text"):
+                ComplexSeries(text)
 
     def test_immutable(self):
         s = ComplexSeries(np.array([1.0, 2.0]))
