@@ -72,7 +72,7 @@ class PadeApproximant:
         if b[0] != 1.0:
             raise ValueError(f"denominator must be normalized to b_0 = 1, got {b[0]}")
         floor = _finite(lambda: _POLE_FLOOR * float(np.abs(b).sum()),  # evaluate's pole floor, fixed once
-                        lambda bad: DomainError("the denominator is too large: sum|b| overflows"))
+                        "the denominator is too large: sum|b| overflows")
         object.__setattr__(self, "numerator", a)
         object.__setattr__(self, "denominator", b)
         object.__setattr__(self, "_pole_floor", floor)
@@ -133,10 +133,9 @@ def _product_matrix(series: ComplexSeries, L: int, M: int) -> tuple[np.ndarray, 
     return _finite(assemble, _too_large(c)), L, M
 
 
-def _too_large(c: np.ndarray):
-    """_finite's error where a product with the series c leaves the float range."""
-    return lambda bad: DomainError(
-        f"series coefficients are too large for the product kernel (max|c| = {np.max(np.abs(c)):.3e})")
+def _too_large(c: np.ndarray) -> str:
+    """_finite's message where a product with the series c leaves the float range."""
+    return f"series coefficients are too large for the product kernel (max|c| = {np.max(np.abs(c)):.3e})"
 
 
 def _system(G: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
@@ -146,7 +145,7 @@ def _system(G: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _denominator(G: np.ndarray, L: int, too_large) -> tuple[np.ndarray, float]:
-    """b_0..b_M and the 1-norm condition number of the system taken from G; too_large is _finite's error."""
+    """b_0..b_M and the 1-norm condition number of the system taken from G; too_large is _finite's message."""
     if G.shape[1] == 1:
         return np.array([1.0 + 0.0j]), 1.0
     a, rhs = _system(G, L)

@@ -108,9 +108,8 @@ class RNParams:
         _in_range(self.mass, 0.0, _SQRT_BIG, "mass = {} is too large: its square overflows")
         _in_range(self.mass, 1.0 / _SQRT_BIG, _BIG, "mass = {} is too small: its square underflows")
         _in_range(self.mu, 0.0, _SQRT_BIG, "particle mass mu = {} is too large: its square overflows")
-        if abs(self.charge) >= self.mass:
-            raise DomainError(f"|Q| = {abs(self.charge)} must be strictly below M = {self.mass} "
-                              "(extremal configurations are rejected)")
+        _in_range(abs(self.charge), 0.0, math.nextafter(self.mass, 0.0),
+                  f"|Q| = {{}} must be strictly below M = {self.mass} (extremal configurations are rejected)")
         disc = math.sqrt(self.mass**2 - self.charge**2)
         object.__setattr__(self, "r_plus", self.mass + disc)
         object.__setattr__(self, "r_minus", self.mass - disc)
@@ -131,7 +130,7 @@ def _closed_form(theta, amplitude: str, f):
     """f(sin(theta/2)) after the angle guard; DomainError names ``amplitude`` where it is not finite."""
     # |f| falls as theta grows, so the smallest angle is one where it is not finite
     return _finite(lambda: f(np.sin(0.5 * _check_theta(theta))),
-                   lambda bad: DomainError(f"{amplitude} is not finite at theta = {np.min(theta)}"))
+                   lambda bad: f"{amplitude} is not finite at theta = {np.min(theta)}")
 
 
 def exact_half_csc(theta):
@@ -139,22 +138,17 @@ def exact_half_csc(theta):
     return _closed_form(theta, "1/(2 sin(theta/2))", lambda s: 0.5 / s)
 
 
-def _overflow_at(k: float, alpha: float | None = None) -> DomainError:
+def _overflow_at(k: float, alpha: float | None = None) -> str:
+    """_finite's message where partial-wave coefficients overflow: it names k, and alpha of a Born series."""
     coupling = "" if alpha is None else f" or the coupling alpha = {alpha} too large"
-    return DomainError(f"wavenumber k = {k} is too small{coupling}: the partial-wave coefficients overflow")
-
-
-def _series_at(k: float, coefficients, alpha: float | None = None) -> ComplexSeries:
-    """ComplexSeries of coefficients(), computed through the guard ``special._finite``: DomainError
-    names the wavenumber k, and the coupling alpha of a Born series, where an entry is not finite."""
-    return ComplexSeries(_finite(coefficients, lambda bad: _overflow_at(k, alpha)))
+    return f"wavenumber k = {k} is too small{coupling}: the partial-wave coefficients overflow"
 
 
 def _gamma_ratio(k: float) -> complex:
     """Gamma(1 + i/k) / Gamma(1 - i/k), the l = 0 Coulomb phase factor; DomainError names k
     where its phase overflows. Gamma(1 - i/k) is the conjugate of Gamma(1 + i/k), so the
     ratio is exp(2i Im log Gamma(1 + i/k))."""
-    phase = _finite(lambda: 2.0 * log_gamma_complex(1 + 1j / k).imag, lambda bad: _overflow_at(k))
+    phase = _finite(lambda: 2.0 * log_gamma_complex(1 + 1j / k).imag, _overflow_at(k))
     return cmath.exp(complex(0.0, phase))
 
 
@@ -169,7 +163,7 @@ def coulomb_series(n: int, k: float) -> ComplexSeries:
         ratios = np.cumprod(np.append(_gamma_ratio(k), (l[1:] + ik) / (l[1:] - ik)))
         return 1.0 / (2j * k) * (2 * l + 1) * ratios
 
-    return _series_at(k, coefficients)
+    return ComplexSeries(_finite(coefficients, _overflow_at(k)))
 
 
 def coulomb_exact(theta, k: float):
@@ -218,7 +212,7 @@ def _born_shifts(potential: PotentialSpec, n: int, k: float, method: str) -> np.
         return np.zeros(n + 1)
     moments = None if method == "auto" else _bessel_sq_moments(n)
     return _finite(lambda: -math.pi * potential.alpha / (2.0 * (2 * np.arange(n + 1) + 1)) if moments is None
-                   else -potential.alpha * moments, lambda bad: _overflow_at(k, potential.alpha))
+                   else -potential.alpha * moments, _overflow_at(k, potential.alpha))
 
 
 def born_phase_shift(potential: PotentialSpec, l: int, k: float, method: str = "auto") -> float:
@@ -240,7 +234,8 @@ def born_series(potential: PotentialSpec, n: int, k: float, method: str = "auto"
     ``born_phase_shift``).
     """
     shifts = _born_shifts(potential, n, k, method)
-    return _series_at(k, lambda: (2 * np.arange(shifts.size) + 1) / k * shifts, potential.alpha)
+    return ComplexSeries(_finite(lambda: (2 * np.arange(shifts.size) + 1) / k * shifts,
+                                 _overflow_at(k, potential.alpha)))
 
 
 def born_exact_invr2(theta, alpha: float, k: float):
@@ -313,6 +308,7 @@ def rn_series(
         r_max = 50.0 / eta
         beyond = f"the default r_max = 50/eta at eta = {eta} is out of range, give r_max (--rn-rmax): {beyond}"
     r_max = _in_range(r_max, math.nextafter(lower, math.inf), _SQRT_BIG, beyond, "r_max")
+    overflow = f"mass = {params.mass} and particle mass mu = {params.mu} make the first-order weights overflow"
 
     def block(u):
         # (nodes, 4) at r = r_+(1 + e^u), times dr/du = r_+ e^u: sin^2(eta r*)
@@ -323,12 +319,9 @@ def rn_series(
         sin2, sin2e, inv2 = np.sin(eta * rstar) ** 2, np.sin(2.0 * eta * rstar), 1.0 / (r * r)
         return np.stack([sin2 * inv2, sin2 * w0, sin2e * inv2, sin2e * w0], axis=1) * (rp * e)[:, None]
 
-    def weights(u):
-        return _finite(lambda: block(u), lambda bad: DomainError(
-            f"mass = {params.mass} and particle mass mu = {params.mu} make the first-order weights overflow"))
-
     (a_sin2, b_sin2, a_sin2e, b_sin2e), _, _ = quad(
-        weights, math.log(horizon_epsilon), math.log(r_max / rp - 1.0), epsabs=1e-13, epsrel=1e-9, limit=1500)
+        lambda u: _finite(lambda: block(u), overflow), math.log(horizon_epsilon), math.log(r_max / rp - 1.0),
+        epsabs=1e-13, epsrel=1e-9, limit=1500)
     ll = ls * (ls + 1.0)
     i_sin2, i_sin2e = ll * a_sin2 + b_sin2, ll * a_sin2e + b_sin2e
     phase = -np.arctan((i_sin2 / eta) / (1.0 + i_sin2e / eta))
@@ -339,5 +332,5 @@ def rn_series(
 def cross_section(f):
     """Differential cross section, the squared modulus of the amplitude (or of each in an array).
     Raises DomainError where |f|^2 overflows (or f is not finite), for a scalar and an array alike."""
-    return _finite(lambda: np.abs(f) ** 2, lambda bad: DomainError(
-        f"the cross section |f|^2 overflows: largest |f| = {np.max(np.abs(f)):.3e}"))
+    return _finite(lambda: np.abs(f) ** 2,
+                   lambda bad: f"the cross section |f|^2 overflows: largest |f| = {np.max(np.abs(f)):.3e}")

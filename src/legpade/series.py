@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError
 from .quadrature import NODES, quad
-from .special import _check_order, _finite, _in_range, _legendre_rows, legendre_eval_all
+from .special import _check_order, _dtype_kind, _finite, _in_range, _legendre_rows, legendre_eval_all
 
 __all__ = ["ComplexSeries", "eval_partial_sum", "project_legendre_coefficient"]
 
@@ -32,7 +32,7 @@ class ComplexSeries:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        if np.asarray(self.coefficients).dtype.kind in "SU":  # numpy would parse text as numbers
+        if _dtype_kind(self.coefficients) in "SU":  # numpy would parse text as numbers
             raise ValueError("series coefficients must be numbers, not text")
         c = np.array(self.coefficients, dtype=complex)
         if c.ndim != 1 or c.size < 1:
@@ -65,12 +65,12 @@ def _checked(theta, what: str, compute):
     """compute() where it is finite, else DomainError "{what} overflows at theta = ...": a float angle's Python
     result gets a cmath.isfinite test and no np.errstate, which costs microseconds; other shapes get _finite."""
     def overflow(bad):
-        return DomainError(f"{what} overflows at theta = {np.min(np.asarray(theta, dtype=float)[bad])}")
+        return f"{what} overflows at theta = {np.min(np.asarray(theta, dtype=float)[bad])}"
     if not isinstance(theta, float):
         return _finite(compute, overflow)
     value = compute()
     if not cmath.isfinite(value):
-        raise overflow(True)
+        raise DomainError(overflow(True))
     return value
 
 

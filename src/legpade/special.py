@@ -38,12 +38,18 @@ _X_TOL = 1.0 + 4.0 * np.finfo(float).eps
 _BIG = float(np.finfo(float).max)
 
 
+def _dtype_kind(x) -> str:
+    """numpy's dtype kind of x, for an object array the kind of its entries, which numpy converts one by one."""
+    x = np.asarray(x)
+    return np.asarray(x.tolist()).dtype.kind if x.dtype.kind == "O" else x.dtype.kind
+
+
 def _in_range(x, lo: float, hi: float, message: str, name: str | None = None):
     """x as a float, or an array-like as a float array, after checking that every
     entry lies in [lo, hi] (NaN does not); ``message`` formats the first that does not.
     Given the ``name`` of a parameter that must be one number, an array raises DomainError naming it.
-    Text or a complex (1+0j too, or an array-like of either) is rejected: numpy would parse or truncate it."""
-    if not isinstance(x, float) and np.asarray(x).dtype.kind in "SUc":
+    Text or a complex (1+0j too, or in an array-like, an object array too) is rejected: numpy would parse or cut it."""
+    if not isinstance(x, float) and _dtype_kind(x) in "SUc":
         raise DomainError(message.format(repr(x)))
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
@@ -59,13 +65,13 @@ def _in_range(x, lo: float, hi: float, message: str, name: str | None = None):
     return x
 
 
-def _finite(compute, error):
-    """compute() under np.errstate that silences overflow, division by zero and invalid values;
-    raises error(bad), a DomainError, where the mask bad marks an entry that is not finite."""
+def _finite(compute, message):
+    """compute() under np.errstate that silences overflow, division by zero and invalid values; DomainError(message)
+    where an entry is not finite, or DomainError(message(bad)), called only then, for a callable of the mask bad."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         value = compute()
     if (bad := ~np.isfinite(value)).any():
-        raise error(bad)
+        raise DomainError(message(bad) if callable(message) else message)
     return value
 
 

@@ -486,6 +486,8 @@ class TestPadeApproximant:
         (["1", "2"], ["1", "0.5"]),
         ([1.0], [b"1", b"0.5"]),
         (np.array(["1"]), [1.0]),
+        (np.array(["1"], dtype=object), [1.0]),
+        ([1.0], np.array([1.0, "0.5"], dtype=object)),
     ])
     def test_sides_reject_text(self, numerator, denominator):
         # unconverted sides: each is checked as a ComplexSeries, which rejects text numpy would parse

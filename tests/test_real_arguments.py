@@ -68,7 +68,9 @@ NOT_REAL = {
     "complex-real": 1 + 0j,
     "numpy-complex": np.complex128(0.5),
     "complex-array": np.array([0.5 + 1j]),
+    "complex-object-array": np.array([0.5 + 1j], dtype=object),
     "text": "0.5",
+    "text-object-array": np.array(["0.5"], dtype=object),
 }
 
 

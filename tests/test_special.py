@@ -7,6 +7,18 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from legpade.errors import DomainError
+from legpade.pade import PadeApproximant, construct
+from legpade.scattering import (
+    PotentialSpec,
+    RNParams,
+    born_series,
+    coulomb_exact,
+    coulomb_series,
+    cross_section,
+    exact_half_csc,
+    rn_series,
+)
+from legpade.series import ComplexSeries, eval_partial_sum
 from legpade.special import (
     _finite,
     _hankel_envelopes,
@@ -297,20 +309,71 @@ class TestHankelEnvelopes:
                     assert abs(u[l, i] - ref) <= 1e-13 * abs(ref)
 
 
-@pytest.mark.parametrize("text", ["10", b"10", np.str_("0.5"), ["1", "2"], np.array([b"0.5"])])
+@pytest.mark.parametrize("text", ["10", b"10", np.str_("0.5"), ["1", "2"], np.array([b"0.5"]),
+                                  np.array(["0.5"], dtype=object), np.array("10", dtype=object),
+                                  np.array([0.5, "1"], dtype=object)])
 def test_numeric_text_is_not_a_number(text):
-    # numpy would read these as 10.0, 0.5, [1.0, 2.0] and [0.5]
+    # numpy would read these as 10.0, 0.5, [1.0, 2.0], [0.5], [0.5], 10.0 and [0.5, 1.0]:
+    # an object array converts entry by entry, and float() parses text
     with pytest.raises(DomainError, match=re.escape(f"got {text!r}")):
         _in_range(text, 0.0, 100.0, "value must lie in [0, 100], got {}")
 
 
 def test_finite_guard_names_the_entries_that_are_not_finite():
-    def error(bad):
-        return DomainError(f"not finite at entries {np.flatnonzero(bad).tolist()}")
+    calls = []
 
-    assert _finite(lambda: 1.0 / np.array([2.0, 4.0]), error).tolist() == [0.5, 0.25]
+    def message(bad):
+        calls.append(bad)
+        return f"not finite at entries {np.flatnonzero(bad).tolist()}"
+
+    assert _finite(lambda: 1.0 / np.array([2.0, 4.0]), message).tolist() == [0.5, 0.25]
+    assert _finite(lambda: complex(3.0, 4.0), message) == 3 + 4j  # a Python scalar passes through
+    assert calls == []  # the message is formatted only on failure
     # division by zero, 0/0 and overflow; pytest turns numpy's RuntimeWarning into an error,
     # so the guard must keep all three quiet
-    with pytest.raises(DomainError, match=re.escape("not finite at entries [1, 2, 3]")):
-        _finite(lambda: np.array([1.0, 1.0, 0.0, 1e308]) / np.array([2.0, 0.0, 0.0, 1e-308]), error)
-    assert _finite(lambda: complex(3.0, 4.0), error) == 3 + 4j  # a Python scalar passes through
+    def quotient():
+        return np.array([1.0, 1.0, 0.0, 1e308]) / np.array([2.0, 0.0, 0.0, 1e-308])
+
+    with pytest.raises(DomainError, match=r"^not finite at entries \[1, 2, 3\]$"):
+        _finite(quotient, message)
+    assert len(calls) == 1
+    with pytest.raises(DomainError, match=r"^a plain message$"):
+        _finite(quotient, "a plain message")
+
+
+# every message a non-finite guard of pade, series and scattering raises, in full, and RNParams' |Q| < M
+GUARD_MESSAGES = {
+    "pole floor": (lambda: PadeApproximant([1.0], [1.0, 1e308, 1e308]),
+                   "the denominator is too large: sum|b| overflows"),
+    "product kernel": (lambda: construct(ComplexSeries(np.full(9, 1e308)), 3, 3),
+                       "series coefficients are too large for the product kernel (max|c| = 1.000e+308)"),
+    "closed form": (lambda: exact_half_csc(np.array([1e-320, 1.0])),
+                    "1/(2 sin(theta/2)) is not finite at theta = 1e-320"),
+    "coulomb series": (lambda: coulomb_series(4, 1e-308),
+                       "wavenumber k = 1e-308 is too small: the partial-wave coefficients overflow"),
+    "coulomb phase": (lambda: coulomb_exact(1.0, 1e-307),
+                      "wavenumber k = 1e-307 is too small: the partial-wave coefficients overflow"),
+    "born series": (lambda: born_series(PotentialSpec("inverse_r2", 1e308), 4, 1.0),
+                    "wavenumber k = 1.0 is too small or the coupling alpha = 1e+308 too large: "
+                    "the partial-wave coefficients overflow"),
+    "rn weights": (lambda: rn_series(3, RNParams(10.0, 5.0, 1e-4, mu=1e151)),
+                   "mass = 10.0 and particle mass mu = 1e+151 make the first-order weights overflow"),
+    "cross section": (lambda: cross_section(np.array([1.0, 1e200j])),
+                      "the cross section |f|^2 overflows: largest |f| = 1.000e+200"),
+    "partial sum": (lambda: eval_partial_sum(ComplexSeries([1e308, 1e308]), 0.0),
+                    "the partial sum overflows at theta = 0.0"),
+    "partial sum array": (lambda: eval_partial_sum(ComplexSeries([1e308, -1e308]), np.array([0.0, math.pi])),
+                          "the partial sum overflows at theta = 3.141592653589793"),  # the least angle that overflows
+    "extremal charge": (lambda: RNParams(10.0, -10.0, 1e-4),
+                        "|Q| = 10.0 must be strictly below M = 10.0 (extremal configurations are rejected)"),
+    "charge above mass": (lambda: RNParams(np.float64(2.0), 3.0, 1e-4),
+                          "|Q| = 3.0 must be strictly below M = 2.0 (extremal configurations are rejected)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GUARD_MESSAGES))
+def test_guard_message_in_full(name):
+    call, message = GUARD_MESSAGES[name]
+    with pytest.raises(DomainError) as raised:
+        call()
+    assert str(raised.value) == message
