@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError
 from .quadrature import NODES, quad
-from .special import _check_order, _dtype_kind, _finite, _in_range, _legendre_rows, legendre_eval_all
+from .special import _check_order, _finite, _in_range, _legendre_rows, legendre_eval_all
 
 __all__ = ["ComplexSeries", "eval_partial_sum", "project_legendre_coefficient"]
 
@@ -25,15 +25,15 @@ __all__ = ["ComplexSeries", "eval_partial_sum", "project_legendre_coefficient"]
 class ComplexSeries:
     """Ordered Legendre coefficients c_0 .. c_N of a truncated expansion.
 
-    Immutable after construction and compared by identity; entries must be
-    finite numbers, not text, and there must be at least one.
+    Immutable after construction and compared by identity; entries must be finite
+    numbers (a bool, int, float or complex dtype), and there must be at least one.
     """
 
     coefficients: np.ndarray
 
     def __post_init__(self):
-        if _dtype_kind(self.coefficients) in "SU":  # numpy would parse text as numbers
-            raise ValueError("series coefficients must be numbers, not text")
+        if np.asarray(self.coefficients).dtype.kind not in "biufc":  # numpy would parse text, convert objects
+            raise ValueError("series coefficients must be numbers, not text or other objects")
         c = np.array(self.coefficients, dtype=complex)
         if c.ndim != 1 or c.size < 1:
             raise ValueError("a series needs a one-dimensional, non-empty coefficient list")

@@ -38,18 +38,12 @@ _X_TOL = 1.0 + 4.0 * np.finfo(float).eps
 _BIG = float(np.finfo(float).max)
 
 
-def _dtype_kind(x) -> str:
-    """numpy's dtype kind of x, for an object array the kind of its entries, which numpy converts one by one."""
-    x = np.asarray(x)
-    return np.asarray(x.tolist()).dtype.kind if x.dtype.kind == "O" else x.dtype.kind
-
-
 def _in_range(x, lo: float, hi: float, message: str, name: str | None = None):
     """x as a float, or an array-like as a float array, after checking that every
     entry lies in [lo, hi] (NaN does not); ``message`` formats the first that does not.
     Given the ``name`` of a parameter that must be one number, an array raises DomainError naming it.
-    Text or a complex (1+0j too, or in an array-like, an object array too) is rejected: numpy would parse or cut it."""
-    if not isinstance(x, float) and _dtype_kind(x) in "SUc":
+    Only a bool, int or float dtype is a number; ``message`` names the rest (text, a complex, None, objects)."""
+    if not isinstance(x, (int, float)) and np.asarray(x).dtype.kind not in "biuf":
         raise DomainError(message.format(repr(x)))
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
@@ -165,11 +159,12 @@ _LOG_SQRT_2PI = 0.9189385332046727417803297
 def log_gamma_complex(z: complex) -> complex:
     """Principal branch of log Gamma(z) for finite z with Re z >= 1/2, by the Lanczos sum.
 
-    DomainError names any other z: Re z < 1/2, or a NaN or infinite part.
+    DomainError names any other z: Re z < 1/2, a NaN or infinite part, or what is not a number (text, None).
     """
-    z = complex(z)
-    if not (z.real >= 0.5 and cmath.isfinite(z)):
-        raise DomainError(f"log-gamma needs a finite z with Re z >= 1/2, got z = {z}")
+    if isinstance(z, (int, float, complex)) or np.asarray(z).dtype.kind in "biufc":  # complex() parses text
+        z = complex(z)
+    if not (isinstance(z, complex) and z.real >= 0.5 and cmath.isfinite(z)):
+        raise DomainError(f"log-gamma needs a finite z with Re z >= 1/2, got z = {z!r}")
     s = _LANCZOS_C[0]
     for k in range(1, len(_LANCZOS_C)):
         s += _LANCZOS_C[k] / (z - 1.0 + k)

@@ -488,9 +488,13 @@ class TestPadeApproximant:
         (np.array(["1"]), [1.0]),
         (np.array(["1"], dtype=object), [1.0]),
         ([1.0], np.array([1.0, "0.5"], dtype=object)),
+        ({"a": 1}, [1.0]),
+        ([1.0], None),
+        (object(), [1.0]),
+        ([1.0], np.array([1.0, 0.5], dtype=object)),
     ])
     def test_sides_reject_text(self, numerator, denominator):
-        # unconverted sides: each is checked as a ComplexSeries, which rejects text numpy would parse
+        # unconverted sides: each is checked as a ComplexSeries, which rejects text numpy would parse and other objects
         with pytest.raises(ValueError, match="numbers, not text"):
             PadeApproximant(numerator, denominator)
 

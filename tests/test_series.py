@@ -17,9 +17,11 @@ class TestComplexSeries:
             ComplexSeries(np.array([1.0, np.nan]))
         with pytest.raises(ValueError):
             ComplexSeries(np.array([1.0, np.inf * 1j]))
-        # numpy would parse text as numbers: str, bytes, mixed, a text array and text in an object array
+        # numpy would parse text as numbers: str, bytes, mixed, a text array and text in an object array;
+        # it would convert other objects one by one, or fail with its own error
         for text in (["1", "0.5"], [b"1", b"2"], [1.0, "2"], np.array(["1", "2"]), "12",
-                     np.array(["1", "0.5"], dtype=object), np.array([1.0, b"2"], dtype=object)):
+                     np.array(["1", "0.5"], dtype=object), np.array([1.0, b"2"], dtype=object),
+                     {"a": 1}, None, object(), np.array([0.5], dtype=object)):
             with pytest.raises(ValueError, match="numbers, not text"):
                 ComplexSeries(text)
 
