@@ -2,9 +2,9 @@
 ``RNParams`` field, an RN cutoff, a Legendre or Bessel argument) checks it through the one
 range guard of ``legpade.special``: text or a complex value (``1+0j`` too, and a complex
 array), None, a dict, a Fraction or any object array is a DomainError naming the value, as
-is infinity. Unchecked, numpy cuts a numpy
-complex to its real part with only a ComplexWarning, and a Python complex fails in
-``float()`` with a TypeError. A numpy float32 or a 0-d array computes as the Python float the
+is infinity. Unchecked, numpy cuts a numpy complex to its real part with only a
+ComplexWarning, reads None as NaN and converts an object array entry by entry, and a Python
+complex fails in ``float()`` with a TypeError. A numpy float32 or a 0-d array computes as the Python float the
 guard returns: unconverted, float32 arithmetic moves the result and a 0-d array field breaks
 ``hash``."""
 
