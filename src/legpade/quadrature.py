@@ -158,7 +158,7 @@ def quad(f, a: float, b: float, *, epsabs: float = 1.49e-8, epsrel: float = 1.49
     the subintervals. Raises ``QuadratureConvergenceError`` when the
     tolerance is not reached, and ``ValueError`` for any other return of
     ``f``, a non-finite ``a``, a non-finite ``|a| + |b|`` unless b = inf,
-    a NaN or negative ``epsabs`` or ``epsrel``, or a ``limit`` that is not an integer >= 1.
+    an ``epsabs`` or ``epsrel`` that is not one real number >= 0, or a ``limit`` that is not an integer >= 1.
     """
     # imported here: nothing on the start-up path loads logging, and it costs ~5 ms
     import logging
@@ -167,8 +167,9 @@ def quad(f, a: float, b: float, *, epsabs: float = 1.49e-8, epsrel: float = 1.49
     # |a| + |b| bounds every panel's b - a and a + b, so the nodes stay finite
     if not math.isfinite(a) or not (b == math.inf or math.isfinite(abs(a) + abs(b))):
         raise ValueError(f"need a finite lower limit and b = +inf or |a| + |b| finite, got [{a}, {b}]")
-    for name, tol in (("epsabs", epsabs), ("epsrel", epsrel)):
-        if not tol >= 0.0:  # a NaN tolerance would end the bisection after one panel
+    for name, tol in (("epsabs", epsabs), ("epsrel", epsrel)):  # a NaN one would end the bisection after one panel
+        numpy_number = isinstance(tol, (np.generic, np.ndarray)) and not tol.ndim and tol.dtype.kind in "biuf"
+        if not ((isinstance(tol, (int, float)) or numpy_number) and tol >= 0.0):
             raise ValueError(f"{name} must be a number >= 0, got {tol}")
     if not (isinstance(limit, (int, np.integer)) and limit >= 1):  # a NaN limit would never stop the bisection
         raise ValueError(f"limit must be an integer >= 1, got {limit}")

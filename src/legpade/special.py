@@ -70,15 +70,11 @@ def _finite(compute, message):
 
 
 def _check_order(n, what: str) -> int:
-    """n as an int after checking that it is a non-negative integral value (an int, a
-    numpy integer, an integral float or a 0-d array of one); DomainError names ``what`` and n
-    otherwise, also where the comparison or int() fails (text, None, a complex, an array) and
-    for a one-entry array, which int() converts on numpy before 2.4."""
-    try:
-        if 0 <= n < math.inf and n % 1 == 0 and not (isinstance(n, np.ndarray) and n.ndim):
-            return int(n)
-    except (TypeError, ValueError):
-        pass
+    """n as an int after checking its type, a Python or numpy bool, int or float or a 0-d array of one
+    (the kinds ``_in_range`` takes), and its value, integral and >= 0; DomainError names ``what`` and n otherwise."""
+    numpy_number = isinstance(n, (np.generic, np.ndarray)) and not n.ndim and n.dtype.kind in "biuf"
+    if (isinstance(n, (int, float)) or numpy_number) and 0 <= n < math.inf and n % 1 == 0:
+        return int(n)
     raise DomainError(f"{what} must be a non-negative integer, got {n}")
 
 
@@ -159,9 +155,10 @@ _LOG_SQRT_2PI = 0.9189385332046727417803297
 def log_gamma_complex(z: complex) -> complex:
     """Principal branch of log Gamma(z) for finite z with Re z >= 1/2, by the Lanczos sum.
 
-    DomainError names any other z: Re z < 1/2, a NaN or infinite part, or what is not a number (text, None).
+    DomainError names any other z: Re z < 1/2, a NaN or infinite part, or what is not one number (text, None, a list).
     """
-    if isinstance(z, (int, float, complex)) or np.asarray(z).dtype.kind in "biufc":  # complex() parses text
+    numpy_number = isinstance(z, (np.generic, np.ndarray)) and not z.ndim and z.dtype.kind in "biufc"
+    if isinstance(z, (int, float, complex)) or numpy_number:  # asked first: complex() parses text
         z = complex(z)
     if not (isinstance(z, complex) and z.real >= 0.5 and cmath.isfinite(z)):
         raise DomainError(f"log-gamma needs a finite z with Re z >= 1/2, got z = {z!r}")

@@ -5,6 +5,8 @@ numpy integer or an integral float) is taken as its int, anything else is a Doma
 import math
 import pickle
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -87,14 +89,18 @@ bad_orders = st.one_of(
 @example(order=3.5)
 @example(order=2.5)
 @example(order=5.5)
-# not numbers: the guard's comparison or int() raises TypeError or ValueError; an array with
-# one entry is rejected by type, since int() of it succeeds on numpy before 2.4
+# not numbers, rejected by type before a comparison or int() could raise TypeError or ValueError;
+# int() of an array with one entry succeeds on numpy before 2.4
 @example(order="3")
 @example(order=None)
 @example(order=3 + 0j)
 @example(order=np.array([3]))
 @example(order=np.array([3]).view(_IntConvertible))
 @example(order=np.array([1, 2]))
+# not of a number's type, though each holds 3: the guard asks the type before the value
+@example(order=Fraction(3))
+@example(order=Decimal(3))
+@example(order=np.array(3, dtype=object))
 def test_bad_order_is_domain_error(name, order):
     with pytest.raises(DomainError, match=re.escape(f"must be a non-negative integer, got {order}")):
         ORDER_CALLS[name](order)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -76,14 +77,16 @@ class TestIntegrals:
                                                              r"0\.3333333333333\d*\] too short to bisect"):
             quad(lambda x: np.sign(x - 1.0 / 3.0)[:, None], 0.0, 1.0, epsabs=0.0, epsrel=0.0, limit=200)
 
-    @pytest.mark.parametrize("tol, name", [(tol, name) for name in ("epsabs", "epsrel") for tol in (math.nan, -1e-8)]
+    @pytest.mark.parametrize("tol, name", [(tol, name) for name in ("epsabs", "epsrel")
+                                           for tol in (math.nan, -1e-8, "1e-8", None, 1e-8 + 0j, [1e-8], np.array([1e-8]))]
                              + [(limit, "limit") for limit in (math.nan, -5, 0, 2.5)])
     def test_nan_or_negative_tolerance_rejected(self, name, tol):
         # a NaN tolerance is never reached nor missed: the bisection would stop after one panel,
         # returning 0.6174 against 0.50253 here; a negative one would end in a roundoff message.
         # A NaN limit would remove the cap, a negative one end in "limit of -5 intervals reached".
+        # A tolerance must be one real number: text, None, a complex, a list or an array is not.
         message = "an integer >= 1" if name == "limit" else "a number >= 0"
-        with pytest.raises(ValueError, match=rf"{name} must be {message}, got {tol}"):
+        with pytest.raises(ValueError, match=rf"{name} must be {message}, got {re.escape(str(tol))}"):
             quad(lambda x: np.sin(50.0 * x)[:, None] ** 2, 0.0, 1.0, **{name: tol})
 
     def test_unsupported_limits_rejected(self):

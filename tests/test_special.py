@@ -169,10 +169,10 @@ class TestLogGamma:
 
     @pytest.mark.parametrize("z", [0.0, -1.0, -7.0, 0.49, -3.5 + 2j, complex(math.nan, 0.0),
                                    complex(1.0, math.nan), complex(1.0, math.inf), complex(math.inf, 0.0),
-                                   "2", "1+1j", b"2", None])
+                                   "2", "1+1j", b"2", None, np.array([2.0]), [2.0], (2.0,), [[1, 2], [3]]])
     def test_left_of_half_plane_is_domain_error(self, z):
         # the Lanczos sum holds on finite z with Re z >= 1/2 only; at a NaN or infinite part it gives nan+nanj;
-        # complex() would parse text, and None is no number
+        # complex() would parse text, None is no number, and a list or an array is not one number
         shown = complex(z) if isinstance(z, (float, complex)) else repr(z)
         message = f"log-gamma needs a finite z with Re z >= 1/2, got z = {shown}"
         with pytest.raises(DomainError, match=re.escape(message)):
