@@ -84,6 +84,13 @@ class TestConstructCommand:
         assert err.startswith("legpade: construction failed: condition number inf is not below")
         assert err.count("condition") == 1
 
+    def test_inaccurate_solve_is_construction_failure(self, monkeypatch, capsys):
+        # a (faked) solution that misses the right-hand side leaves a residual in the enforced-zero orders
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) + 1e-3)
+        assert run_cli(["construct", "--demo", "unit", "--N", "6", "--L", "3", "--M", "3"]) == 2
+        assert capsys.readouterr().err.startswith("legpade: construction failed: enforced-zero orders leave residual")
+
     def test_header_required(self, tmp_path):
         infile = tmp_path / "bad.csv"
         infile.write_text("0,1.0,0.0\n")

@@ -107,15 +107,6 @@ class TestSolve:
             solve_denominator(ComplexSeries(np.zeros(5)), 2, 2)
         assert exc_info.value.condition_estimate == math.inf
 
-    def test_inaccurate_solve_raises_with_condition(self, monkeypatch):
-        # a well-conditioned system whose (faked) solution misses the right-hand side
-        _, cond = solve_denominator(unit_series(8), 3, 3)
-        solve = np.linalg.solve
-        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) + 1e-3)
-        with pytest.raises(SingularSystemError, match="solve residual .* exceeds 1e-10") as exc_info:
-            solve_denominator(unit_series(8), 3, 3)
-        assert exc_info.value.condition_estimate == cond
-
 
 class TestExactOracle:
     """The float product kernel against sums of exact-Fraction 3j symbols."""
@@ -331,13 +322,22 @@ class TestConstruct:
             construct(unit_series(8), 3, 3)
         assert exc_info.value.residual == report.residual
 
+    def test_inaccurate_solve_raises_residual_too_large(self, monkeypatch):
+        # a well-conditioned system whose (faked) solution misses the right-hand side: the enforced-zero orders
+        # are the one residual check of a construction
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) + 1e-3)
+        with pytest.raises(ResidualTooLargeError, match="enforced-zero orders leave residual") as exc_info:
+            construct(unit_series(8), 3, 3)
+        assert exc_info.value.residual > 1e-8
+
     # finite coefficients at 1e308 whose products leave the float range, named by the product that does
     @pytest.mark.parametrize("signs, L, M", [
         ((1, 1, 1, -1, 1), 1, 1),  # the numerator
         ((1, 1, 1, -1, 1), 2, 2),
         ((1, 1, 1, -1, 1), 3, 1),
         ((1, 1, -1, -1), 0, 3),  # the enforced-zero residual
-        ((1, 1, -1, 1, 1), 0, 2),  # the solve's residual
+        ((1, 1, -1, 1, 1), 0, 2),  # the solve
     ])
     def test_products_past_the_float_maximum_are_domain_error(self, signs, L, M):
         with pytest.raises(DomainError, match=r"too large for the product kernel \(max\|c\| = 1\.000e\+308\)"):
@@ -349,6 +349,11 @@ class TestConstruct:
                       lambda: compute_numerator(series, np.array([1.0, 0.5]), 1)):
             with pytest.raises(DomainError, match=r"product kernel \(max\|c\| = 1\.500e\+308\)"):
                 stage()
+
+    def test_solve_past_the_float_maximum_is_domain_error(self):
+        # solve_denominator checks no residual: its solve of a system at condition number 22 overflows
+        with pytest.raises(DomainError, match=r"product kernel \(max\|c\| = 1\.000e\+308\)"):
+            solve_denominator(ComplexSeries(1e308 * np.array([1, 1, -1, 1, 1])), 0, 2)
 
     def test_near_the_float_maximum_a_finite_construction_still_passes(self):
         # the same coefficients as the numerator case above, at [0/2], stay inside the float range
