@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import os
 import subprocess
@@ -103,6 +104,52 @@ def test_tracer_bindings_exist():
     missing = [(module, attr) for module, attr, _, _ in tracer.BINDINGS
                if not hasattr(importlib.import_module(module), attr)]
     assert tracer.BINDINGS and missing == []
+
+
+# Names that only perfbench/tracer.py and tests keep alive (ROADMAP item 18). EARLIER_API above also names four
+# of them, as strings this walk does not see, and changes with their deletion.
+TRACER_ONLY = {"build_denominator_system", "solve_denominator", "compute_numerator",
+               "spherical_bessel_j", "spherical_bessel_y", "threej_zero_sq_float"}
+# The test scopes that check a tracer-only wrapper's own contract, and go when it goes. Every other test reaches
+# the construction through construct or pade's private stages, and the Bessel values through spherical_bessel_jy_all.
+WRAPPER_CONTRACTS = {
+    "test_orders.py::<module>",  # ORDER_CALLS rows of solve_denominator and spherical_bessel_j/_y
+    "test_real_arguments.py::<module>",  # REAL_CALLS rows of spherical_bessel_j/_y x
+    "test_scattering.py::<module>",  # ONE_NUMBER_CALLS rows of spherical_bessel_j/_y x
+    "test_special.py::TestSphericalBessel::test_wrapper_argument_domain_error",  # spherical_bessel_j/_y x guards
+    "test_special.py::TestSphericalBesselAllOrders::test_scalar_wrappers_are_array_entries",  # spherical_bessel_j/_y
+    "test_pade.py::TestDenominatorSystem::test_no_system_without_a_denominator",  # build_denominator_system M >= 1
+    "test_pade.py::TestNumerator::test_non_finite_denominator_raises",  # compute_numerator's denominator check
+    # solve_denominator's and compute_numerator's assembly guard
+    "test_pade.py::TestConstruct::test_stage_assembly_past_the_float_maximum_is_domain_error",
+    "test_pade.py::TestConstruct::test_solve_past_the_float_maximum_is_domain_error",  # solve_denominator's guard
+}
+
+
+def _scopes_naming(names):
+    """path::scope of each place in tests/*.py that uses one of names, imports aside. A scope is <module>, a
+    module-level function or class, or Class::function; a nested function or lambda is part of its scope."""
+    found = set()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        def walk(node, scope):
+            if getattr(node, "id", None) in names or getattr(node, "attr", None) in names:  # a name or an attribute
+                found.add(f"{path.name}::{scope}")
+            for child in ast.iter_child_nodes(node):
+                defines = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                if defines and scope == "<module>":
+                    walk(child, child.name)
+                elif defines and isinstance(node, ast.ClassDef):
+                    walk(child, f"{scope}::{child.name}")
+                else:
+                    walk(child, scope)
+
+        walk(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return found
+
+
+def test_tracer_only_names_stay_in_their_contract_tests():
+    # a new test reaches the code that runs, so deleting the six leaves every other test alone
+    assert _scopes_naming(TRACER_ONLY) == WRAPPER_CONTRACTS
 
 
 def test_born_quadrature_leaves_scipy_out():

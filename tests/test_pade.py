@@ -20,6 +20,7 @@ from legpade.pade import (
     ConstructionReport,
     PadeApproximant,
     _product_matrix,
+    _system,
     build_denominator_system,
     compute_numerator,
     construct,
@@ -56,30 +57,30 @@ def check_matching_property(scale):
 class TestDenominatorSystem:
     def test_minimal_unit_system(self):
         # L=0, M=1 with c_0 = c_1 = 1: selection rules leave W(1,0,1) = 1/3
-        a, rhs = build_denominator_system(unit_series(1), 0, 1)
+        a, rhs = _system(*_product_matrix(unit_series(1), 0, 1)[:2])
         assert a.shape == (1, 1) and rhs.shape == (1,)
         assert a[0, 0] == pytest.approx(1.0 / 3.0, rel=1e-15)
         assert rhs[0] == pytest.approx(-1.0 / 3.0, rel=1e-15)
 
     def test_longer_series_extends_the_sums(self):
         # with c_2 supplied the same entry gains W(1,2,1) = 2/15
-        a, rhs = build_denominator_system(unit_series(2), 0, 1)
+        a, rhs = _system(*_product_matrix(unit_series(2), 0, 1)[:2])
         assert a[0, 0] == pytest.approx(1.0 / 3.0 + 2.0 / 15.0, rel=1e-14)
         assert rhs[0] == pytest.approx(-1.0 / 3.0, rel=1e-15)
 
     def test_constant_function_needs_no_denominator(self):
         series = ComplexSeries(np.array([3.2 + 0.5j, 0.0]))
-        b, _ = solve_denominator(series, 0, 1)
+        b = construct(series, 0, 1)[0].denominator
         assert b[1] == pytest.approx(0.0, abs=1e-15)
 
     def test_m_zero_has_trivial_denominator(self):
-        b, cond = solve_denominator(unit_series(4), 4, 0)
-        assert np.array_equal(b, np.array([1.0 + 0j]))
-        assert cond == 1.0
+        approx, report = construct(unit_series(4), 4, 0)
+        assert np.array_equal(approx.denominator, np.array([1.0 + 0j]))
+        assert report.condition_estimate == 1.0
 
     def test_insufficient_coefficients(self):
         with pytest.raises(InsufficientCoefficientsError):
-            build_denominator_system(unit_series(3), 3, 3)
+            construct(unit_series(3), 3, 3)
 
     def test_no_system_without_a_denominator(self):
         with pytest.raises(DomainError, match="needs M >= 1"):
@@ -88,7 +89,7 @@ class TestDenominatorSystem:
     def test_zero_series_is_singular(self):
         series = ComplexSeries(np.zeros(3))
         with pytest.raises(SingularSystemError):
-            solve_denominator(series, 0, 2)
+            construct(series, 0, 2)
 
 
 class TestSolve:
@@ -96,15 +97,16 @@ class TestSolve:
         rng = np.random.default_rng(9)
         for m in (1, 2, 4, 7):
             series = random_series(rng, 2 * m + 1)
-            a, rhs = build_denominator_system(series, m, m)
-            b, cond = solve_denominator(series, m, m)
+            a, rhs = _system(*_product_matrix(series, m, m)[:2])
+            approx, report = construct(series, m, m)
+            b, cond = approx.denominator, report.condition_estimate
             assert np.allclose(a @ b[1:], rhs, rtol=1e-11, atol=1e-12)
             assert np.allclose(b[1:], np.linalg.solve(a, rhs), rtol=1e-11, atol=1e-12)
             assert cond == pytest.approx(np.linalg.cond(a, 1), rel=1e-12)
 
     def test_singular_raises_with_condition(self):
         with pytest.raises(SingularSystemError) as exc_info:
-            solve_denominator(ComplexSeries(np.zeros(5)), 2, 2)
+            construct(ComplexSeries(np.zeros(5)), 2, 2)
         assert exc_info.value.condition_estimate == math.inf
 
 
@@ -117,9 +119,10 @@ class TestExactOracle:
         L = M = degree
         series = unit_series(L + M + 2) if family == "unit" else coulomb_series(L + M + 2, 1.0)
         c = series.coefficients
-        a, rhs = build_denominator_system(series, L, M)
+        G, _, _ = _product_matrix(series, L, M)
+        a, rhs = _system(G, L)
         b = np.concatenate([[1.0], np.random.default_rng(degree).normal(size=M)])
-        numerator = compute_numerator(series, b, L)
+        numerator = G[: L + 1] @ b  # construct's numerator, at a denominator that is not construct's
 
         def threej_sums(k, n):
             orders = range(abs(n - k), min(c.size - 1, n + k) + 1)
@@ -207,8 +210,8 @@ class TestCramerCrossCheck:
             (coulomb_series(8, 1.0), 3, 3),
             (unit_series(4), 2, 2),
         ]:
-            a, rhs = build_denominator_system(series, L, M)
-            b, _ = solve_denominator(series, L, M)
+            a, rhs = _system(*_product_matrix(series, L, M)[:2])
+            b = construct(series, L, M)[0].denominator
             for k in range(M):
                 bk = a.copy()
                 bk[:, k] = rhs
@@ -220,7 +223,7 @@ class TestNumerator:
     def test_degenerate_equals_coefficients(self):
         rng = np.random.default_rng(4)
         series = random_series(rng, 6)
-        a = compute_numerator(series, np.array([1.0 + 0j]), 5)
+        a = construct(series, 5, 0)[0].numerator
         assert np.allclose(a, series.coefficients, rtol=1e-13)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.5, math.nan), complex(-math.inf, 0.0)])
@@ -344,8 +347,13 @@ class TestConstruct:
             construct(ComplexSeries(1e308 * np.array(signs)), L, M)
 
     def test_assembly_past_the_float_maximum_is_domain_error(self):
+        with pytest.raises(DomainError, match=r"product kernel \(max\|c\| = 1\.500e\+308\)"):
+            construct(ComplexSeries(np.full(3, 1.5e308)), 0, 1)
+
+    def test_stage_assembly_past_the_float_maximum_is_domain_error(self):
+        # the standalone stages assemble G themselves, behind the same guard
         series = ComplexSeries(np.full(3, 1.5e308))
-        for stage in (lambda: construct(series, 0, 1), lambda: solve_denominator(series, 1, 1),
+        for stage in (lambda: solve_denominator(series, 1, 1),
                       lambda: compute_numerator(series, np.array([1.0, 0.5]), 1)):
             with pytest.raises(DomainError, match=r"product kernel \(max\|c\| = 1\.500e\+308\)"):
                 stage()

@@ -26,7 +26,13 @@ from legpade.scattering import (
     unit_series,
 )
 from legpade.series import eval_partial_sum, project_legendre_coefficient
-from legpade.special import legendre_eval_all, log_gamma_complex, spherical_bessel_j, spherical_bessel_y
+from legpade.special import (
+    legendre_eval_all,
+    log_gamma_complex,
+    spherical_bessel_j,
+    spherical_bessel_jy_all,
+    spherical_bessel_y,
+)
 
 RN_REFERENCE = RNParams(mass=10.0, charge=5.0, eta=1e-4, mu=1e-6)
 
@@ -331,8 +337,9 @@ class TestPartialWaveIdentity:
         k, r, theta = 1.0, 3.0, math.pi / 2
         q = 2.0 * k * math.sin(0.5 * theta)
         x = math.cos(theta)
+        j, _ = spherical_bessel_jy_all(40, k * r)
         total = sum(
-            (2 * l + 1) * spherical_bessel_j(l, k * r) ** 2 * legendre_eval_all(l, x)[l]
+            (2 * l + 1) * j[l] ** 2 * legendre_eval_all(l, x)[l]
             for l in range(41)
         )
         assert abs(total - math.sin(q * r) / (q * r)) < 1e-8

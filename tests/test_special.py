@@ -181,34 +181,39 @@ class TestLogGamma:
 
 class TestSphericalBessel:
     def test_closed_forms(self):
-        assert spherical_bessel_j(0, 2.0) == pytest.approx(math.sin(2.0) / 2.0, rel=1e-14)
-        assert spherical_bessel_j(1, 0.0) == 0.0
-        assert spherical_bessel_j(0, 0.0) == 1.0
+        (j0, j1), _ = spherical_bessel_jy_all(1, np.array([2.0, 0.0, 1.0]))
+        assert j0[0] == pytest.approx(math.sin(2.0) / 2.0, rel=1e-14)
+        assert j1[1] == 0.0
+        assert j0[1] == 1.0
         # j_1(x) = sin x / x^2 - cos x / x at x = 1
-        assert spherical_bessel_j(1, 1.0) == pytest.approx(
-            math.sin(1.0) - math.cos(1.0), rel=1e-14
-        )
-        assert spherical_bessel_j(1, 1.0) == pytest.approx(0.30116867893975674, rel=1e-14)
+        assert j1[2] == pytest.approx(math.sin(1.0) - math.cos(1.0), rel=1e-14)
+        assert j1[2] == pytest.approx(0.30116867893975674, rel=1e-14)
 
     def test_against_scipy_grid(self):
         from scipy.special import spherical_jn
 
+        grid = np.concatenate([np.geomspace(1e-4, 4, 25), np.linspace(4, 100, 49)])
+        j, _ = spherical_bessel_jy_all(20, grid)
         for l in range(21):
-            for x in np.concatenate([np.geomspace(1e-4, 4, 25), np.linspace(4, 100, 49)]):
-                ours = spherical_bessel_j(l, float(x))
+            for i, x in enumerate(grid):
+                ours = j[l, i]
                 ref = float(spherical_jn(l, x))
                 assert abs(ours - ref) <= 1e-10 * max(abs(ref), 1e-280)
 
     def test_unitarity_sum(self):
         # sum over l of (2l+1) j_l(x)^2 converges to 1
-        total = sum((2 * l + 1) * spherical_bessel_j(l, 5.0) ** 2 for l in range(41))
+        j, _ = spherical_bessel_jy_all(40, 5.0)
+        total = sum((2 * l + 1) * j[l] ** 2 for l in range(41))
         assert abs(total - 1.0) < 1e-8
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            spherical_bessel_j(2, -0.5)
+            spherical_bessel_jy_all(-1, 1.0)
+
+    def test_wrapper_argument_domain_error(self):
+        # the scalar wrappers check x; spherical_bessel_jy_all leaves that to its caller
         with pytest.raises(DomainError):
-            spherical_bessel_j(-1, 1.0)
+            spherical_bessel_j(2, -0.5)
         # NaN lies in no range
         with pytest.raises(DomainError, match="argument must be finite and non-negative, got nan"):
             spherical_bessel_j(2, math.nan)
@@ -225,10 +230,11 @@ class TestSphericalBessel:
     def test_neumann_wronskian(self):
         # j_l' y_l - j_l y_l' = 1/x^2 checked through the recurrence form:
         # j_{l+1} y_l - j_l y_{l+1} = 1/x^2
-        for x in (0.7, 3.3, 25.0):
+        xs = np.array([0.7, 3.3, 25.0])
+        j, y = spherical_bessel_jy_all(8, xs)
+        for i, x in enumerate(xs):
             for l in range(8):
-                lhs = spherical_bessel_j(l + 1, x) * spherical_bessel_y(l, x) - \
-                    spherical_bessel_j(l, x) * spherical_bessel_y(l + 1, x)
+                lhs = j[l + 1, i] * y[l, i] - j[l, i] * y[l + 1, i]
                 assert lhs == pytest.approx(1.0 / (x * x), rel=1e-10)
 
 
@@ -268,7 +274,7 @@ class TestSphericalBesselAllOrders:
     def test_overflowed_y_stays_minus_infinity(self):
         # y_l ~ -(2l-1)!!/x^(l+1) overflows from l = 1 at x = 1e-200; the upward
         # recurrence must not go on to form -inf - (-inf) = NaN
-        assert [spherical_bessel_y(l, 1e-200) for l in (3, 4, 5)] == [-math.inf] * 3
+        assert spherical_bessel_jy_all(5, 1e-200)[1][3:].tolist() == [-math.inf] * 3
         j, y = spherical_bessel_jy_all(5, [1e-200, 1e-100])
         assert not np.isnan(j).any() and not np.isnan(y).any()
         # a NaN argument still gives NaN
