@@ -17,7 +17,6 @@ radians. A ``key = value`` config file can pre-load any long flag; explicit flag
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 from typing import Optional, Sequence
@@ -80,15 +79,6 @@ class CliError(Exception):
         self.code = code
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _cells(values: np.ndarray, keep=True) -> list:
-    """The CSV cells of a float array, "" where ``keep`` is off."""
-    return np.where(keep, [_fmt(x) for x in values.tolist()], "").tolist()
-
-
 def _approximant(args) -> tuple:
     """(partial-sum series, approximant, construction report, exact oracle of an angle array or None).
 
@@ -132,6 +122,7 @@ def _read_lines(path: str, what: str) -> list[str]:
 
 
 def _read_coefficients(path: str) -> ComplexSeries:
+    import csv  # only a coefficient file needs it, so start-up does not load it
     rows = list(csv.reader(_read_lines(path, "coefficient")))
     if not rows or [cell.strip() for cell in rows[0]] != ["l", "re", "im"]:
         raise CliError("coefficient file must start with the header 'l,re,im'", EXIT_BAD_ARGS)
@@ -170,14 +161,12 @@ def cmd_construct(args) -> list[str]:
         "# legpade approximant",
         f"# L = {approx.L}",
         f"# M = {approx.M}",
-        f"# condition_estimate = {_fmt(report.condition_estimate)}",
-        f"# residual = {_fmt(report.residual)}",
+        "# condition_estimate = %.17g" % report.condition_estimate,
+        "# residual = %.17g" % report.residual,
         "kind,index,re,im",
     ]
-    for n, a in enumerate(approx.numerator):
-        lines.append(f"a,{n},{_fmt(a.real)},{_fmt(a.imag)}")
-    for m, b in enumerate(approx.denominator):
-        lines.append(f"b,{m},{_fmt(b.real)},{_fmt(b.imag)}")
+    lines += ["a,%d,%.17g,%.17g" % (n, a.real, a.imag) for n, a in enumerate(approx.numerator)]
+    lines += ["b,%d,%.17g,%.17g" % (m, b.real, b.imag) for m, b in enumerate(approx.denominator)]
     return lines
 
 
@@ -203,13 +192,14 @@ def cmd_compare(args) -> list[str]:
     has_exact = (thetas > 0.0) & (exact is not None)
     exacts = np.zeros(thetas.shape, dtype=complex)
     exacts[has_exact] = exact(thetas[has_exact]) if exact else 0.0
-    columns = [
-        _cells(thetas), _cells(partials.real), _cells(partials.imag),
-        _cells(pades.real, ~poles), _cells(pades.imag, ~poles),
-        _cells(exacts.real, has_exact), _cells(exacts.imag, has_exact),
-        _cells(cross_section(pades), ~poles), np.where(poles, "1", "0").tolist(),
-    ]
-    return [CSV_HEADER, *map(",".join, zip(*columns))]
+    table = np.column_stack([thetas, partials.real, partials.imag, pades.real, pades.imag,
+                             exacts.real, exacts.imag, cross_section(pades), poles])
+    # a blank cell is NaN, whose text "nan" is cut out below; no other cell is NaN, since every
+    # evaluator above raises DomainError where its value is not finite
+    table[np.ix_(poles, [3, 4, 7])] = np.nan
+    table[np.ix_(~has_exact, [5, 6])] = np.nan
+    row = ",".join(["%.17g"] * 8) + ",%d"
+    return [CSV_HEADER, "\n".join([row % cells for cells in map(tuple, table.tolist())]).replace("nan", "")]
 
 
 def _add_series_options(sub):

@@ -12,7 +12,11 @@ import pytest
 import legpade.cli as cli
 from legpade.cli import CSV_HEADER, build_parser, main, parse_args
 from legpade.pade import construct, evaluate
-from legpade.scattering import born_exact_invr2, coulomb_exact, exact_half_csc, unit_series
+from legpade.scattering import (
+    PotentialSpec, born_exact_invr2, born_series, coulomb_exact, coulomb_series, cross_section, exact_half_csc,
+    unit_series,
+)
+from legpade.series import ComplexSeries, eval_partial_sum
 
 
 def run_cli(args):
@@ -23,6 +27,27 @@ def read_rows(path):
     lines = path.read_text().splitlines()
     assert lines[0] == CSV_HEADER
     return [line.split(",") for line in lines[1:]]
+
+
+def fmt(value):
+    return format(value, ".17g")
+
+
+def compare_cells(partial, approx, oracle, thetas, poles):
+    """The cells of each compare row: fmt of the library's own arrays, "" where a row has no value."""
+    partials = eval_partial_sum(partial, thetas)
+    values = evaluate(approx, thetas[~poles])
+    pades = iter(zip(values, cross_section(values)))
+    exacts = iter(np.asarray(oracle(thetas[thetas > 0.0]), dtype=complex))
+    rows = []
+    for theta, value, pole in zip(thetas, partials, poles):
+        pade, sigma = (None, None) if pole else next(pades)
+        exact = next(exacts) if theta > 0.0 else None
+        rows.append([fmt(theta), fmt(value.real), fmt(value.imag),
+                     *(["", ""] if pade is None else [fmt(pade.real), fmt(pade.imag)]),
+                     *(["", ""] if exact is None else [fmt(exact.real), fmt(exact.imag)]),
+                     "" if pade is None else fmt(sigma), "1" if pole else "0"])
+    return rows
 
 
 def write_coeffs(path, coefficients):
@@ -49,6 +74,21 @@ class TestConstructCommand:
         for l, row in enumerate(a_rows):
             assert complex(float(row[2]), float(row[3])) == pytest.approx(coeffs[l], rel=1e-12)
         assert float(b_rows[0][2]) == 1.0 and float(b_rows[0][3]) == 0.0
+
+    def test_every_cell_is_the_coefficient_text(self, tmp_path):
+        # the invr2 [3/3] denominator has b_1 = -1.358... - 0j, whose imaginary part must print "-0"
+        outfile = tmp_path / "invr2.txt"
+        assert run_cli(["construct", "--demo", "invr2", "-o", str(outfile)]) == 0
+        approx, report = construct(born_series(PotentialSpec("inverse_r2", 1.0), 8, 1.0), 3, 3)
+        lines = outfile.read_text().splitlines()
+        assert "b,1,-1.3581903641983002,-0" in lines
+        assert lines == [
+            "# legpade approximant", "# L = 3", "# M = 3",
+            f"# condition_estimate = {fmt(report.condition_estimate)}", f"# residual = {fmt(report.residual)}",
+            "kind,index,re,im",
+            *(f"a,{n},{fmt(a.real)},{fmt(a.imag)}" for n, a in enumerate(approx.numerator)),
+            *(f"b,{m},{fmt(b.real)},{fmt(b.imag)}" for m, b in enumerate(approx.denominator)),
+        ]
 
     def test_demo_unit_writes_report(self, tmp_path):
         outfile = tmp_path / "unit.txt"
@@ -225,11 +265,10 @@ class TestCompareCommand:
         assert rows[0][0] == "0.60155733029562397"
         assert rows[0][2:] == ["0", "", "", "1.6876839334841833", "0", "", "1"]
         assert float(rows[0][1]) == pytest.approx(1.4203570049219405, rel=1e-13)
-        approx, _ = construct(unit_series(42), 20, 20)
-        for row in rows[1:]:
-            assert row[8] == "0"
-            expected = evaluate(approx, float(row[0]))
-            assert complex(float(row[3]), float(row[4])) == pytest.approx(expected, rel=1e-13)
+        full = unit_series(42)
+        thetas = np.linspace(0.60155733029562397, 3.0, 3)
+        assert rows == compare_cells(ComplexSeries(full.coefficients[:41]), construct(full, 20, 20)[0],
+                                     exact_half_csc, thetas, np.array([True, False, False]))
 
     @pytest.mark.parametrize("demo, oracle", [
         ("unit", exact_half_csc),
@@ -242,9 +281,12 @@ class TestCompareCommand:
                         "-o", str(outfile)]) == 0
         rows = read_rows(outfile)
         assert rows[0][0] == "0" and rows[0][5:7] == ["", ""]
-        expected = oracle(np.array([float(row[0]) for row in rows[1:]])).astype(complex)
-        for row, value in zip(rows[1:], expected):
-            assert row[5:7] == [format(value.real, ".17g"), format(value.imag, ".17g")]
+        # the demo series at the default --N 6, with the two orders beyond that the construction uses
+        full = {"unit": lambda: unit_series(8), "coulomb": lambda: coulomb_series(8, 1.0),
+                "invr2": lambda: born_series(PotentialSpec("inverse_r2", 1.0), 8, 1.0)}[demo]()
+        thetas = np.linspace(0.0, math.pi, 5)
+        assert rows == compare_cells(ComplexSeries(full.coefficients[:7]), construct(full, 3, 3)[0],
+                                     oracle, thetas, np.zeros(5, dtype=bool))
 
     @pytest.mark.parametrize("steps", ["2", "5", "400"])
     @pytest.mark.parametrize("demo, name", [

@@ -52,9 +52,9 @@ def test_compare_leaves_scipy_out(tmp_path, demo):
 
 def test_start_up_leaves_fractions_and_polynomial_out(tmp_path):
     # only the exact 3j oracle needs fractions; nothing in legpade needs numpy.polynomial;
-    # only a quadrature logs, so quad imports logging when it is called
+    # only a quadrature logs, so quad imports logging when it is called; only a coefficient file needs csv
     body = _compare_body("unit", tmp_path / "unit.csv")
-    assert _modules_loaded(body, ("fractions", "numpy.polynomial", "logging")) == []
+    assert _modules_loaded(body, ("fractions", "numpy.polynomial", "logging", "csv")) == []
 
 
 def test_projection_leaves_polynomial_out():
