@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from cli_cases import CASES, check
 
 import legpade.cli as cli
 from legpade.cli import CSV_HEADER, build_parser, main, parse_args
@@ -112,29 +113,12 @@ class TestConstructCommand:
             assert float(row[2]) == pytest.approx(reference[m], rel=1e-9)
             assert float(row[3]) == pytest.approx(0.0, abs=1e-15)
 
-    def test_missing_source_is_bad_args(self, capsys):
-        assert run_cli(["construct", "--L", "3", "--M", "3"]) == 4
-        assert capsys.readouterr().err == "legpade: choose a --demo or supply --coeffs\n"
-
-    def test_singular_input_is_construction_failure(self, tmp_path, capsys):
-        infile = tmp_path / "zeros.csv"
-        write_coeffs(infile, np.zeros(4, dtype=complex))
-        assert run_cli(["construct", "--coeffs", str(infile), "--L", "1", "--M", "2"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("legpade: construction failed: condition number inf is not below")
-        assert err.count("condition") == 1
-
     def test_inaccurate_solve_is_construction_failure(self, monkeypatch, capsys):
         # a (faked) solution that misses the right-hand side leaves a residual in the enforced-zero orders
         solve = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) + 1e-3)
         assert run_cli(["construct", "--demo", "unit", "--N", "6", "--L", "3", "--M", "3"]) == 2
         assert capsys.readouterr().err.startswith("legpade: construction failed: enforced-zero orders leave residual")
-
-    def test_header_required(self, tmp_path):
-        infile = tmp_path / "bad.csv"
-        infile.write_text("0,1.0,0.0\n")
-        assert run_cli(["construct", "--coeffs", str(infile), "--L", "0", "--M", "0"]) == 4
 
     def test_byte_order_mark_read(self, tmp_path):
         # Excel's "CSV UTF-8" export starts the file with a UTF-8 byte-order mark
@@ -146,15 +130,6 @@ class TestConstructCommand:
             assert run_cli(["construct", "--coeffs", str(infile), "--L", "1", "--M", "1", "-o", str(outfile)]) == 0
         assert outputs[0].read_text() == outputs[1].read_text()
 
-    def test_non_contiguous_orders_rejected(self, tmp_path):
-        infile = tmp_path / "gap.csv"
-        infile.write_text("l,re,im\n0,1.0,0.0\n2,1.0,0.0\n")
-        assert run_cli(["construct", "--coeffs", str(infile), "--L", "1", "--M", "0"]) == 4
-
-    def test_unreadable_coefficient_file_is_bad_args(self, tmp_path, capsys):
-        assert run_cli(["construct", "--coeffs", str(tmp_path / "missing.csv")]) == 4
-        assert "cannot read coefficient file" in capsys.readouterr().err
-
     def test_blank_coefficient_rows_skipped(self, tmp_path):
         infile = tmp_path / "blank.csv"
         outfile = tmp_path / "out.txt"
@@ -162,30 +137,12 @@ class TestConstructCommand:
         assert run_cli(["construct", "--coeffs", str(infile), "--L", "1", "--M", "0", "-o", str(outfile)]) == 0
         assert [line for line in outfile.read_text().splitlines() if line.startswith("a,")] == ["a,0,1,0", "a,1,2,0"]
 
-    @pytest.mark.parametrize("row", ["1,2.0", "one,2.0,0.0", "1,2.0,x", "1,2.0,0.0,9"])
-    def test_malformed_coefficient_row_rejected(self, tmp_path, capsys, row):
-        infile = tmp_path / "bad.csv"
-        infile.write_text(f"l,re,im\n0,1.0,0.0\n{row}\n")
-        assert run_cli(["construct", "--coeffs", str(infile), "--L", "1", "--M", "0"]) == 4
-        assert "malformed coefficient row" in capsys.readouterr().err
-
     def test_trailing_empty_cells_accepted(self, tmp_path):
         infile = tmp_path / "trailing.csv"
         outfile = tmp_path / "out.txt"
         infile.write_text("l,re,im\n0,1.0,0.0,\n1,2.0,0.0, ,\n")
         assert run_cli(["construct", "--coeffs", str(infile), "--L", "1", "--M", "0", "-o", str(outfile)]) == 0
         assert [line for line in outfile.read_text().splitlines() if line.startswith("a,")] == ["a,0,1,0", "a,1,2,0"]
-
-    @pytest.mark.parametrize("flags", [["--L", "3"], ["--M", "3"]])
-    def test_one_degree_alone_is_bad_args(self, capsys, flags):
-        assert run_cli(["construct", "--demo", "unit", *flags]) == 4
-        assert "give both --L and --M, or neither" in capsys.readouterr().err
-
-    def test_duplicate_orders_rejected(self, tmp_path, capsys):
-        infile = tmp_path / "dup.csv"
-        infile.write_text("l,re,im\n" + "".join(f"{l},1.0,0.0\n" for l in (0, 1, 1, 2, 3, 4)))
-        assert run_cli(["construct", "--coeffs", str(infile), "--L", "2", "--M", "2"]) == 4
-        assert "duplicate coefficient row for l = 1" in capsys.readouterr().err
 
     def test_coefficients_too_large_for_the_products_are_bad_args(self, tmp_path, capsys):
         # finite rows at 1e308: the [1/1] numerator leaves the float range, [0/2] stays inside it
@@ -300,52 +257,6 @@ class TestCompareCommand:
                         "-o", str(tmp_path / "out.csv")]) == 0
         assert len(calls) == 1
 
-    # with k = 5e-324, 1/k overflows; pytest turns numpy's RuntimeWarning into an error, so
-    # the guard must reject k before anything divides by it
-    @pytest.mark.parametrize("demo, k", [("coulomb", "nan"), ("coulomb", "inf"), ("invr2", "inf"),
-                                         ("coulomb", "5e-324"), ("invr2", "5e-324")])
-    def test_non_finite_wavenumber_is_bad_args(self, capsys, demo, k):
-        assert run_cli(["compare", "--demo", demo, "--k", k]) == 4
-        assert f"wavenumber must be positive and finite, got {k}" in capsys.readouterr().err
-
-    # pytest turns numpy's RuntimeWarning into an error, so each overflow must stay quiet
-    @pytest.mark.parametrize("demo, k, message", [
-        ("coulomb", "5.56268464626801e-309", "wavenumber k = 5.56268464626801e-309 is too small"),
-        ("coulomb", "1e-308", "wavenumber k = 1e-308 is too small"),  # log-gamma at 1 + i/k
-        ("invr2", "1e-307", "the approximant overflows at theta = 0.05"),  # finite coefficients
-        ("invr2", "1e-307 --N 20", "wavenumber k = 1e-307 is too small"),
-    ])
-    def test_tiny_wavenumber_is_bad_args(self, capsys, demo, k, message):
-        assert run_cli(["compare", "--demo", demo, "--k", *k.split()]) == 4
-        assert message in capsys.readouterr().err
-
-    @pytest.mark.parametrize("r_max", ["inf", "nan"])
-    def test_non_finite_rn_rmax_is_bad_args(self, capsys, r_max):
-        assert run_cli(["compare", "--demo", "rn", "--rn-rmax", r_max, "--steps", "3"]) == 4
-        assert f"r_max = {r_max} must be finite" in capsys.readouterr().err
-
-    def test_infinite_rn_epsilon_is_bad_args(self, capsys):
-        assert run_cli(["compare", "--demo", "rn", "--rn-epsilon", "inf", "--steps", "3"]) == 4
-        assert "horizon_epsilon = inf must put the lower cutoff" in capsys.readouterr().err
-
-    def test_rn_cutoff_with_overflowing_square_is_bad_args(self, capsys):
-        # the default r_max = 50/eta = 5e301 is finite, but r_max^2 in the radial weights is not;
-        # pytest turns the overflow warning into an error, so the guard must come first
-        assert run_cli(["compare", "--demo", "rn", "--eta", "1e-300", "--steps", "3"]) == 4
-        assert f"r_max = {50.0 / 1e-300} must be finite, with a finite square" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("eta, r_max", [("3", "16.666666666666668"), ("1e300", "5e-299"), ("1e-320", "inf")])
-    def test_default_rn_rmax_out_of_range_names_eta(self, capsys, eta, r_max):
-        # nobody gave r_max, so the message names the eta that set the default 50/eta, and the flag that overrides it
-        assert run_cli(["compare", "--demo", "rn", "--eta", eta, "--steps", "3"]) == 4
-        assert (f"bad arguments: the default r_max = 50/eta at eta = {float(eta)} is out of range, give r_max "
-                f"(--rn-rmax): r_max = {r_max} must be finite") in capsys.readouterr().err
-
-    def test_given_rn_rmax_is_named_alone(self, capsys):
-        assert run_cli(["compare", "--demo", "rn", "--eta", "3", "--rn-rmax", "100", "--steps", "3"]) == 0
-        assert run_cli(["compare", "--demo", "rn", "--eta", "3", "--rn-rmax", "1", "--steps", "3"]) == 4
-        assert capsys.readouterr().err.startswith("legpade: bad arguments: r_max = 1.0 must be finite")
-
     @pytest.mark.parametrize("args, value", [
         ("compare --demo invr2 --steps 3 --alpha", "-1e-3"),
         ("compare --demo rn --steps 3 --QoverM", "-1e-4"),
@@ -359,71 +270,6 @@ class TestCompareCommand:
         assert run_cli([*head, f"{option}={value}"]) == 0
         assert capsys.readouterr().out == spaced
 
-    @pytest.mark.parametrize("flags", [["--N", "-1"], ["--N", "-2"], ["--L", "-1", "--M", "2"], ["--L", "2", "--M", "-1"]])
-    def test_negative_order_is_bad_args(self, capsys, flags):
-        assert run_cli(["compare", "--demo", "unit", *flags, "--steps", "3"]) == 4
-        assert "must be a non-negative integer, got -" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("flags", [
-        ["--demo", "invr2", "--alpha", "1e300"],  # |f|^2 of the approximant
-        ["--demo", "rn", "--mass", "1e300"],  # the mass squared in RNParams
-        ["--demo", "rn", "--mu", "1e300"],  # mu squared in the radial weights
-        ["--demo", "rn", "--mu", "1e151"],  # mu^2 over the horizon factor in the first-order weights
-        ["--demo", "rn", "--mass", "1e-120"],  # 1/r^3 near a tiny horizon in the first-order weights
-        ["--demo", "invr2", "--alpha", "3e307"],  # the partial-sum column
-    ])
-    def test_overflowing_value_is_bad_args(self, capsys, flags):
-        # a finite flag that overflows a value is a bad argument, not an OverflowError
-        # traceback (exit 1) or a quadrature failure on non-finite weights (exit 3)
-        assert run_cli(["compare", *flags, "--steps", "3"]) == 4
-        assert "overflow" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("demo, theta_min", [
-        ("unit", "5e-324"), ("coulomb", "1e-160"), ("invr2", "1e-310"),
-    ])
-    def test_overflowing_exact_amplitude_is_bad_args(self, capsys, demo, theta_min):
-        # an exact amplitude beyond the float range is a bad argument, not inf/nan cells
-        assert run_cli(["compare", "--demo", demo, "--theta-min", theta_min, "--steps", "3"]) == 4
-        assert f"is not finite at theta = {theta_min}" in capsys.readouterr().err
-
-    def test_bad_theta_range(self):
-        assert run_cli(["compare", "--demo", "unit", "--theta-min", "2.0",
-                        "--theta-max", "1.0"]) == 4
-        assert run_cli(["compare", "--demo", "unit", "--theta-max", "4.0"]) == 4
-
-    def test_bad_steps(self):
-        assert run_cli(["compare", "--demo", "unit", "--steps", "1"]) == 4
-
-    @pytest.mark.parametrize("steps", [2**62, 2**63 - 1, 2**63, 2**64 - 1])
-    def test_steps_beyond_any_array_is_bad_args(self, capsys, steps):
-        # numpy rejects 2^62 and 2^64 - 1 by size; within about 1e3 of 2^63 it wraps the size to an
-        # empty array, and linspace's IndexError was a traceback with exit 1
-        assert run_cli(["compare", "--demo", "unit", "--steps", str(steps)]) == 4
-        err = capsys.readouterr().err
-        assert err.startswith("legpade: bad arguments: ") and err.count("\n") == 1
-        if steps in (2**63 - 1, 2**63):
-            assert err == f"legpade: bad arguments: --steps {steps} is too large for an array\n"
-
-    def test_unknown_demo_is_bad_args(self):
-        assert run_cli(["compare", "--demo", "nonsense"]) == 4
-
-    def test_missing_demo_names_no_coeffs(self, capsys):
-        # compare takes no --coeffs, so its message names none
-        assert run_cli(["compare"]) == 4
-        assert capsys.readouterr().err == "legpade: choose a --demo\n"
-
-    def test_overflowing_born_coefficients_name_the_coupling(self, capsys):
-        assert run_cli(["compare", "--demo", "invr2", "--alpha", "1e308"]) == 4
-        assert "wavenumber k = 1.0 is too small or the coupling alpha = 1e+308 too large" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("flags, name", [
-        (["--mass", "1e200"], "mass = 1e+200"),
-        (["--mu", "1e200"], "particle mass mu = 1e+200"),
-    ])
-    def test_rn_value_whose_square_overflows_names_it(self, capsys, flags, name):
-        assert run_cli(["compare", "--demo", "rn", *flags, "--steps", "3"]) == 4
-        assert f"legpade: bad arguments: {name} is too large: its square overflows" in capsys.readouterr().err
-
     def test_out_of_memory_is_bad_args(self, monkeypatch, capsys):
         # numpy raises MemoryError for an array too large for the arguments (--N 1000000 asks
         # for a 7.28 TiB matrix); a stub raises it here, as a real allocation that large may
@@ -436,13 +282,6 @@ class TestCompareCommand:
         monkeypatch.setattr(cli, "construct", no_memory)
         assert run_cli(["compare", "--demo", "unit", "--steps", "3"]) == 4
         assert capsys.readouterr().err == f"legpade: bad arguments: {message}\n"
-
-    def test_quadrature_failure_exit_code(self):
-        # an absurd upper cutoff forces the oscillatory quadrature past its
-        # subdivision budget
-        rc = run_cli(["compare", "--demo", "rn", "--N", "0", "--L", "0", "--M", "0",
-                      "--steps", "2", "--rn-rmax", "1e12"])
-        assert rc == 3
 
 
 class TestSeriesSource:
@@ -462,17 +301,6 @@ class TestSeriesSource:
         rc = run_cli(["construct", "--config", str(config), *flags, "--L", "1", "--M", "1", "-o", str(outfile)])
         return rc, outfile.read_text() if rc == 0 else None
 
-    def test_both_on_the_command_line_is_bad_args(self, tmp_path, coeffs, capsys):
-        rc, _ = self.construct(tmp_path, "", "--demo", "unit", "--coeffs", str(coeffs))
-        assert rc == 4
-        assert "give --demo or --coeffs, not both (the command line names both)" in capsys.readouterr().err
-
-    def test_both_in_the_config_file_is_bad_args(self, tmp_path, coeffs, capsys):
-        rc, _ = self.construct(tmp_path, f"demo = unit\ncoeffs = {coeffs}\n")
-        assert rc == 4
-        err = capsys.readouterr().err
-        assert "give --demo or --coeffs, not both (the config file " in err and "names both)" in err
-
     def test_config_demo_yields_to_command_line_coeffs(self, tmp_path, coeffs):
         flags = ["--coeffs", str(coeffs)]
         want = self.construct(tmp_path, "", *flags)
@@ -484,41 +312,11 @@ class TestSeriesSource:
         assert rc == 0 and (rc, text) == self.construct(tmp_path, "", "--demo", "unit")
         assert text != self.construct(tmp_path, "", "--coeffs", str(coeffs))[1]
 
-    @pytest.mark.parametrize("config_text, flags", [("", ["--coeffs", ""]), ("coeffs =\n", [])],
-                             ids=["command-line", "config-file"])
-    def test_empty_coefficient_path_is_bad_args(self, tmp_path, capsys, config_text, flags):
-        # an empty path names the coefficient source; it must not fall through to a demo
-        assert self.construct(tmp_path, config_text, *flags) == (4, None)
-        out, err = capsys.readouterr()
-        assert err.startswith("legpade: cannot read coefficient file: ") and err.count("\n") == 1
-        assert out == "" and not (tmp_path / "out.txt").exists()
-
-    @pytest.mark.parametrize("config_text, flags", [
-        ("", ["--coeffs", "{coeffs}", "--N", "2"]),
-        ("", ["--coeffs", "{coeffs}", "--N", "-5"]),
-        ("", ["--coeffs", "{coeffs}", "--N", "6"]),
-        ("N = 2\n", ["--coeffs", "{coeffs}"]),
-        ("coeffs = {coeffs}\n", ["--N", "2"]),
-        ("coeffs = {coeffs}\nN = 2\n", []),
-    ], ids=["flag-2", "flag-negative", "flag-demo-default", "config-order", "config-coeffs", "config-both"])
-    def test_order_with_a_coefficient_file_is_bad_args(self, tmp_path, coeffs, capsys, config_text, flags):
-        # a coefficient file is used whole, so an --N beside it is rejected, not silently ignored
-        flags = [flag.format(coeffs=coeffs) for flag in flags]
-        assert self.construct(tmp_path, config_text.format(coeffs=coeffs), *flags) == (4, None)
-        assert capsys.readouterr().err == "legpade: --N does not apply to --coeffs: a coefficient file is used whole\n"
-
     def test_coefficient_file_used_whole(self, tmp_path, coeffs):
         outfile = tmp_path / "out.txt"
         assert run_cli(["construct", "--coeffs", str(coeffs), "-o", str(outfile)]) == 0
         assert outfile.read_text().splitlines()[1:3] == ["# L = 2", "# M = 2"]  # default_split of order 4
         assert parse_args(["construct", "--coeffs", str(coeffs)]).N is None
-
-    def test_config_without_source_asks_for_one(self, tmp_path, capsys):
-        assert self.construct(tmp_path, "N = 4\n") == (4, None)
-        assert capsys.readouterr().err == "legpade: choose a --demo or supply --coeffs\n"
-        config = tmp_path / "source.cfg"
-        assert run_cli(["compare", "--config", str(config), "--steps", "3"]) == 4
-        assert capsys.readouterr().err == "legpade: choose a --demo\n"
 
 
 class TestConfigFile:
@@ -572,45 +370,6 @@ class TestConfigFile:
         config.write_bytes(codecs.BOM_UTF8 + b"steps = 3\ndemo = unit\n")
         assert run_cli(["compare", "--config", str(config), "-o", str(outfile)]) == 0
         assert len(read_rows(outfile)) == 3
-
-    def test_unreadable_config_is_bad_args(self, tmp_path, capsys):
-        assert run_cli(["compare", "--demo", "unit", "--config", str(tmp_path / "missing.cfg")]) == 4
-        assert "cannot read config file" in capsys.readouterr().err
-
-    def test_badly_typed_value_rejected(self, tmp_path):
-        config = tmp_path / "bad.cfg"
-        config.write_text("demo = unit\nsteps = many\n")
-        assert run_cli(["compare", "--config", str(config)]) == 4
-
-    def test_unknown_key_rejected(self, tmp_path):
-        config = tmp_path / "bad.cfg"
-        config.write_text("demo = unit\nbogus = 1\n")
-        assert run_cli(["compare", "--config", str(config)]) == 4
-
-    def test_demo_outside_choices_rejected(self, tmp_path):
-        config = tmp_path / "bad.cfg"
-        config.write_text("demo = nonsense\n")
-        assert run_cli(["compare", "--config", str(config)]) == 4
-
-    @pytest.mark.parametrize(
-        "command, text, code, message",
-        [
-            ("construct", "demo = unit\nsteps = 5\n", 0, ""),
-            ("compare", "demo = unit\nconfig = other.cfg\n", 4, "unknown config key 'config'"),
-            ("compare", "demo = unit\nhelp = 1\n", 4, "unknown config key 'help'"),
-            ("compare", "demo = unit\nsteps 5\n", 4, "config line is not 'key = value'"),
-            ("compare", "demo = coulomb\nk = -2\n", 4, "wavenumber must be positive"),
-            ("construct", "demo = coulomb\nk = -2\n", 4, "wavenumber must be positive"),
-        ],
-        ids=["compare-only-key-ignored", "key-config", "key-help", "no-equals", "negative-k", "negative-k-construct"],
-    )
-    def test_edge_cases(self, tmp_path, capsys, command, text, code, message):
-        config = tmp_path / "edge.cfg"
-        outfile = tmp_path / "out"
-        config.write_text(text)
-        assert run_cli([command, "--config", str(config), "-o", str(outfile)]) == code
-        assert message in capsys.readouterr().err
-        assert outfile.exists() == (code == 0)
 
     @pytest.mark.parametrize("command", ["construct", "compare"])
     def test_every_typed_option_accepted(self, tmp_path, command):
@@ -668,11 +427,6 @@ def test_recorded_output_reproduced(tmp_path, harness_oracles, demo, extra):
     assert harness_oracles.csv_mismatch(outfile.read_bytes().decode(), reference.decode()) is None
 
 
-def test_unwritable_output_exit_code(tmp_path, capsys):
-    target = tmp_path / "missing" / "out.csv"
-    assert run_cli(["compare", "--demo", "unit", "--steps", "3", "-o", str(target)]) == 1
-    assert "legpade: cannot write output:" in capsys.readouterr().err
-
 
 class TestFormatting:
     def test_seventeen_significant_digits_round_trip(self, tmp_path):
@@ -696,3 +450,14 @@ class TestFormatting:
 def test_help_exits_cleanly(capsys):
     assert run_cli(["--help"]) == 0
     assert "construct" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("case", CASES, ids=[case[0] for case in CASES])
+def test_cli_case(case, tmp_path, capsys):
+    # each row of tests/cli_cases.py in process; CI runs the same rows through the installed console script
+    assert check(case, lambda argv: (main(argv), *capsys.readouterr()), tmp_path) is None
+
+
+def test_cli_case_ids_are_unique():
+    # pytest would suffix a duplicate id, and a copied row could shadow the case it meant to add
+    assert len({case[0] for case in CASES}) == len(CASES)
