@@ -15,8 +15,8 @@ zero-projection 3j symbols. For each (n, k) only the k+1 orders
 m = n-k+2j can contribute, so G sums just that band, weighted by the
 symbols' float closed form: O((L+M) M^2) work and O((L+M) M) memory. G[n, k]
 does not depend on L or M, and G of any [L/M] is a bit-identical slice of G
-of a larger one built from the same series. The exact rational symbols in
-``special`` are the oracle it is tested against. The system is solved by
+of a larger one built from the same series. The exact rational symbols of
+tests/exact.py are the oracle it is tested against. The system is solved by
 numpy.linalg and rejected when its 1-norm condition number reaches 1e14.
 
 The matching sums run over every coefficient the caller supplies, not just

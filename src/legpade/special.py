@@ -1,8 +1,7 @@
 """Self-contained special functions, and the package's guards of arguments and of results.
 
 Legendre polynomials by the Bonnet three-term recurrence (one evaluator,
-``legendre_eval_all``, for a scalar argument or an array of them), squared
-zero-projection Wigner 3j symbols in exact rational arithmetic, the
+``legendre_eval_all``, for a scalar argument or an array of them), the
 principal branch of log-gamma on the half plane Re z >= 1/2, where the
 Coulomb phase Gamma(1 + i/k) lies (DomainError elsewhere), spherical Bessel
 functions of both kinds, every order up to n in one call (``spherical_bessel_jy_all``:
@@ -15,19 +14,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DomainError
 
-if TYPE_CHECKING:
-    from fractions import Fraction
-
 __all__ = [
     "legendre_eval_all",
-    "threej_zero_sq",
-    "triple_product_integral",
     "log_gamma_complex",
     "spherical_bessel_j",
     "spherical_bessel_y",
@@ -98,35 +91,17 @@ def legendre_eval_all(l_max: int, x) -> np.ndarray:
     return np.array(_legendre_rows(l_max, np.clip(x, -1.0, 1.0)))
 
 
-def threej_zero_sq(l: int, m: int, n: int) -> Fraction:
-    """Exact square of the Wigner 3j symbol (l m n; 0 0 0), computed on every call.
-
-    Racah's closed form C(J-2l, g-l) C(J-2m, g-m) C(J-2n, g-n) / ((J+1) C(J, g)), J = l+m+n = 2g:
-    what pade._product_matrix evaluates in floats, where the powers of 4 of A(p) = C(2p, p)/4^p cancel.
-    Exact Fraction(0), never an error, when J is odd or the triangle inequality fails.
-    """
-    from fractions import Fraction  # only the exact oracle needs it
-
+def threej_zero_sq_float(l: int, m: int, n: int) -> float:
+    """Square of the Wigner 3j symbol (l m n; 0 0 0), correctly rounded; 0.0 when J = l+m+n is odd or the
+    triangle inequality fails. Racah's closed form C(J-2l, g-l) C(J-2m, g-m) C(J-2n, g-n) / ((J+1) C(J, g)), J = 2g,
+    in ints with one true division, which rounds as float() of its exact counterpart in tests/exact.py does."""
     l, m, n = (_check_order(v, "3j index") for v in (l, m, n))
     J = l + m + n
     if J % 2 == 1 or not abs(l - m) <= n <= l + m:
-        return Fraction(0)
+        return 0.0
     g = J // 2
-    return Fraction(math.comb(J - 2 * l, g - l) * math.comb(J - 2 * m, g - m) * math.comb(J - 2 * n, g - n),
-                    (J + 1) * math.comb(J, g))
-
-
-def triple_product_integral(l: int, m: int, n: int) -> Fraction:
-    """Exact value of the Legendre triple product integral on [-1, 1].
-
-    Equals twice the squared zero-projection 3j symbol.
-    """
-    return 2 * threej_zero_sq(l, m, n)
-
-
-def threej_zero_sq_float(l: int, m: int, n: int) -> float:
-    """Float image of threej_zero_sq."""
-    return float(threej_zero_sq(l, m, n))
+    return (math.comb(J - 2 * l, g - l) * math.comb(J - 2 * m, g - m) * math.comb(J - 2 * n, g - n)
+            / ((J + 1) * math.comb(J, g)))
 
 
 # Lanczos approximation, g = 607/128, 15 terms (Godfrey's coefficient set).

@@ -6,6 +6,7 @@ import time
 
 import numpy as np
 import pytest
+from exact import triple_product_integral
 from numpy.polynomial.legendre import leggauss
 
 from legpade.pade import construct, evaluate
@@ -21,7 +22,7 @@ from legpade.scattering import (
     unit_series,
 )
 from legpade.series import ComplexSeries, eval_partial_sum, project_legendre_coefficient
-from legpade.special import legendre_eval_all, triple_product_integral
+from legpade.special import legendre_eval_all
 
 PI = math.pi
 

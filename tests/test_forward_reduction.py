@@ -12,11 +12,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from exact import triple_product_integral
 
 from legpade.pade import construct, default_split, evaluate
 from legpade.scattering import coulomb_exact, coulomb_series, exact_half_csc, unit_series
 from legpade.series import ComplexSeries
-from legpade.special import triple_product_integral
 
 N = 42
 THETAS = np.linspace(0.3, math.pi, 600)

@@ -1,6 +1,7 @@
 import ast
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -51,10 +52,14 @@ def test_compare_leaves_scipy_out(tmp_path, demo):
 
 
 def test_start_up_leaves_fractions_and_polynomial_out(tmp_path):
-    # only the exact 3j oracle needs fractions; nothing in legpade needs numpy.polynomial;
+    # no legpade module imports fractions: exact rational arithmetic is the tests' oracle, tests/exact.py;
+    # nothing in legpade needs numpy.polynomial;
     # only a quadrature logs, so quad imports logging when it is called; only a coefficient file needs csv
     body = _compare_body("unit", tmp_path / "unit.csv")
     assert _modules_loaded(body, ("fractions", "numpy.polynomial", "logging", "csv")) == []
+    importing = [path.name for path in Path(scattering.__file__).parent.glob("*.py")
+                 if re.search(r"^\s*(import|from) fractions\b", path.read_text(encoding="utf-8"), re.M)]
+    assert importing == []
 
 
 def test_projection_leaves_polynomial_out():
@@ -69,8 +74,7 @@ MODULES = ("errors", "special", "series", "pade", "scattering")
 EARLIER_API = {
     "errors": "LegpadeError DomainError PoleError InsufficientCoefficientsError SingularSystemError "
               "ResidualTooLargeError QuadratureConvergenceError",
-    "special": "legendre_eval_all threej_zero_sq triple_product_integral log_gamma_complex "
-               "spherical_bessel_j",
+    "special": "legendre_eval_all log_gamma_complex spherical_bessel_j",
     "series": "ComplexSeries eval_partial_sum project_legendre_coefficient",
     "pade": "PadeApproximant ConstructionReport build_denominator_system solve_denominator compute_numerator "
             "construct evaluate default_split",
@@ -90,7 +94,7 @@ def test_package_api_is_the_modules_api():
     exec("from legpade import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(expected)
     earlier = [(module, name) for module, names in EARLIER_API.items() for name in names.split()]
-    assert len(earlier) == 35
+    assert len(earlier) == 33
     assert [(module, name) for module, name in earlier
             if getattr(legpade, name) is not getattr(modules[module], name)] == []
 

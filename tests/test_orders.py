@@ -31,8 +31,6 @@ from legpade.special import (
     spherical_bessel_j,
     spherical_bessel_jy_all,
     spherical_bessel_y,
-    threej_zero_sq,
-    triple_product_integral,
 )
 
 RN = RNParams(mass=10.0, charge=5.0, eta=1e-4, mu=1e-6)
@@ -57,10 +55,6 @@ ORDER_CALLS = {
     "spherical_bessel_j": lambda n: spherical_bessel_j(n, 1.5),
     "spherical_bessel_y": lambda n: spherical_bessel_y(n, 1.5),
     "spherical_bessel_jy_all": lambda n: spherical_bessel_jy_all(n, np.array([0.0, 0.5, 30.0])),
-    "threej_zero_sq_l": lambda n: threej_zero_sq(n, 2, 3),
-    "threej_zero_sq_m": lambda n: threej_zero_sq(2, n, 3),
-    "threej_zero_sq_n": lambda n: threej_zero_sq(2, 3, n),
-    "triple_product_integral": lambda n: triple_product_integral(1, 2, n),
 }
 
 

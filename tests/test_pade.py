@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from exact import threej_zero_sq
 from numpy.polynomial.legendre import legroots
 
 import legpade.pade as pade
@@ -30,7 +31,6 @@ from legpade.pade import (
 )
 from legpade.scattering import PotentialSpec, born_series, coulomb_series, exact_half_csc, unit_series
 from legpade.series import ComplexSeries, eval_partial_sum, project_legendre_coefficient
-from legpade.special import threej_zero_sq
 
 
 def random_series(rng, size):
