@@ -133,9 +133,9 @@ def _product_matrix(series: ComplexSeries, L: int, M: int) -> tuple[np.ndarray, 
     return _finite(assemble, _too_large(c)), L, M
 
 
-def _too_large(c: np.ndarray) -> str:
-    """_finite's message where a product with the series c leaves the float range."""
-    return f"series coefficients are too large for the product kernel (max|c| = {np.max(np.abs(c)):.3e})"
+def _too_large(c: np.ndarray):
+    """_finite's message where a product with the series c leaves the float range, formatted only then."""
+    return lambda bad: f"series coefficients are too large for the product kernel (max|c| = {np.max(np.abs(c)):.3e})"
 
 
 def _system(G: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:

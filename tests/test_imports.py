@@ -119,7 +119,6 @@ TRACER_ONLY = {"build_denominator_system", "solve_denominator", "compute_numerat
 WRAPPER_CONTRACTS = {
     "test_orders.py::<module>",  # ORDER_CALLS rows of solve_denominator and spherical_bessel_j/_y
     "test_real_arguments.py::<module>",  # REAL_CALLS rows of spherical_bessel_j/_y x
-    "test_scattering.py::<module>",  # ONE_NUMBER_CALLS rows of spherical_bessel_j/_y x
     "test_special.py::TestSphericalBessel::test_wrapper_argument_domain_error",  # spherical_bessel_j/_y x guards
     "test_special.py::TestSphericalBesselAllOrders::test_scalar_wrappers_are_array_entries",  # spherical_bessel_j/_y
     "test_pade.py::TestDenominatorSystem::test_no_system_without_a_denominator",  # build_denominator_system M >= 1

@@ -6,7 +6,8 @@ is infinity. Unchecked, numpy cuts a numpy complex to its real part with only a
 ComplexWarning, reads None as NaN and converts an object array entry by entry, and a Python
 complex fails in ``float()`` with a TypeError. A numpy float32 or a 0-d array computes as the Python float the
 guard returns: unconverted, float32 arithmetic moves the result and a 0-d array field breaks
-``hash``."""
+``hash``. The one table of these calls, ``REAL_CALLS``, also drives the checks that a scalar
+parameter is one number and that a wavenumber or a coupling is in its range."""
 
 import math
 import re
@@ -103,6 +104,40 @@ def test_infinity_is_domain_error(name):
 def test_real_part_is_accepted(name, value):
     # the control of the table above: there only the type or the infinity fails
     REAL_CALLS[name](value)
+
+
+def _rows_of(parameter):
+    return sorted(name for name in REAL_CALLS if name.split()[-1] == parameter)
+
+
+# the guard's name for a parameter, where it is not the parameter's own
+GUARD_NAMES = {"k": "wavenumber k", "alpha": "coupling alpha", "x": "argument x"}
+# the rows that take an array: the angles and the Legendre argument
+ARRAY_ROWS = {*_rows_of("theta"), "legendre_eval_all x"}
+PAIR = np.array([0.5, 1.0])
+
+
+@pytest.mark.parametrize("name", sorted(set(REAL_CALLS) - ARRAY_ROWS))
+def test_scalar_parameter_must_be_one_number(name):
+    # unchecked, these return an array or fail in numpy with a TypeError or ValueError naming no parameter
+    parameter = name.split()[-1]
+    with pytest.raises(DomainError, match=re.escape(f"{GUARD_NAMES.get(parameter, parameter)} must be one number, "
+                                                    f"got {PAIR!r}")):
+        REAL_CALLS[name](PAIR)
+
+
+@pytest.mark.parametrize("k", [math.nan, math.inf, 0.0, -1.0, 5e-324, 5.562684646268003e-309])
+@pytest.mark.parametrize("name", _rows_of("k"))
+def test_wavenumber_must_be_positive_and_finite(name, k):
+    with pytest.raises(DomainError, match=re.escape(f"wavenumber must be positive and finite, got {k}")):
+        REAL_CALLS[name](k)
+
+
+@pytest.mark.parametrize("alpha", ["1.0", math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", _rows_of("alpha"))
+def test_coupling_must_be_a_finite_number(name, alpha):
+    with pytest.raises(DomainError, match=re.escape(f"coupling alpha must be a finite number, got {alpha!r}")):
+        REAL_CALLS[name](alpha)
 
 
 def _same_result(got, want) -> bool:

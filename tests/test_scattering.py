@@ -29,9 +29,7 @@ from legpade.series import eval_partial_sum, project_legendre_coefficient
 from legpade.special import (
     legendre_eval_all,
     log_gamma_complex,
-    spherical_bessel_j,
     spherical_bessel_jy_all,
-    spherical_bessel_y,
 )
 
 RN_REFERENCE = RNParams(mass=10.0, charge=5.0, eta=1e-4, mu=1e-6)
@@ -67,28 +65,6 @@ class TestExactHalfCsc:
 
 
 class TestCoulomb:
-    def test_coefficient_moduli(self):
-        for k in (0.5, 1.0, 2.0):
-            series = coulomb_series(6, k)
-            for l, c in enumerate(series.coefficients):
-                assert abs(c) == pytest.approx((2 * l + 1) / (2 * k), rel=1e-12)
-
-    def test_first_coefficient_against_mpmath(self):
-        mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 30
-        series = coulomb_series(0, 1.0)
-        ref = complex(mp.gamma(1 + 1j) / mp.gamma(1 - 1j) / (2 * mp.mpc(0, 1)))
-        assert series.coefficients[0] == pytest.approx(ref, rel=1e-12)
-
-    def test_ratio_recurrence(self):
-        # Gamma(z+1) = z Gamma(z) fixes the phase ratio of consecutive terms
-        k = 1.0
-        series = coulomb_series(5, k)
-        for l in range(1, 6):
-            expected = (2 * l + 1) / (2 * l - 1) * (l + 1j / k) / (l - 1j / k)
-            ratio = series.coefficients[l] / series.coefficients[l - 1]
-            assert ratio == pytest.approx(expected, rel=1e-12)
-
     @pytest.mark.parametrize("n", [0, 1, 40, 120])
     def test_one_log_gamma_call_for_any_order(self, monkeypatch, n):
         calls = []
@@ -134,13 +110,6 @@ class TestBornPhaseShift:
     def test_zero_coupling(self):
         assert born_phase_shift(PotentialSpec("inverse_r2", 0.0), 4, 1.0) == 0.0
 
-    def test_quadrature_agrees_with_closed_form(self):
-        pot = PotentialSpec("inverse_r2", 1.0)
-        for l in (0, 2, 5):
-            by_quad = born_phase_shift(pot, l, 1.0, method="quadrature")
-            closed = -math.pi / (2 * (2 * l + 1))
-            assert abs(by_quad - closed) < 1e-8
-
     def test_inverse_r_diverges(self):
         # the 1/r Born integral diverges, so the kind is rejected before any quadrature
         with pytest.raises(ValueError, match="kind must be one of"):
@@ -169,10 +138,6 @@ class TestBornPhaseShift:
         pot = PotentialSpec("inverse_r2", 1.0)
         series = born_series(pot, 5, 1.0, method="quadrature")
         assert born_phase_shift(pot, 5, 1.0, method="quadrature") * 11.0 == series.coefficients[5].real
-
-    def test_potential_validation(self):
-        with pytest.raises(ValueError):
-            PotentialSpec("yukawa", 1.0)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="method must be 'auto' or 'quadrature', got 'simpson'"):
@@ -220,22 +185,6 @@ class TestBornExact:
             born_exact_invr2(0.0, 1.0, 1.0)
 
 
-WAVENUMBER_CALLS = {
-    "coulomb_series": lambda k: coulomb_series(4, k),
-    "coulomb_exact": lambda k: coulomb_exact(1.0, k),
-    "born_phase_shift": lambda k: born_phase_shift(PotentialSpec("inverse_r2", 1.0), 2, k),
-    "born_series": lambda k: born_series(PotentialSpec("inverse_r2", 1.0), 4, k),
-    "born_exact_invr2": lambda k: born_exact_invr2(1.0, 1.0, k),
-}
-
-
-@pytest.mark.parametrize("k", [math.nan, math.inf, 0.0, -1.0, 5e-324, 5.562684646268003e-309])
-@pytest.mark.parametrize("name", sorted(WAVENUMBER_CALLS))
-def test_wavenumber_must_be_positive_and_finite(name, k):
-    with pytest.raises(DomainError, match=re.escape(f"wavenumber must be positive and finite, got {k}")):
-        WAVENUMBER_CALLS[name](k)
-
-
 @pytest.mark.parametrize("call, k", [
     (lambda k: coulomb_series(4, k), 5.56268464626801e-309),  # (2l+1)/(2k) overflows
     (lambda k: coulomb_series(4, k), 1e-308),  # the log-gamma at 1 + i/k overflows
@@ -248,53 +197,11 @@ def test_overflowing_coefficients_name_the_wavenumber(call, k):
         call(k)
 
 
-@pytest.mark.parametrize("alpha", ["1.0", math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("call", [
-    lambda alpha: PotentialSpec("inverse_r2", alpha),
-    lambda alpha: born_exact_invr2(1.0, alpha, 1.0),
-], ids=["PotentialSpec", "born_exact_invr2"])
-def test_coupling_must_be_a_finite_number(call, alpha):
-    with pytest.raises(DomainError, match=re.escape(f"coupling alpha must be a finite number, got {alpha!r}")):
-        call(alpha)
-
-
-def test_coupling_must_be_one_number():
-    with pytest.raises(DomainError, match=re.escape("coupling alpha must be one number, got array([1., 2.])")):
-        PotentialSpec("inverse_r2", np.array([1.0, 2.0]))
-
-
 def test_overflowing_born_coefficients_name_the_coupling():
     # with alpha = 1 these coefficients are finite; alpha = 1e308 makes (2l+1) delta_l / k overflow
     with pytest.raises(DomainError, match=re.escape("wavenumber k = 0.001 is too small or the coupling "
                                                     "alpha = 1e+308 too large")):
         born_series(PotentialSpec("inverse_r2", 1e308), 3, 1e-3)
-
-
-PAIR = np.array([1.0, 2.0])
-ONE_NUMBER_CALLS = {
-    "born_phase_shift k": ("wavenumber k", lambda: born_phase_shift(PotentialSpec("inverse_r2", 1.0), 2, PAIR)),
-    "born_series k": ("wavenumber k", lambda: born_series(PotentialSpec("inverse_r2", 1.0), 3, PAIR)),
-    "born_exact_invr2 alpha": ("coupling alpha", lambda: born_exact_invr2(1.0, PAIR, 1.0)),
-    "born_exact_invr2 k": ("wavenumber k", lambda: born_exact_invr2(1.0, 1.0, PAIR)),
-    "coulomb_series k": ("wavenumber k", lambda: coulomb_series(4, PAIR)),
-    "coulomb_exact k": ("wavenumber k", lambda: coulomb_exact(1.0, PAIR)),
-    "RNParams mass": ("mass", lambda: RNParams(mass=10.0 * PAIR, charge=1.0, eta=1e-4)),
-    "RNParams charge": ("charge", lambda: RNParams(mass=10.0, charge=PAIR, eta=1e-4)),
-    "RNParams eta": ("eta", lambda: RNParams(mass=10.0, charge=5.0, eta=PAIR)),
-    "RNParams mu": ("mu", lambda: RNParams(mass=10.0, charge=5.0, eta=1e-4, mu=PAIR)),
-    "rn_series r_max": ("r_max", lambda: rn_series(3, RN_REFERENCE, r_max=1e6 * PAIR)),
-    "rn_series horizon_epsilon": ("horizon_epsilon", lambda: rn_series(3, RN_REFERENCE, horizon_epsilon=1e-8 * PAIR)),
-    "spherical_bessel_j x": ("argument x", lambda: spherical_bessel_j(2, PAIR)),
-    "spherical_bessel_y x": ("argument x", lambda: spherical_bessel_y(2, PAIR)),
-}
-
-
-@pytest.mark.parametrize("call", sorted(ONE_NUMBER_CALLS))
-def test_scalar_parameter_must_be_one_number(call):
-    # unchecked, these return an array or fail in numpy with a TypeError or ValueError naming no parameter
-    name, f = ONE_NUMBER_CALLS[call]
-    with pytest.raises(DomainError, match=re.escape(f"{name} must be one number, got array(")):
-        f()
 
 
 @pytest.mark.parametrize("method, alpha", [("auto", 1.7e308), ("quadrature", 1.5e308)])
