@@ -203,16 +203,16 @@ def _bessel_sq_moments(n: int) -> np.ndarray:
 
 
 def _born_shifts(potential: PotentialSpec, n: int, k: float, method: str) -> np.ndarray:
-    """First-order phase shifts of the orders 0..n, after the argument checks; an overflow names alpha."""
+    """First-order shifts -alpha * integral of j_l^2, l = 0..n, after the argument checks; free of k, as its guard."""
     if method not in ("auto", "quadrature"):
         raise ValueError(f"method must be 'auto' or 'quadrature', got {method!r}")
     n = _check_order(n, "partial-wave order")
     _check_wavenumber(k)
     if potential.alpha == 0.0:
         return np.zeros(n + 1)
-    moments = None if method == "auto" else _bessel_sq_moments(n)
-    return _finite(lambda: -math.pi * potential.alpha / (2.0 * (2 * np.arange(n + 1) + 1)) if moments is None
-                   else -potential.alpha * moments, _overflow_at(k, potential.alpha))
+    moments = math.pi / (2.0 * (2 * np.arange(n + 1) + 1)) if method == "auto" else _bessel_sq_moments(n)
+    return _finite(lambda: -potential.alpha * moments,
+                   f"the coupling alpha = {potential.alpha} is too large: the Born phase shifts overflow")
 
 
 def born_phase_shift(potential: PotentialSpec, l: int, k: float, method: str = "auto") -> float:

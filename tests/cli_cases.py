@@ -107,7 +107,10 @@ CASES = [
       for demo, flags, k, alpha in [
           ("coulomb", "--k 5.56268464626801e-309", "5.56268464626801e-309", ""),
           ("coulomb", "--k 1e-308", "1e-308", ""),
-          ("invr2", "--k 1e-307 --N 20", "1e-307", "1.0"), ("invr2", "--alpha 1e308", "1.0", "1e+308")]],
+          ("invr2", "--k 1e-307 --N 20", "1e-307", "1.0")]],
+    # the coefficients -alpha pi/2 are finite, and their products in the construction are not
+    ("compare-invr2-alpha-1e308", 4, "compare --demo invr2 --alpha 1e308",
+     BAD + "series coefficients are too large for the product kernel (max|c| = 1.571e+308)\n", {}),
     # at --N 6 the coefficients stay finite, and the approximant overflows
     ("compare-invr2-k-1e-307", 4, "compare --demo invr2 --k 1e-307",
      BAD + "the approximant overflows at theta = 0.05\n", {}),

@@ -12,7 +12,6 @@ from numpy.polynomial.legendre import legroots
 import legpade.pade as pade
 from legpade.errors import (
     DomainError,
-    InsufficientCoefficientsError,
     PoleError,
     ResidualTooLargeError,
     SingularSystemError,
@@ -78,18 +77,9 @@ class TestDenominatorSystem:
         assert np.array_equal(approx.denominator, np.array([1.0 + 0j]))
         assert report.condition_estimate == 1.0 and report.residual == 0.0
 
-    def test_insufficient_coefficients(self):
-        with pytest.raises(InsufficientCoefficientsError):
-            construct(unit_series(3), 3, 3)
-
     def test_no_system_without_a_denominator(self):
         with pytest.raises(DomainError, match="needs M >= 1"):
             build_denominator_system(unit_series(4), 4, 0)
-
-    def test_zero_series_is_singular(self):
-        series = ComplexSeries(np.zeros(3))
-        with pytest.raises(SingularSystemError):
-            construct(series, 0, 2)
 
 
 class TestSolve:
@@ -250,11 +240,6 @@ class TestConstruct:
         assert np.allclose(scaled.denominator, base.denominator, rtol=1e-10)
         assert np.allclose(scaled.numerator, alpha * base.numerator, rtol=1e-10)
 
-    @pytest.mark.parametrize("L, M", [(-1, 0), (2, -1), (-2, 3)])
-    def test_negative_degrees(self, L, M):
-        with pytest.raises(DomainError):
-            construct(unit_series(6), L, M)
-
     def test_report_types(self):
         _, report = construct(unit_series(8), 3, 3)
         assert isinstance(report, ConstructionReport)
@@ -278,22 +263,6 @@ class TestConstruct:
         with pytest.raises(ResidualTooLargeError, match="enforced-zero orders leave residual") as exc_info:
             construct(unit_series(8), 3, 3)
         assert exc_info.value.residual > 1e-8
-
-    # finite coefficients at 1e308 whose products leave the float range, named by the product that does
-    @pytest.mark.parametrize("signs, L, M", [
-        ((1, 1, 1, -1, 1), 1, 1),  # the numerator
-        ((1, 1, 1, -1, 1), 2, 2),
-        ((1, 1, 1, -1, 1), 3, 1),
-        ((1, 1, -1, -1), 0, 3),  # the enforced-zero residual
-        ((1, 1, -1, 1, 1), 0, 2),  # the solve
-    ])
-    def test_products_past_the_float_maximum_are_domain_error(self, signs, L, M):
-        with pytest.raises(DomainError, match=r"too large for the product kernel \(max\|c\| = 1\.000e\+308\)"):
-            construct(ComplexSeries(1e308 * np.array(signs)), L, M)
-
-    def test_assembly_past_the_float_maximum_is_domain_error(self):
-        with pytest.raises(DomainError, match=r"product kernel \(max\|c\| = 1\.500e\+308\)"):
-            construct(ComplexSeries(np.full(3, 1.5e308)), 0, 1)
 
     def test_stage_assembly_past_the_float_maximum_is_domain_error(self):
         # the standalone stages assemble G themselves, behind the same guard
@@ -322,11 +291,6 @@ class TestEvaluate:
         with pytest.raises(PoleError):
             evaluate(approx, math.pi)
         assert evaluate(approx, math.pi / 2) == pytest.approx(1.0, rel=1e-12)
-
-    def test_domain(self):
-        approx = PadeApproximant(np.array([1.0 + 0j]), np.array([1.0 + 0j]))
-        with pytest.raises(DomainError):
-            evaluate(approx, 3.2)
 
     def test_overflow_is_domain_error(self):
         # 1e308 / (1 + 0.9 cos theta) leaves the float range near theta = pi, off any pole
@@ -419,14 +383,6 @@ class TestEvaluate:
 
 
 class TestPadeApproximant:
-    def test_b0_must_be_one(self):
-        with pytest.raises(ValueError):
-            PadeApproximant(np.array([1.0 + 0j]), np.array([2.0 + 0j]))
-
-    def test_finite_required(self):
-        with pytest.raises(ValueError):
-            PadeApproximant(np.array([np.inf + 0j]), np.array([1.0 + 0j]))
-
     @pytest.mark.parametrize("numerator, denominator, message", [
         (np.ones((2, 2)), [1.0], "one-dimensional"),
         ([1.0], np.ones((1, 2)), "one-dimensional"),
@@ -481,8 +437,6 @@ def test_default_split():
     assert default_split(7) == (4, 3)
     assert default_split(0) == (0, 0)
     assert default_split(1) == (1, 0)
-    with pytest.raises(DomainError):
-        default_split(-1)
 
 
 class TestRealDenominatorRoots:

@@ -1,14 +1,13 @@
 import cmath
 import logging
 import math
-import re
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import legpade.scattering as scattering
-from legpade.errors import DomainError, QuadratureConvergenceError
+from legpade.errors import QuadratureConvergenceError
 from legpade.pade import construct, evaluate
 from legpade.scattering import (
     _rn_radial,
@@ -45,10 +44,6 @@ class TestUnitSeries:
             coefficient = project_legendre_coefficient(exact_half_csc, l)
             assert coefficient == pytest.approx(1.0, abs=1e-9)
 
-    def test_negative_order(self):
-        with pytest.raises(DomainError):
-            unit_series(-1)
-
 
 class TestExactHalfCsc:
     def test_values(self):
@@ -56,12 +51,6 @@ class TestExactHalfCsc:
         assert exact_half_csc(math.pi / 3) == pytest.approx(1.0, rel=1e-15)
         # direct evaluation of 1/(2 sin 0.25)
         assert exact_half_csc(0.5) == pytest.approx(2.0209862506105356, rel=1e-15)
-
-    def test_divergence(self):
-        with pytest.raises(DomainError):
-            exact_half_csc(0.0)
-        with pytest.raises(DomainError):
-            exact_half_csc(-1.0)
 
 
 class TestCoulomb:
@@ -95,10 +84,6 @@ class TestCoulomb:
                 assert abs(f) == pytest.approx(rutherford, rel=1e-12)
         assert abs(coulomb_exact(math.pi, 1.0)) == pytest.approx(0.5, rel=1e-12)
 
-    def test_divergence(self):
-        with pytest.raises(DomainError):
-            coulomb_exact(0.0, 1.0)
-
 
 class TestBornPhaseShift:
     def test_closed_form_values(self):
@@ -109,11 +94,6 @@ class TestBornPhaseShift:
 
     def test_zero_coupling(self):
         assert born_phase_shift(PotentialSpec("inverse_r2", 0.0), 4, 1.0) == 0.0
-
-    def test_inverse_r_diverges(self):
-        # the 1/r Born integral diverges, so the kind is rejected before any quadrature
-        with pytest.raises(ValueError, match="kind must be one of"):
-            PotentialSpec("inverse_r", 1.0)
 
     @pytest.mark.parametrize("n", [0, 1, 5, 8, 20, 40, 60, 120])
     def test_quadrature_series_makes_two_quadratures(self, monkeypatch, n):
@@ -139,10 +119,6 @@ class TestBornPhaseShift:
         series = born_series(pot, 5, 1.0, method="quadrature")
         assert born_phase_shift(pot, 5, 1.0, method="quadrature") * 11.0 == series.coefficients[5].real
 
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError, match="method must be 'auto' or 'quadrature', got 'simpson'"):
-            born_series(PotentialSpec("inverse_r2", 1.0), 3, 1.0, method="simpson")
-
 
 class TestBornSeries:
     def test_constant_coefficients(self):
@@ -159,6 +135,13 @@ class TestBornSeries:
             assert abs(evaluate(approx, theta) - exact) < 2e-2 * abs(exact)
         midpoint = born_exact_invr2(math.pi / 2, 1.0, 1.0)
         assert abs(evaluate(approx, math.pi / 2) - midpoint) < 1e-2 * abs(midpoint)
+
+    def test_coupling_near_the_float_maximum_stays_finite(self):
+        # every shift -alpha pi/(2(2l+1)) is finite here, though pi * alpha is not
+        pot = PotentialSpec("inverse_r2", 1e308)
+        auto, quadrature = (born_series(pot, 4, 1.0, method=method).coefficients for method in ("auto", "quadrature"))
+        assert np.all(np.isfinite(auto))
+        assert np.max(np.abs(quadrature - auto) / np.abs(auto)) <= 1e-12
 
 
 class TestBornExact:
@@ -179,63 +162,6 @@ class TestBornExact:
         head, _ = quad(lambda r: alpha * math.sin(q * r) / (q * r), 0.0, 1.0)
         tail, _ = quad(lambda r: alpha / (q * r), 1.0, np.inf, weight="sin", wvar=q, limlst=100)
         assert -(head + tail) == pytest.approx(born_exact_invr2(theta, alpha, k), rel=1e-6)
-
-    def test_divergence(self):
-        with pytest.raises(DomainError):
-            born_exact_invr2(0.0, 1.0, 1.0)
-
-
-@pytest.mark.parametrize("call, k", [
-    (lambda k: coulomb_series(4, k), 5.56268464626801e-309),  # (2l+1)/(2k) overflows
-    (lambda k: coulomb_series(4, k), 1e-308),  # the log-gamma at 1 + i/k overflows
-    (lambda k: coulomb_exact(1.0, k), 1e-308),
-    (lambda k: born_series(PotentialSpec("inverse_r2", 1.0), 20, k), 1e-307),  # (2l+1)/k overflows
-])
-def test_overflowing_coefficients_name_the_wavenumber(call, k):
-    # pytest turns numpy's RuntimeWarning into an error, so the overflow must stay quiet
-    with pytest.raises(DomainError, match=re.escape(f"wavenumber k = {k} is too small")):
-        call(k)
-
-
-def test_overflowing_born_coefficients_name_the_coupling():
-    # with alpha = 1 these coefficients are finite; alpha = 1e308 makes (2l+1) delta_l / k overflow
-    with pytest.raises(DomainError, match=re.escape("wavenumber k = 0.001 is too small or the coupling "
-                                                    "alpha = 1e+308 too large")):
-        born_series(PotentialSpec("inverse_r2", 1e308), 3, 1e-3)
-
-
-@pytest.mark.parametrize("method, alpha", [("auto", 1.7e308), ("quadrature", 1.5e308)])
-def test_overflowing_born_shift_names_the_coupling(method, alpha):
-    # -pi alpha / 2 overflows (auto), as does alpha times the Bessel moment (quadrature); pytest turns
-    # numpy's overflow RuntimeWarning into an error, so the guard must also keep it quiet
-    with pytest.raises(DomainError, match=re.escape(f"the coupling alpha = {alpha} too large")):
-        born_phase_shift(PotentialSpec("inverse_r2", alpha), 0, 1.0, method=method)
-
-
-@pytest.mark.parametrize("name, call", [
-    ("mass = 1e+200", lambda: RNParams(mass=1e200, charge=5e199, eta=1e-4)),
-    ("particle mass mu = 1e+200", lambda: rn_series(4, RNParams(10.0, 5.0, 1e-4, mu=1e200))),
-], ids=["mass", "mu"])
-def test_rn_value_whose_square_overflows_is_named(name, call):
-    # unchecked, Python's float power raises a bare OverflowError for each square
-    with pytest.raises(DomainError, match=re.escape(f"{name} is too large: its square overflows")):
-        call()
-
-
-def test_rn_mass_whose_square_underflows_is_named():
-    # unchecked, r_+ = r_- and the order-0 shift takes the log of zero
-    with pytest.raises(DomainError, match=re.escape("mass = 1e-300 is too small: its square underflows")):
-        RNParams(1e-300, 0.0, 1e-4)
-
-
-@pytest.mark.parametrize("params", [RNParams(10.0, 5.0, 1e-4, mu=1e151), RNParams(1e-120, 0.0, 1e-4)],
-                         ids=["mu", "mass"])
-def test_overflowing_rn_weights_name_mass_and_mu(params):
-    # mu^2 over the horizon factor, or 1/r^3 near a tiny horizon, overflows; pytest turns
-    # numpy's RuntimeWarning into an error, so the guard must also keep it quiet
-    message = f"mass = {params.mass} and particle mass mu = {params.mu} make the first-order weights overflow"
-    with pytest.raises(DomainError, match=re.escape(message)):
-        rn_series(4, params)
 
 
 class TestPartialWaveIdentity:
@@ -274,31 +200,6 @@ class TestRNParams:
         # RNParams holds only scalars, so it keeps the generated value == and hash
         assert RNParams(10.0, 5.0, 1e-4) == RNParams(10.0, 5.0, 1e-4) != RNParams(10.0, 5.0, 2e-4)
         assert len({RNParams(10.0, 5.0, 1e-4), RNParams(10.0, 5.0, 1e-4)}) == 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RNParams(mass=10.0, charge=10.0, eta=1e-4, mu=0.0)  # extremal
-        with pytest.raises(ValueError):
-            RNParams(mass=-1.0, charge=0.0, eta=1e-4, mu=0.0)
-        with pytest.raises(ValueError):
-            RNParams(mass=10.0, charge=0.0, eta=0.0, mu=0.0)
-        with pytest.raises(ValueError):
-            RNParams(mass=10.0, charge=0.0, eta=1e-4, mu=-1.0)
-        for field, bad in [("mass", math.nan), ("mass", math.inf), ("charge", math.nan),
-                           ("eta", math.nan), ("eta", math.inf), ("mu", math.nan), ("mu", math.inf)]:
-            fields = {"mass": 10.0, "charge": 5.0, "eta": 1e-4, "mu": 0.0, field: bad}
-            with pytest.raises(ValueError, match=f"{field} must be finite"):
-                RNParams(**fields)
-
-    @pytest.mark.parametrize("charge", [10.0, -10.0, 12.0])
-    def test_extremal_charge_is_domain_error(self, charge):
-        with pytest.raises(DomainError, match=re.escape(f"|Q| = {abs(charge)} must be strictly below M = 10.0")):
-            RNParams(mass=10.0, charge=charge, eta=1e-4)
-
-    @pytest.mark.parametrize("text", ["10", b"10"])
-    def test_numeric_text_is_rejected(self, text):
-        with pytest.raises(DomainError, match=re.escape(f"mass must be finite and positive, got {text!r}")):
-            RNParams(mass=text, charge=5.0, eta=1e-4)
 
 
 def _tortoise(r, p):
@@ -401,15 +302,6 @@ class TestRNPhaseShift:
             value = _first_order_shifts(rn_series(2, p), p)[2]
             assert math.isfinite(value)
 
-    def test_rmax_validation(self):
-        with pytest.raises(ValueError):
-            rn_series(3, RN_REFERENCE, r_max=RN_REFERENCE.r_plus)
-        # a non-finite upper cutoff, or one whose square (in the radial weights) overflows,
-        # is a domain error, not a quadrature failure
-        for r_max in (math.inf, math.nan, 1e200):
-            with pytest.raises(DomainError, match="must be finite"):
-                rn_series(3, RN_REFERENCE, r_max=r_max)
-
     def test_single_order_makes_the_series_quadratures(self, monkeypatch):
         # one four-component quadrature in u = ln(r/r_+ - 1), for a single order as for a series
         calls = []
@@ -442,24 +334,6 @@ class TestRNPhaseShift:
         expected = -math.atan((i_sin2 / eta) / (1.0 + i_sin2e / eta))
         expected += (rp + p.r_minus) * eta * math.log((rp - p.r_minus) / (rp + p.r_minus))
         assert values[2] == pytest.approx(expected, rel=1e-9)
-
-    def test_cutoff_on_horizon_rejected(self):
-        for epsilon in (1e-17, 0.0, -1e-3):
-            with pytest.raises(DomainError):
-                rn_series(3, RN_REFERENCE, horizon_epsilon=epsilon)
-
-    @pytest.mark.parametrize("epsilon, message", [
-        (math.inf, "horizon_epsilon = inf must put the lower cutoff r_+(1 + horizon_epsilon) at a finite r"),
-        # r_+(1 + eps) is finite but lies beyond the default r_max = 50/eta = 5e5: both are named
-        (1e300, "r_max = 500000.0 must be finite, with a finite square, and lie beyond the lower quadrature "
-                "cutoff r_+(1 + horizon_epsilon) = 1.866025403784439e+301, horizon_epsilon = 1e+300"),
-        (1e6, "r_max = 500000.0 must be finite, with a finite square, and lie beyond the lower quadrature "
-              "cutoff r_+(1 + horizon_epsilon) = 18660272.69809843, horizon_epsilon = 1000000.0"),
-    ], ids=["inf", "1e300", "1e6"])
-    def test_cutoff_too_far_out_names_horizon_epsilon(self, epsilon, message):
-        params = RNParams(10.0, 5.0, 1e-4)
-        with pytest.raises(DomainError, match=re.escape(message)):
-            rn_series(3, params, horizon_epsilon=epsilon)
 
 
 def _per_order_rn_series(n, p):
@@ -569,10 +443,3 @@ class TestCrossSection:
         assert cross_section(3 + 4j) == pytest.approx(25.0, rel=1e-15)
         assert cross_section(0.0) == 0.0
         assert cross_section(coulomb_exact(math.pi, 1.0)) == pytest.approx(0.25, rel=1e-12)
-
-    @pytest.mark.parametrize("f", [1e200, 1e200j, np.array([1.0, 1e200j, 2.0])],
-                             ids=["float", "complex", "array"])
-    def test_overflow_is_domain_error(self, f):
-        # |f|^2 beyond the float range raises, with no RuntimeWarning (an error under pytest)
-        with pytest.raises(DomainError, match="overflows"):
-            cross_section(f)

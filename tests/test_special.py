@@ -7,19 +7,22 @@ import pytest
 from exact import threej_zero_sq, triple_product_integral
 from numpy.polynomial.legendre import leggauss
 
-from legpade.errors import DomainError
-from legpade.pade import PadeApproximant, construct
+from legpade.errors import DomainError, InsufficientCoefficientsError, SingularSystemError
+from legpade.pade import PadeApproximant, construct, default_split, evaluate
 from legpade.scattering import (
     PotentialSpec,
     RNParams,
+    born_exact_invr2,
+    born_phase_shift,
     born_series,
     coulomb_exact,
     coulomb_series,
     cross_section,
     exact_half_csc,
     rn_series,
+    unit_series,
 )
-from legpade.series import ComplexSeries, eval_partial_sum
+from legpade.series import ComplexSeries, eval_partial_sum, project_legendre_coefficient
 from legpade.special import (
     _finite,
     _hankel_envelopes,
@@ -65,12 +68,7 @@ class TestLegendre:
             for l in (1, 5, 17):
                 assert abs(legendre_eval_all(l, x)[l]) <= 1.0 + 1e-12
 
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            legendre_eval_all(3, 1.1)
-        with pytest.raises(DomainError):
-            legendre_eval_all(3, -1.0001)
-        # arguments within a few ulps of 1 are accepted
+    def test_argument_within_4_ulps_of_one_is_accepted(self):
         legendre_eval_all(3, 1.0 + 1e-16)
 
     def test_recurrence_consistency(self):
@@ -200,10 +198,6 @@ class TestSphericalBessel:
         j, _ = spherical_bessel_jy_all(40, 5.0)
         total = sum((2 * l + 1) * j[l] ** 2 for l in range(41))
         assert abs(total - 1.0) < 1e-8
-
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            spherical_bessel_jy_all(-1, 1.0)
 
     def test_wrapper_argument_domain_error(self):
         # the scalar wrappers check x; spherical_bessel_jy_all leaves that to its caller
@@ -345,39 +339,177 @@ def test_finite_guard_names_the_entries_that_are_not_finite():
         _finite(quotient, "a plain message")
 
 
-# every message a non-finite guard of pade, series and scattering raises, in full, and RNParams' |Q| < M
+# the fixtures of the rows below
+RN = RNParams(mass=10.0, charge=5.0, eta=1e-4, mu=1e-6)
+RN_CUTOFF = 18.660254224446927  # its lower quadrature cutoff r_+(1 + 1e-8)
+INVR2 = PotentialSpec("inverse_r2", 1.0)
+CONSTANT = PadeApproximant(np.array([1.0 + 0j]), np.array([1.0 + 0j]))  # a [0/0] approximant
+KERNEL = "series coefficients are too large for the product kernel (max|c| = 1.000e+308)"
+OVERFLOW = "wavenumber k = {} is too small{}: the partial-wave coefficients overflow"
+CUTOFF = "horizon_epsilon = {} must put the lower cutoff r_+(1 + horizon_epsilon) at a finite r beyond r_+"
+BEYOND = ("r_max = {} must be finite, with a finite square, and lie beyond the lower quadrature cutoff "
+          "r_+(1 + horizon_epsilon) = {}, horizon_epsilon = {}")
+DEFAULT_R_MAX = "the default r_max = 50/eta at eta = 0.0001 is out of range, give r_max (--rn-rmax): "
+EXTREMAL = "|Q| = {} must be strictly below M = {} (extremal configurations are rejected)"
+
+# every failure of one library call: the call, the exact exception class and the whole message
 GUARD_MESSAGES = {
-    "pole floor": (lambda: PadeApproximant([1.0], [1.0, 1e308, 1e308]),
+    # pade
+    "pole floor": (lambda: PadeApproximant([1.0], [1.0, 1e308, 1e308]), DomainError,
                    "the denominator is too large: sum|b| overflows"),
-    "product kernel": (lambda: construct(ComplexSeries(np.full(9, 1e308)), 3, 3),
-                       "series coefficients are too large for the product kernel (max|c| = 1.000e+308)"),
-    "closed form": (lambda: exact_half_csc(np.array([1e-320, 1.0])),
-                    "1/(2 sin(theta/2)) is not finite at theta = 1e-320"),
-    "coulomb series": (lambda: coulomb_series(4, 1e-308),
-                       "wavenumber k = 1e-308 is too small: the partial-wave coefficients overflow"),
-    "coulomb phase": (lambda: coulomb_exact(1.0, 1e-307),
-                      "wavenumber k = 1e-307 is too small: the partial-wave coefficients overflow"),
-    "born series": (lambda: born_series(PotentialSpec("inverse_r2", 1e308), 4, 1.0),
-                    "wavenumber k = 1.0 is too small or the coupling alpha = 1e+308 too large: "
-                    "the partial-wave coefficients overflow"),
-    "rn weights": (lambda: rn_series(3, RNParams(10.0, 5.0, 1e-4, mu=1e151)),
-                   "mass = 10.0 and particle mass mu = 1e+151 make the first-order weights overflow"),
-    "cross section": (lambda: cross_section(np.array([1.0, 1e200j])),
-                      "the cross section |f|^2 overflows: largest |f| = 1.000e+200"),
-    "partial sum": (lambda: eval_partial_sum(ComplexSeries([1e308, 1e308]), 0.0),
+    "b0 not one": (lambda: PadeApproximant(np.array([1.0 + 0j]), np.array([2.0 + 0j])), ValueError,
+                   "denominator must be normalized to b_0 = 1, got (2+0j)"),
+    "numerator not finite": (lambda: PadeApproximant(np.array([np.inf + 0j]), np.array([1.0 + 0j])), ValueError,
+                             "series coefficients must be finite"),
+    "evaluate outside [0, pi]": (lambda: evaluate(CONSTANT, 3.2), DomainError, "theta = 3.2 outside [0, pi]"),
+    "default split": (lambda: default_split(-1), DomainError, "series order must be a non-negative integer, got -1"),
+    "too few coefficients": (lambda: construct(unit_series(3), 3, 3), InsufficientCoefficientsError,
+                             "need at least 7 coefficients for L=3, M=3; series has 4"),
+    "zero series": (lambda: construct(ComplexSeries(np.zeros(3)), 0, 2), SingularSystemError,
+                    "condition number inf is not below 1/1e-14; system is numerically singular"),
+    "negative L": (lambda: construct(unit_series(6), -1, 0), DomainError,
+                   "numerator degree L must be a non-negative integer, got -1"),
+    "negative M": (lambda: construct(unit_series(6), 2, -1), DomainError,
+                   "denominator degree M must be a non-negative integer, got -1"),
+    "negative L, positive M": (lambda: construct(unit_series(6), -2, 3), DomainError,
+                               "numerator degree L must be a non-negative integer, got -2"),
+    # finite coefficients at 1e308 whose products leave the float range, named by the product that does
+    "product kernel": (lambda: construct(ComplexSeries(np.full(9, 1e308)), 3, 3), DomainError, KERNEL),
+    "kernel numerator [1/1]": (lambda: construct(ComplexSeries(1e308 * np.array([1, 1, 1, -1, 1])), 1, 1),
+                               DomainError, KERNEL),
+    "kernel numerator [2/2]": (lambda: construct(ComplexSeries(1e308 * np.array([1, 1, 1, -1, 1])), 2, 2),
+                               DomainError, KERNEL),
+    "kernel numerator [3/1]": (lambda: construct(ComplexSeries(1e308 * np.array([1, 1, 1, -1, 1])), 3, 1),
+                               DomainError, KERNEL),
+    "kernel residual": (lambda: construct(ComplexSeries(1e308 * np.array([1, 1, -1, -1])), 0, 3), DomainError, KERNEL),
+    "kernel solve": (lambda: construct(ComplexSeries(1e308 * np.array([1, 1, -1, 1, 1])), 0, 2), DomainError, KERNEL),
+    "kernel assembly": (lambda: construct(ComplexSeries(np.full(3, 1.5e308)), 0, 1), DomainError,
+                        "series coefficients are too large for the product kernel (max|c| = 1.500e+308)"),
+    # series
+    "empty series": (lambda: ComplexSeries(np.array([])), ValueError,
+                     "a series needs a one-dimensional, non-empty coefficient list"),
+    "series nan": (lambda: ComplexSeries(np.array([1.0, np.nan])), ValueError, "series coefficients must be finite"),
+    "series inf j": (lambda: ComplexSeries(np.array([1.0, np.inf * 1j])), ValueError,
+                     "series coefficients must be finite"),
+    "partial sum": (lambda: eval_partial_sum(ComplexSeries([1e308, 1e308]), 0.0), DomainError,
                     "the partial sum overflows at theta = 0.0"),
     "partial sum array": (lambda: eval_partial_sum(ComplexSeries([1e308, -1e308]), np.array([0.0, math.pi])),
-                          "the partial sum overflows at theta = 3.141592653589793"),  # the least angle that overflows
-    "extremal charge": (lambda: RNParams(10.0, -10.0, 1e-4),
-                        "|Q| = 10.0 must be strictly below M = 10.0 (extremal configurations are rejected)"),
-    "charge above mass": (lambda: RNParams(np.float64(2.0), 3.0, 1e-4),
-                          "|Q| = 3.0 must be strictly below M = 2.0 (extremal configurations are rejected)"),
+                          DomainError, "the partial sum overflows at theta = 3.141592653589793"),  # the least angle
+    "partial sum below 0": (lambda: eval_partial_sum(ComplexSeries(np.ones(3)), -0.1), DomainError,
+                            "theta = -0.1 outside [0, pi]"),
+    "partial sum above pi": (lambda: eval_partial_sum(ComplexSeries(np.ones(3)), math.pi + 0.1), DomainError,
+                             "theta = 3.241592653589793 outside [0, pi]"),
+    "projection order": (lambda: project_legendre_coefficient(lambda theta: 1.0, -1), DomainError,
+                         "projection order must be a non-negative integer, got -1"),
+    # special
+    "legendre above 1": (lambda: legendre_eval_all(3, 1.1), DomainError, "Legendre argument x = 1.1 outside [-1, 1]"),
+    "legendre below -1": (lambda: legendre_eval_all(3, -1.0001), DomainError,
+                          "Legendre argument x = -1.0001 outside [-1, 1]"),
+    "bessel order": (lambda: spherical_bessel_jy_all(-1, 1.0), DomainError,
+                     "Bessel order must be a non-negative integer, got -1"),
+    # scattering: the closed forms
+    "unit series order": (lambda: unit_series(-1), DomainError, "series order must be a non-negative integer, got -1"),
+    "closed form": (lambda: exact_half_csc(np.array([1e-320, 1.0])), DomainError,
+                    "1/(2 sin(theta/2)) is not finite at theta = 1e-320"),
+    "closed form at 0": (lambda: exact_half_csc(0.0), DomainError, "1/(2 sin(theta/2)) is not finite at theta = 0.0"),
+    "closed form below 0": (lambda: exact_half_csc(-1.0), DomainError, "theta = -1.0 outside [0, pi]"),
+    "coulomb closed form at 0": (lambda: coulomb_exact(0.0, 1.0), DomainError,
+                                 "the Coulomb amplitude is not finite at theta = 0.0"),
+    "born closed form at 0": (lambda: born_exact_invr2(0.0, 1.0, 1.0), DomainError,
+                              "the 1/r^2 Born amplitude is not finite at theta = 0.0"),
+    # scattering: the Coulomb and Born coefficients; k = 1e-308 overflows the log-gamma at 1 + i/k,
+    # and k = 5.6e-309 the factor (2l+1)/(2k)
+    "coulomb series": (lambda: coulomb_series(4, 1e-308), DomainError, OVERFLOW.format(1e-308, "")),
+    "coulomb series 1/(2k)": (lambda: coulomb_series(4, 5.56268464626801e-309), DomainError,
+                              OVERFLOW.format(5.56268464626801e-309, "")),
+    "coulomb phase": (lambda: coulomb_exact(1.0, 1e-307), DomainError, OVERFLOW.format(1e-307, "")),
+    "coulomb phase 1e-308": (lambda: coulomb_exact(1.0, 1e-308), DomainError, OVERFLOW.format(1e-308, "")),
+    "inverse_r kind": (lambda: PotentialSpec("inverse_r", 1.0), ValueError,  # its Born integral diverges
+                       "kind must be one of ('inverse_r2',), got 'inverse_r'"),
+    "born method": (lambda: born_series(INVR2, 3, 1.0, method="simpson"), ValueError,
+                    "method must be 'auto' or 'quadrature', got 'simpson'"),
+    "born series": (lambda: born_series(PotentialSpec("inverse_r2", 1e308), 4, 0.5), DomainError,
+                    OVERFLOW.format(0.5, " or the coupling alpha = 1e+308 too large")),
+    "born series small k": (lambda: born_series(INVR2, 20, 1e-307), DomainError,
+                            OVERFLOW.format(1e-307, " or the coupling alpha = 1.0 too large")),  # (2l+1)/k overflows
+    "born series small k, large alpha": (lambda: born_series(PotentialSpec("inverse_r2", 1e308), 3, 1e-3), DomainError,
+                                         OVERFLOW.format(0.001, " or the coupling alpha = 1e+308 too large")),
+    # -alpha times the integral of j_0^2 overflows, in closed form and by quadrature
+    "born shift": (lambda: born_phase_shift(PotentialSpec("inverse_r2", 1.7e308), 0, 1.0, method="auto"),
+                   DomainError, "the coupling alpha = 1.7e+308 is too large: the Born phase shifts overflow"),
+    "born shift quadrature": (
+        lambda: born_phase_shift(PotentialSpec("inverse_r2", 1.5e308), 0, 1.0, method="quadrature"), DomainError,
+        "the coupling alpha = 1.5e+308 is too large: the Born phase shifts overflow"),
+    # scattering: RNParams
+    "extremal charge": (lambda: RNParams(10.0, -10.0, 1e-4), DomainError, EXTREMAL.format(10.0, 10.0)),
+    "extremal positive charge": (lambda: RNParams(10.0, 10.0, 1e-4), DomainError, EXTREMAL.format(10.0, 10.0)),
+    "charge above mass": (lambda: RNParams(np.float64(2.0), 3.0, 1e-4), DomainError, EXTREMAL.format(3.0, 2.0)),
+    "charge above mass 10": (lambda: RNParams(10.0, 12.0, 1e-4), DomainError, EXTREMAL.format(12.0, 10.0)),
+    "rn negative mass": (lambda: RNParams(-1.0, 0.0, 1e-4, 0.0), DomainError,
+                         "mass must be finite and positive, got -1.0"),
+    "rn mass nan": (lambda: RNParams(math.nan, 5.0, 1e-4, 0.0), DomainError,
+                    "mass must be finite and positive, got nan"),
+    "rn mass inf": (lambda: RNParams(math.inf, 5.0, 1e-4, 0.0), DomainError,
+                    "mass must be finite and positive, got inf"),
+    "rn mass text": (lambda: RNParams("10", 5.0, 1e-4), DomainError, "mass must be finite and positive, got '10'"),
+    "rn mass bytes": (lambda: RNParams(b"10", 5.0, 1e-4), DomainError, "mass must be finite and positive, got b'10'"),
+    "rn charge nan": (lambda: RNParams(10.0, math.nan, 1e-4, 0.0), DomainError, "charge must be finite, got nan"),
+    "rn zero eta": (lambda: RNParams(10.0, 0.0, 0.0, 0.0), DomainError,
+                    "wavenumber eta must be finite and positive, got 0.0"),
+    "rn eta nan": (lambda: RNParams(10.0, 5.0, math.nan, 0.0), DomainError,
+                   "wavenumber eta must be finite and positive, got nan"),
+    "rn eta inf": (lambda: RNParams(10.0, 5.0, math.inf, 0.0), DomainError,
+                   "wavenumber eta must be finite and positive, got inf"),
+    "rn negative mu": (lambda: RNParams(10.0, 0.0, 1e-4, -1.0), DomainError,
+                       "particle mass mu must be finite and non-negative, got -1.0"),
+    "rn mu nan": (lambda: RNParams(10.0, 5.0, 1e-4, math.nan), DomainError,
+                  "particle mass mu must be finite and non-negative, got nan"),
+    "rn mu inf": (lambda: RNParams(10.0, 5.0, 1e-4, math.inf), DomainError,
+                  "particle mass mu must be finite and non-negative, got inf"),
+    # unchecked, Python's float power raises a bare OverflowError for each square, and r_+ = r_- at the underflow
+    "rn mass square": (lambda: RNParams(1e200, 5e199, 1e-4), DomainError,
+                       "mass = 1e+200 is too large: its square overflows"),
+    "rn mass square underflow": (lambda: RNParams(1e-300, 0.0, 1e-4), DomainError,
+                                 "mass = 1e-300 is too small: its square underflows"),
+    "rn mu square": (lambda: rn_series(4, RNParams(10.0, 5.0, 1e-4, mu=1e200)), DomainError,
+                     "particle mass mu = 1e+200 is too large: its square overflows"),
+    # scattering: rn_series; mu^2 over the horizon factor, or 1/r^3 near a tiny horizon, overflows
+    "rn weights": (lambda: rn_series(3, RNParams(10.0, 5.0, 1e-4, mu=1e151)), DomainError,
+                   "mass = 10.0 and particle mass mu = 1e+151 make the first-order weights overflow"),
+    "rn weights order 4": (lambda: rn_series(4, RNParams(10.0, 5.0, 1e-4, mu=1e151)), DomainError,
+                           "mass = 10.0 and particle mass mu = 1e+151 make the first-order weights overflow"),
+    "rn weights small mass": (lambda: rn_series(4, RNParams(1e-120, 0.0, 1e-4)), DomainError,
+                              "mass = 1e-120 and particle mass mu = 0.0 make the first-order weights overflow"),
+    "r_max on the horizon": (lambda: rn_series(3, RN, r_max=RN.r_plus), DomainError,
+                             BEYOND.format(18.66025403784439, RN_CUTOFF, 1e-08)),
+    "r_max inf": (lambda: rn_series(3, RN, r_max=math.inf), DomainError, BEYOND.format(math.inf, RN_CUTOFF, 1e-08)),
+    "r_max nan": (lambda: rn_series(3, RN, r_max=math.nan), DomainError, BEYOND.format(math.nan, RN_CUTOFF, 1e-08)),
+    "r_max square": (lambda: rn_series(3, RN, r_max=1e200), DomainError, BEYOND.format(1e200, RN_CUTOFF, 1e-08)),
+    "horizon_epsilon below ulp": (lambda: rn_series(3, RN, horizon_epsilon=1e-17), DomainError, CUTOFF.format(1e-17)),
+    "horizon_epsilon 0": (lambda: rn_series(3, RN, horizon_epsilon=0.0), DomainError, CUTOFF.format(0.0)),
+    "horizon_epsilon negative": (lambda: rn_series(3, RN, horizon_epsilon=-1e-3), DomainError, CUTOFF.format(-1e-3)),
+    "horizon_epsilon inf": (lambda: rn_series(3, RNParams(10.0, 5.0, 1e-4), horizon_epsilon=math.inf), DomainError,
+                            CUTOFF.format(math.inf)),
+    # r_+(1 + eps) is finite but lies beyond the default r_max = 50/eta = 5e5: both are named
+    "horizon_epsilon 1e300": (lambda: rn_series(3, RNParams(10.0, 5.0, 1e-4), horizon_epsilon=1e300), DomainError,
+                              DEFAULT_R_MAX + BEYOND.format(500000.0, 1.866025403784439e+301, 1e300)),
+    "horizon_epsilon 1e6": (lambda: rn_series(3, RNParams(10.0, 5.0, 1e-4), horizon_epsilon=1e6), DomainError,
+                            DEFAULT_R_MAX + BEYOND.format(500000.0, 18660272.69809843, 1e6)),
+    # scattering: the cross section, with no RuntimeWarning (an error under pytest)
+    "cross section": (lambda: cross_section(np.array([1.0, 1e200j])), DomainError,
+                      "the cross section |f|^2 overflows: largest |f| = 1.000e+200"),
+    "cross section of a float": (lambda: cross_section(1e200), DomainError,
+                                 "the cross section |f|^2 overflows: largest |f| = 1.000e+200"),
+    "cross section of a complex": (lambda: cross_section(1e200j), DomainError,
+                                   "the cross section |f|^2 overflows: largest |f| = 1.000e+200"),
+    "cross section of an array": (lambda: cross_section(np.array([1.0, 1e200j, 2.0])), DomainError,
+                                  "the cross section |f|^2 overflows: largest |f| = 1.000e+200"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GUARD_MESSAGES))
 def test_guard_message_in_full(name):
-    call, message = GUARD_MESSAGES[name]
-    with pytest.raises(DomainError) as raised:
+    call, error, message = GUARD_MESSAGES[name]
+    with pytest.raises(error) as raised:
         call()
-    assert str(raised.value) == message
+    assert type(raised.value) is error and str(raised.value) == message
