@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 import legpade.scattering as scattering
-from legpade.errors import QuadratureConvergenceError
+from legpade.errors import DomainError, QuadratureConvergenceError
 from legpade.pade import construct, evaluate
 from legpade.scattering import (
     _rn_radial,
@@ -164,6 +164,18 @@ class TestBornExact:
         assert -(head + tail) == pytest.approx(born_exact_invr2(theta, alpha, k), rel=1e-6)
 
 
+@pytest.mark.parametrize("call, k", [
+    (lambda k: coulomb_series(4, k), 1e-308),  # the log-gamma at 1 + i/k overflows
+    (lambda k: coulomb_exact(1.0, k), 1e-308),
+])
+def test_overflowing_coefficients_name_the_wavenumber(call, k):
+    # pytest turns numpy's RuntimeWarning into an error, so the overflow must stay quiet
+    with pytest.raises(DomainError) as raised:
+        call(k)
+    assert type(raised.value) is DomainError and str(raised.value) == (
+        f"wavenumber k = {k} is too small: the partial-wave coefficients overflow")
+
+
 class TestPartialWaveIdentity:
     def test_bessel_legendre_sum(self):
         # sum of (2l+1) j_l(kr)^2 P_l(cos theta) converges to sin(qr)/(qr)
@@ -200,6 +212,14 @@ class TestRNParams:
         # RNParams holds only scalars, so it keeps the generated value == and hash
         assert RNParams(10.0, 5.0, 1e-4) == RNParams(10.0, 5.0, 1e-4) != RNParams(10.0, 5.0, 2e-4)
         assert len({RNParams(10.0, 5.0, 1e-4), RNParams(10.0, 5.0, 1e-4)}) == 1
+
+    @pytest.mark.parametrize("charge", [-10.0])
+    def test_extremal_charge_is_domain_error(self, charge):
+        # a negative charge is reported by its magnitude |Q|
+        with pytest.raises(DomainError) as raised:
+            RNParams(mass=10.0, charge=charge, eta=1e-4)
+        assert type(raised.value) is DomainError and str(raised.value) == (
+            "|Q| = 10.0 must be strictly below M = 10.0 (extremal configurations are rejected)")
 
 
 def _tortoise(r, p):

@@ -423,7 +423,6 @@ GUARD_MESSAGES = {
     "coulomb series 1/(2k)": (lambda: coulomb_series(4, 5.56268464626801e-309), DomainError,
                               OVERFLOW.format(5.56268464626801e-309, "")),
     "coulomb phase": (lambda: coulomb_exact(1.0, 1e-307), DomainError, OVERFLOW.format(1e-307, "")),
-    "coulomb phase 1e-308": (lambda: coulomb_exact(1.0, 1e-308), DomainError, OVERFLOW.format(1e-308, "")),
     "inverse_r kind": (lambda: PotentialSpec("inverse_r", 1.0), ValueError,  # its Born integral diverges
                        "kind must be one of ('inverse_r2',), got 'inverse_r'"),
     "born method": (lambda: born_series(INVR2, 3, 1.0, method="simpson"), ValueError,
